@@ -1,11 +1,14 @@
 """Fusion rings, simple-object censuses, and group-rank oracles.
 
-The central construction is the degree-graded ring with q^2 invertibles
-indexed by the extension field and p-1 non-invertibles X_1..X_{p-1}; its
-axioms are checked exhaustively (with a vectorized shortcut for the pure
-group-like block, which is a Cayley-table associativity check).  Censuses
-are plain inventories (label, dimension, count) whose weighted square sum
-must reproduce the declared global dimension.
+Rings live on basis indices, with labels only at the boundary (constructor,
+accessors, reports, the `fusionring v1` text).  The product of basis
+elements i and j is coef[i, j] times basis element prod[i, j] or, where
+prod[i, j] < 0, times the multi-term row multi[-1 - prod[i, j]], stored
+primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
+checks associativity one way: Light's test on a generating set certified
+by closure, with the full scan as the fallback when it fails.  Censuses are
+inventories (label, dimension, count) whose weighted square sum must
+reproduce the declared global dimension.
 """
 
 import math
@@ -19,30 +22,123 @@ from .ffield import ExtElement, is_prime, make_field, pick_order_p
 
 DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
+MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
+_DENSE_CELLS = 2 ** 20  # cap on the (pairs x n) block expanded at once
 
 
 class FusionRing:
-    """Basis labels, duality involution, and a sparse structure tensor.
-
-    `tensor` maps (i, j) to the row {k: N_ij^k} with only nonzero entries
-    stored.  Construction does not validate the axioms; use verify_axioms.
+    """prod, coef (n x n) and multi (r x n) as in the module docstring, plus
+    unit_index and dual_index.  The label-level constructor takes `tensor`
+    mapping (i, j) to the row {k: N_ij^k}.  Axioms are not validated here.
     """
 
     def __init__(self, basis, unit: str, dual: dict, tensor: dict):
-        self.basis = list(basis)
-        self.unit = unit
-        self.dual = dict(dual)
-        self.tensor = tensor
-        self.index = {l: t for t, l in enumerate(self.basis)}
+        basis = list(basis)
+        at = _label_index(basis)
+        try:
+            rows = {(at[i], at[j]): {at[k]: v for k, v in row.items()}
+                    for (i, j), row in tensor.items()}
+            dual_index = [at[dual[label]] for label in basis]
+            unit_index = at[unit]
+        except KeyError as err:
+            raise BadParameter(f"label {err.args[0]!r} is unknown or has no dual") from None
+        self._setup(basis, unit_index, dual_index, *_pack(len(basis), rows))
 
-    def n(self, i: str, j: str, k: str) -> int:
-        return self.tensor.get((i, j), {}).get(k, 0)
+    @classmethod
+    def _from_arrays(cls, basis, unit: int, dual, prod, coef, multi) -> "FusionRing":
+        ring = cls.__new__(cls)
+        ring._setup(basis, unit, dual, prod, coef, multi)
+        return ring
+
+    def _setup(self, basis, unit, dual, prod, coef, multi):
+        self.basis, self.index = basis, _label_index(basis)
+        self.unit_index, self.dual_index = unit, np.asarray(dual, dtype=np.int64)
+        self.prod, self.coef = prod, coef
+        self.multi = _primitive_rows(prod, coef, multi)
+
+    @property
+    def unit(self) -> str:
+        return self.basis[self.unit_index]
+
+    @property
+    def dual(self) -> dict:
+        return {l: self.basis[d] for l, d in zip(self.basis, self.dual_index.tolist())}
+
+    @property
+    def tensor(self) -> dict:
+        """{(i, j): {k: N_ij^k}} on labels, nonzero entries only, derived on demand."""
+        out: dict = {}
+        for i, j, k, v in zip(*(a.tolist() for a in self._entries())):
+            out.setdefault((self.basis[i], self.basis[j]), {})[self.basis[k]] = v
+        return out
 
     def product(self, i: str, j: str) -> dict:
-        return self.tensor.get((i, j), {})
+        i, j = self.index[i], self.index[j]
+        row = _dense(self, 1, np.zeros(1, int), self.prod[i, j, None], self.coef[i, j, None])[0]
+        return {self.basis[k]: int(row[k]) for k in np.flatnonzero(row)}
+
+    def n(self, i: str, j: str, k: str) -> int:
+        return self.product(i, j).get(k, 0)
+
+    def _entries(self):
+        """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order."""
+        n = len(self.basis)
+        i, j = np.nonzero((self.prod >= 0) & (self.coef != 0))
+        mi, mj = np.nonzero(self.prod < 0)
+        rows = self.multi[-1 - self.prod[mi, mj]] * self.coef[mi, mj, None]
+        r, mk = np.nonzero(rows)
+        i, j, k, v = (np.concatenate(pair) for pair in (
+            (i, mi[r]), (j, mj[r]), (self.prod[i, j], mk), (self.coef[i, j], rows[r, mk])))
+        order = np.argsort((i * n + j) * n + k, kind="stable")
+        return i[order], j[order], k[order], v[order]
+
+    def _coeffs(self, a, b, c) -> np.ndarray:
+        """N(a, b; c) for broadcastable index arrays a, b, c."""
+        t, v = self.prod[a, b], self.coef[a, b]
+        out = np.where(t == c, v, 0)
+        multi = t < 0
+        if multi.any():
+            out[multi] = v[multi] * self.multi[-1 - t[multi], np.broadcast_to(c, t.shape)[multi]]
+        return out
 
     def __repr__(self):
         return f"FusionRing(rank={len(self.basis)}, unit={self.unit!r})"
+
+
+def _label_index(basis) -> dict:
+    index = {l: t for t, l in enumerate(basis)}
+    if len(index) != len(basis):
+        raise BadParameter("basis labels are not distinct")
+    return index
+
+
+def _pack(n: int, rows: dict):
+    """prod, coef and unreduced multi arrays from {(i, j): {k: v}} on indices."""
+    prod, coef, multi = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64), []
+    for (i, j), row in rows.items():
+        row = {k: v for k, v in row.items() if v}
+        if any(abs(v) > MAX_COEF for v in row.values()):
+            raise BadParameter(f"a coefficient of N({i},{j};-) exceeds {MAX_COEF}")
+        if len(row) == 1:
+            ((prod[i, j], coef[i, j]),) = row.items()
+        elif row:
+            multi.append(np.zeros(n, dtype=np.int64))
+            multi[-1][list(row)] = list(row.values())
+            prod[i, j], coef[i, j] = -len(multi), 1
+    return prod, coef, np.array(multi, dtype=np.int64).reshape(len(multi), n)
+
+
+def _primitive_rows(prod, coef, multi) -> np.ndarray:
+    """Make the multi-term rows primitive and distinct, so scaled rows are equal
+    exactly when their (row, coefficient) pairs are; rewrites prod, coef in place."""
+    lead = multi[np.arange(len(multi)), np.argmax(multi != 0, axis=1)]
+    scale = np.gcd.reduce(multi, axis=1) * np.sign(lead)
+    rows, target = np.unique(multi // scale[:, None], axis=0, return_inverse=True)
+    marked = prod < 0
+    old = -1 - prod[marked]
+    prod[marked] = -1 - target.reshape(-1)[old]
+    coef[marked] *= scale[old]
+    return rows
 
 
 @dataclass
@@ -79,8 +175,11 @@ class Census:
         return out
 
 
-def _inv_label(v: ExtElement) -> str:
-    return f"g{v.a0}_{v.a1}"
+def _require_pair(p: int, q: int) -> None:
+    if not (is_prime(p) and is_prime(q)):
+        raise NotPrime(f"({p}, {q}) must be prime")
+    if p == q or (q + 1) % p != 0:
+        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
 
 
 def build_extension_ring(p: int, q: int) -> FusionRing:
@@ -88,303 +187,206 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
 
     Rules: a*b = a+b on invertibles, a*X_i = X_i*a = X_i,
     X_i*X_j = q*X_{i+j} for i+j != p and the sum of all invertibles for
-    i+j = p; X_i^* = X_{p-i}.  Exists only when p | q+1.
+    i+j = p; X_i^* = X_{p-i}.  Exists only when p | q+1.  The invertible
+    with coordinates (a0, a1) has index a0*q + a1, and X_i has q^2 + i - 1.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if not is_prime(q):
-        raise NotPrime(f"{q} is not prime")
-    if p == q or (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
-    ctx = make_field(q)
-    invs = sorted(ctx.elements(), key=ExtElement.key)
-    inv_labels = [_inv_label(v) for v in invs]
-    x_labels = [f"X{i}" for i in range(1, p)]
-    basis = inv_labels + x_labels
-    unit = _inv_label(ctx.zero)
-    dual = {_inv_label(v): _inv_label(-v) for v in invs}
-    dual.update({f"X{i}": f"X{p - i}" for i in range(1, p)})
-
-    tensor: dict = {}
-    for v in invs:
-        lv = _inv_label(v)
-        for w in invs:
-            tensor[(lv, _inv_label(w))] = {_inv_label(v + w): 1}
-    for i in range(1, p):
-        xi = f"X{i}"
-        for lv in inv_labels:
-            tensor[(lv, xi)] = {xi: 1}
-            tensor[(xi, lv)] = {xi: 1}
-        for j in range(1, p):
-            if (i + j) % p == 0:
-                tensor[(xi, f"X{j}")] = {l: 1 for l in inv_labels}
-            else:
-                tensor[(xi, f"X{j}")] = {f"X{(i + j) % p}": q}
-    return FusionRing(basis, unit, dual, tensor)
+    _require_pair(p, q)
+    q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
+    a0, a1 = np.divmod(np.arange(q2, dtype=np.int64), q)
+    xs = q2 + deg - 1
+    basis = [f"g{t // q}_{t % q}" for t in range(q2)] + [f"X{i}" for i in range(1, p)]
+    dual = np.concatenate([(-a0 % q) * q + (-a1 % q), xs[::-1]])
+    prod, coef = np.empty((n, n), dtype=np.int64), np.ones((n, n), dtype=np.int64)
+    prod[:q2, :q2] = ((a0[:, None] + a0) % q) * q + (a1[:, None] + a1) % q
+    prod[:q2, q2:], prod[q2:, :q2] = xs, xs[:, None]
+    total = (deg[:, None] + deg) % p
+    prod[q2:, q2:] = np.where(total == 0, -1, q2 + total - 1)
+    coef[q2:, q2:] = np.where(total == 0, 1, q)
+    multi = (np.arange(n) < q2).astype(np.int64)[None]  # X_i X_{p-i}: the sum of all invertibles
+    return FusionRing._from_arrays(basis, 0, dual, prod, coef, multi)
 
 
-def _grouplike_block(ring: FusionRing) -> set | None:
-    """Labels whose rows are all single-term with coefficient 1, if closed."""
-    tensor = ring.tensor
-    empty: dict = {}
-    out = set()
-    for i in ring.basis:
-        ok = True
-        for j in ring.basis:
-            for row in (tensor.get((i, j), empty), tensor.get((j, i), empty)):
-                if len(row) != 1 or next(iter(row.values())) != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(i)
-    for a in out:
-        for b in out:
-            if next(iter(tensor[(a, b)])) not in out:
-                return None
+def _terms(ring: FusionRing, t, c):
+    """The scaled rows c[r] * (row t[r]) as basis terms (r, m, w)."""
+    single, multi = np.flatnonzero(t >= 0), np.flatnonzero(t < 0)
+    rows = ring.multi[-1 - t[multi]] * c[multi, None]
+    mr, m = np.nonzero(rows)
+    return (np.concatenate([single, multi[mr]]), np.concatenate([t[single], m]),
+            np.concatenate([c[single], rows[mr, m]]))
+
+
+def _dense(ring: FusionRing, k: int, r, t, c) -> np.ndarray:
+    """The (k, n) sums over s of c[s] * (row t[s]) placed in row r[s]."""
+    out = np.zeros((k, len(ring.basis)), dtype=np.int64)
+    single, multi = t >= 0, t < 0
+    # flat indices take numpy's fast path for ufunc.at
+    np.add.at(out.reshape(-1), r[single] * out.shape[1] + t[single], c[single])
+    np.add.at(out, r[multi], c[multi, None] * ring.multi[-1 - t[multi]])
     return out
 
 
-def _assoc_triple(ring: FusionRing, i: str, j: str, k: str) -> bool:
-    rij = ring.product(i, j)
-    rjk = ring.product(j, k)
-    if len(rij) == 1 and len(rjk) == 1:
-        # (i j) k = cm * (m k)  vs  i (j k) = cn * (i m2): compare scaled rows
-        ((m, cm),) = rij.items()
-        ((m2, cn),) = rjk.items()
-        left = ring.product(m, k)
-        right = ring.product(i, m2)
-        if cm == 1 and cn == 1:
-            return left == right
-        if left.keys() != right.keys():
-            return False
-        return all(cm * v == cn * right[l] for l, v in left.items())
-    lhs: dict = {}
-    for m, cm in rij.items():
-        for l, cl in ring.product(m, k).items():
-            lhs[l] = lhs.get(l, 0) + cm * cl
-    rhs: dict = {}
-    for m, cm in rjk.items():
-        for l, cl in ring.product(i, m).items():
-            rhs[l] = rhs.get(l, 0) + cm * cl
-    return lhs == rhs
+def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
+    """The lexicographically first basis triple (x, s, y) with s in `middles`
+    and (x s) y != x (s y), or None.  Vectorized over (x, y): where x s and
+    s y are single-term each side is one scaled row, compared as a (row,
+    coefficient) pair; the few x with a multi-term x s, and y with a
+    multi-term s y, are expanded to dense vectors.
+    """
+    prod, coef, n = ring.prod, ring.coef, len(ring.basis)
+    everyone, step = np.arange(n), max(1, _DENSE_CELLS // n)
+    first = None
+    for s in middles:
+        ls, lc, rs, rc = prod[:, s], coef[:, s], prod[s], coef[s]  # x s, s y
+        a, b = np.maximum(ls, 0), np.maximum(rs, 0)
+        lt, lv, rt, rv = prod[a], lc[:, None] * coef[a], prod[:, b], rc * coef[:, b]
+        bad = (lv != rv) | ((lt != rt) & (lv != 0))
+        dx, dy = np.flatnonzero(ls < 0), np.flatnonzero(rs < 0)
+        px = np.concatenate([np.repeat(dx, n), np.tile(everyone, len(dy))])
+        py = np.concatenate([np.tile(everyone, len(dx)), np.repeat(dy, n)])
+        for lo in range(0, len(px), step):
+            x, y = px[lo:lo + step], py[lo:lo + step]
+            r, m, w = _terms(ring, ls[x], lc[x])
+            left = _dense(ring, len(x), r, prod[m, y[r]], w * coef[m, y[r]])
+            r, m, w = _terms(ring, rs[y], rc[y])
+            right = _dense(ring, len(x), r, prod[x[r], m], w * coef[x[r], m])
+            bad[x, y] = (left != right).any(axis=1)
+        hits = np.flatnonzero(bad)
+        if len(hits):
+            x, y = divmod(int(hits[0]), n)
+            first = min(first or (n, n, n), (x, int(s), y))
+    return first
+
+
+def _generators(ring: FusionRing) -> list[int]:
+    """A generating set S, chosen greedily and certified by closure: from the
+    unit, add the smallest unreached index to S and close the reached set
+    under single-term products a s and s a (a reached, s in S; a nonzero
+    coefficient c puts (a s) / c in the subalgebra S generates), until every
+    basis element is reached.  For the extension ring S = {g0_1, g1_0, X1}.
+    """
+    target = np.where(ring.coef != 0, ring.prod, -1)
+    reached = np.zeros(len(ring.basis), dtype=bool)
+    reached[ring.unit_index] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        new = np.array(gens[-1:])
+        while not reached[new].all():
+            reached[new] = True
+            r = np.flatnonzero(reached)
+            new = np.concatenate([target[np.ix_(r, gens)], target[np.ix_(gens, r)].T]).ravel()
+            new = new[new >= 0]
+    return gens
+
+
+def _duality_problem(ring: FusionRing) -> str | None:
+    """The first failure of the duality involution, of N(i, j; unit) = [j = i^*]
+    or of reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) on a nonzero entry."""
+    basis, dual, everyone = ring.basis, ring.dual_index, np.arange(len(ring.basis))
+    bad = np.flatnonzero(dual[dual] != everyone)
+    if len(bad):
+        return f"dual not involutive at {basis[bad[0]]}"
+    want = (everyone == dual[:, None]).astype(np.int64)
+    bad = np.argwhere(ring._coeffs(everyone[:, None], everyone, ring.unit_index) != want)
+    if len(bad):
+        return "N({},{};unit) != {}".format(*(basis[t] for t in bad[0]), want[tuple(bad[0])])
+    i, j, k, v = ring._entries()
+    bad = np.flatnonzero((ring._coeffs(dual[i], k, j) != v) | (ring._coeffs(k, dual[j], i) != v))
+    if len(bad):
+        return "reciprocity fails at N({},{};{})".format(*(basis[a[bad[0]]] for a in (i, j, k)))
+    return None
 
 
 def verify_axioms(ring: FusionRing) -> AxiomReport:
-    """Exhaustive unit/associativity/duality check.
+    """Unit, duality and associativity check, complete at every rank.
 
-    Associativity runs over every triple; triples entirely inside the
-    group-like block are checked through a vectorized Cayley-table pass,
-    everything else by direct row expansion.  The report carries the
-    lexicographically first counterexample found.
+    Unit and duality are vectorized array checks.  Associativity is Light's
+    test (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2)
+    extended bilinearly: the s with (x s) y = x (s y) for all basis x, y form
+    a subalgebra, so the generating set of `_generators` suffices, |S| n^2
+    triples instead of n^3.  If that fails, or the unit law does (the
+    certificate needs it), the full scan over every middle s reports the
+    lexicographically first failing triple.  The first failing check, in
+    the order unit, duality, associativity, gives the counterexample.
     """
-    basis = ring.basis
-    idx = ring.index
-    unit_ok, duality_ok, assoc_ok = True, True, True
-    counterexample = None
-
-    for j in basis:
-        if ring.product(ring.unit, j) != {j: 1} or ring.product(j, ring.unit) != {j: 1}:
-            unit_ok = False
-            counterexample = counterexample or f"unit law fails at {j}"
-            break
-
-    for i in basis:
-        if ring.dual.get(ring.dual.get(i)) != i:
-            duality_ok = False
-            counterexample = counterexample or f"dual not involutive at {i}"
-            break
-    if duality_ok:
-        for i in basis:
-            for j in basis:
-                want = 1 if j == ring.dual[i] else 0
-                if ring.n(i, j, ring.unit) != want:
-                    duality_ok = False
-                    counterexample = counterexample or f"N({i},{j};unit) != {want}"
-                    break
-            if not duality_ok:
-                break
-    if duality_ok:
-        for (i, j), row in ring.tensor.items():
-            for k, v in row.items():
-                if ring.n(ring.dual[i], k, j) != v or ring.n(k, ring.dual[j], i) != v:
-                    duality_ok = False
-                    counterexample = counterexample or f"reciprocity fails at N({i},{j};{k})"
-                    break
-            if not duality_ok:
-                break
-
-    block = _grouplike_block(ring)
-    assoc_fail = None  # (i_idx, j_idx, k_idx)
-    tensor = ring.tensor
-    empty: dict = {}
-
-    if block:
-        slabels = [i for i in basis if i in block]
-        spos = {l: t for t, l in enumerate(slabels)}
-        ns = len(slabels)
-        table = np.empty((ns, ns), dtype=np.int32)
-        for a, la in enumerate(slabels):
-            for b, lb in enumerate(slabels):
-                table[a, b] = spos[next(iter(tensor[(la, lb)]))]
-        for a in range(ns):
-            lhs = table[table[a]]
-            rhs = table[a][table]
-            if not np.array_equal(lhs, rhs):
-                b, c = map(int, np.argwhere(lhs != rhs)[0])
-                assoc_fail = (idx[slabels[a]], idx[slabels[b]], idx[slabels[c]])
-                break
-
-    members = block if block is not None else set()
-    nonmembers = [k for k in basis if k not in members]
-    for i in basis:
-        i_in = i in members
-        for j in basis:
-            ks = nonmembers if (i_in and j in members) else basis
-            rij = tensor.get((i, j), empty)
-            single_ij = len(rij) == 1
-            if single_ij:
-                ((m, cm),) = rij.items()
-            for k in ks:
-                rjk = tensor.get((j, k), empty)
-                if single_ij and len(rjk) == 1:
-                    ((m2, cn),) = rjk.items()
-                    left = tensor.get((m, k), empty)
-                    right = tensor.get((i, m2), empty)
-                    if cm == 1 and cn == 1:
-                        if left == right:
-                            continue
-                    elif left.keys() == right.keys() and all(
-                        cm * v == cn * right[l] for l, v in left.items()
-                    ):
-                        continue
-                elif _assoc_triple(ring, i, j, k):
-                    continue
-                cand = (idx[i], idx[j], idx[k])
-                if assoc_fail is None or cand < assoc_fail:
-                    assoc_fail = cand
-                break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-
-    if assoc_fail is not None:
-        assoc_ok = False
-        i, j, k = (basis[t] for t in assoc_fail)
-        counterexample = counterexample or f"associativity fails at ({i},{j},{k})"
-
-    return AxiomReport(
-        passed=unit_ok and assoc_ok and duality_ok,
-        unit_ok=unit_ok,
-        assoc_ok=assoc_ok,
-        duality_ok=duality_ok,
-        counterexample=counterexample,
-    )
+    basis, prod, coef, u = ring.basis, ring.prod, ring.coef, ring.unit_index
+    n = len(basis)
+    everyone = np.arange(n)
+    bad = np.flatnonzero((prod[u] != everyone) | (coef[u] != 1)
+                         | (prod[:, u] != everyone) | (coef[:, u] != 1))
+    problems = [f"unit law fails at {basis[bad[0]]}" if len(bad) else None,
+                _duality_problem(ring), None]
+    middles = range(n) if problems[0] else _generators(ring)
+    fail = _first_assoc_failure(ring, middles)
+    if fail is not None and len(middles) < n:
+        fail = _first_assoc_failure(ring, range(n))
+    if fail is not None:
+        problems[2] = "associativity fails at ({},{},{})".format(*(basis[t] for t in fail))
+    first = next((text for text in problems if text), None)
+    return AxiomReport(passed=first is None, unit_ok=problems[0] is None, assoc_ok=fail is None,
+                       duality_ok=problems[1] is None, counterexample=first)
 
 
 def fp_dims(ring: FusionRing) -> dict:
     """The unique positive character d with d(i)d(j) = sum_k N_ij^k d(k).
 
-    First proposes integer dimensions from the ring structure (1 on the
-    group-like block, sqrt of the weight of i * i^dual when that row stays
-    in the block) and certifies the character equations exactly.  If the
-    proposal does not verify it falls back to a power-iteration eigenvector
-    rationalized and re-certified exactly; NotACharacter if neither works.
+    Proposes 1 on the group-like block (elements whose products with every
+    basis element, either side, are single-term with coefficient 1, if that
+    set is closed) and the square root of the weight of i i^* when that row
+    stays in the block, then certifies the character equations exactly.
+    Falls back to a power-iteration eigenvector, rationalized and
+    re-certified exactly; NotACharacter if neither works.
     """
-    basis = ring.basis
-    block = _grouplike_block(ring) or set()
-    proposal: dict | None = {}
-    for i in basis:
-        if i in block:
-            proposal[i] = 1
-            continue
-        row = ring.product(i, ring.dual.get(i))
-        if set(row) <= block:
-            s = sum(row.values())
-            r = math.isqrt(s)
-            if r * r == s and r > 0:
-                proposal[i] = r
-            else:
-                proposal = None
-                break
-        else:
-            proposal = None
-            break
-
-    if proposal is not None and _certify_character(ring, proposal):
-        return proposal
+    basis, prod, coef, dual = ring.basis, ring.prod, ring.coef, ring.dual_index
+    everyone = np.arange(len(basis))
+    grouplike = (prod >= 0) & (coef == 1)
+    block = grouplike.all(axis=1) & grouplike.all(axis=0)
+    members = np.flatnonzero(block)
+    if not block[prod[np.ix_(members, members)]].all():
+        block[:] = False
+    rows = _dense(ring, len(basis), everyone, prod[everyone, dual], coef[everyone, dual])
+    weight = np.where((rows[:, ~block] == 0).all(axis=1), rows.sum(axis=1), 0)
+    proposal = np.where(block, 1, [math.isqrt(max(w, 0)) for w in weight.tolist()])
+    if (block | (proposal ** 2 == weight)).all() and _certify_character(ring, proposal):
+        return dict(zip(basis, proposal.tolist()))
 
     approx = _power_iteration(ring)
     if approx is not None:
-        rational = {
-            i: Fraction(x).limit_denominator(10 ** 6) for i, x in zip(basis, approx)
-        }
-        if all(v > 0 for v in rational.values()) and _certify_character(ring, rational):
-            return {
-                i: int(v) if v.denominator == 1 else v for i, v in rational.items()
-            }
+        rational = [Fraction(x).limit_denominator(10 ** 6) for x in approx]
+        if _certify_character(ring, np.array(rational, dtype=object)):
+            return {l: int(v) if v.denominator == 1 else v for l, v in zip(basis, rational)}
     raise NotACharacter("no consistent positive character found")
 
 
-def _certify_character(ring: FusionRing, d: dict) -> bool:
-    if any(v <= 0 for v in d.values()):
+def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
+    """d > 0, d(unit) = 1 and d(i) d(j) = sum_k N_ij^k d(k) for all i, j."""
+    if (d <= 0).any() or d[ring.unit_index] != 1:
         return False
-    if d.get(ring.unit) != 1:
-        return False
-    for i in ring.basis:
-        for j in ring.basis:
-            total = sum(v * d[k] for k, v in ring.product(i, j).items())
-            if d[i] * d[j] != total:
-                return False
-    return True
+    values = np.concatenate([d, ring.multi @ d])  # d of each basis element, then of each multi row
+    total = ring.coef * values[np.where(ring.prod >= 0, ring.prod, len(d) - 1 - ring.prod)]
+    return bool((d[:, None] * d == total).all())
 
 
 def _power_iteration(ring: FusionRing, iters: int = 5000, tol: float = 1e-14):
-    basis = ring.basis
-    idx = ring.index
-    n = len(basis)
-    jj, kk, vv = [], [], []
-    for (i, j), row in ring.tensor.items():
-        for k, v in row.items():
-            jj.append(idx[j])
-            kk.append(idx[k])
-            vv.append(v)
-    jj = np.array(jj)
-    kk = np.array(kk)
-    vv = np.array(vv, dtype=np.float64)
+    n = len(ring.basis)
+    m = np.zeros((n, n))  # m[k, j] = sum_i N_ij^k: multiplication by the sum of the basis
+    _, j, k, vals = ring._entries()
+    np.add.at(m, (k, j), vals)
     v = np.ones(n)
     for _ in range(iters):
-        w = np.zeros(n)
-        np.add.at(w, kk, vv * v[jj])
-        nw = np.linalg.norm(w)
-        if nw == 0:
+        w = m @ v
+        if not w.any():
             return None
-        w /= nw
-        if np.max(np.abs(w - v)) < tol:
-            v = w
+        w /= np.linalg.norm(w)
+        v, step = w, np.max(np.abs(w - v))
+        if step < tol:
             break
-        v = w
-    u = idx[ring.unit]
-    if v[u] <= 0:
-        return None
-    return v / v[u]
-
-
-def fp_global_dim(ring: FusionRing) -> int:
-    d = fp_dims(ring)
-    return sum(v * v for v in d.values())
+    return v / v[ring.unit_index] if v[ring.unit_index] > 0 else None
 
 
 def orbit_census(p: int, q: int) -> list[tuple[ExtElement, ...]]:
     """Orbits of v -> c*v on the nonzero field elements; all have size p."""
-    if not (is_prime(p) and is_prime(q)):
-        raise NotPrime(f"({p}, {q}) must be prime")
-    if p == q or (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
+    _require_pair(p, q)
     ctx = make_field(q)
     c = pick_order_p(ctx, p)
     seen: set = set()
@@ -515,10 +517,7 @@ def semidirect_irreps(p: int, q: int) -> Census:
     irrep.  Cross-validated against brute-force conjugacy-class counting
     whenever the group order is at most 2000.
     """
-    if not (is_prime(p) and is_prime(q)):
-        raise NotPrime(f"({p}, {q}) must be prime")
-    if p == q or (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
+    _require_pair(p, q)
     ctx = make_field(q)
     c = pick_order_p(ctx, p)
 
@@ -588,45 +587,45 @@ def cyclic_group_ring(n: int) -> FusionRing:
 def ring_to_text(ring: FusionRing) -> str:
     """Plain-text form: header, one dual line per basis label, then the
     nonzero tensor entries as 0-based index quadruples in lexicographic order."""
-    idx = ring.index
     lines = [f"fusionring v1 {len(ring.basis)}"]
-    for l in ring.basis:
-        if " " in l:
-            raise BadParameter(f"label {l!r} contains a space")
-        lines.append(f"{l} {ring.dual[l]}")
-    quads = []
-    for (i, j), row in ring.tensor.items():
-        for k, v in row.items():
-            quads.append((idx[i], idx[j], idx[k], v))
-    quads.sort()
-    lines.extend(f"{i} {j} {k} {v}" for i, j, k, v in quads)
+    for label, dlabel in ring.dual.items():
+        if " " in label:
+            raise BadParameter(f"label {label!r} contains a space")
+        lines.append(f"{label} {dlabel}")
+    entries = zip(*(a.tolist() for a in ring._entries()))
+    lines.extend(f"{i} {j} {k} {v}" for i, j, k, v in entries)
     return "\n".join(lines) + "\n"
 
 
 def ring_from_text(text: str) -> FusionRing:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[:2] != ["fusionring", "v1"]:
-        raise BadParameter("bad header")
-    n = int(head[2])
-    basis, dual = [], {}
-    for line in lines[1:1 + n]:
-        label, dlabel = line.split()
-        basis.append(label)
-        dual[label] = dlabel
-    tensor: dict = {}
-    for line in lines[1 + n:]:
-        i, j, k, v = line.split()
-        key = (basis[int(i)], basis[int(j)])
-        tensor.setdefault(key, {})[basis[int(k)]] = int(v)
-    unit = None
-    for u in basis:
-        if all(
-            tensor.get((u, j), {}) == {j: 1} and tensor.get((j, u), {}) == {j: 1}
-            for j in basis
-        ):
-            unit = u
-            break
-    if unit is None:
+    """Parse the `ring_to_text` form; malformed input raises BadParameter."""
+    try:
+        (magic, version, n), *lines = [l.split() for l in text.splitlines() if l.strip()]
+        n = int(n)
+    except ValueError:
+        raise BadParameter("expected a 'fusionring v1 N' header") from None
+    named, entries = lines[:n], lines[n:]
+    if (magic, version) != ("fusionring", "v1") or n < 1 or len(named) != n \
+            or any(len(l) != 2 for l in named):
+        raise BadParameter("expected a 'fusionring v1 N' header and N lines 'label dual'")
+    basis = [label for label, _ in named]
+    index = _label_index(basis)
+    if any(d not in index for _, d in named):
+        raise BadParameter("a dual label is not a basis label")
+    rows: dict = {}
+    for line in entries:
+        try:
+            i, j, k, v = map(int, line)
+        except ValueError:
+            raise BadParameter(f"entry {' '.join(line)!r} is not 'i j k v'") from None
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise BadParameter(f"entry {' '.join(line)!r} has an index outside 0..{n - 1}")
+        rows.setdefault((i, j), {})[k] = v
+    prod, coef, multi = _pack(n, rows)
+    everyone = np.arange(n)
+    units = np.flatnonzero(((prod == everyone) & (coef == 1)).all(axis=1)
+                           & ((prod.T == everyone) & (coef.T == 1)).all(axis=1))
+    if not len(units):
         raise BadParameter("no unit found in serialized ring")
-    return FusionRing(basis, unit, dual, tensor)
+    return FusionRing._from_arrays(basis, int(units[0]), [index[d] for _, d in named],
+                                   prod, coef, multi)

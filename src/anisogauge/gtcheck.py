@@ -69,7 +69,7 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     """Apply the eigenvalue-ratio test to a split-orthogonal block map.
 
     Requires an invertible beta block.  For maps produced by the split
-    embedding, also asserts the block identity
+    embedding, also checks the block identity
     alpha + beta*delta*beta^-1 = I + g exactly.
     """
     ctx = m.ctx
@@ -78,8 +78,8 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     if m.beta.det() == 0:
         raise BetaSingular("beta block is singular")
     a = m.alpha + m.beta * m.delta * m.beta.inverse()
-    if m.source is not None:
-        assert a == Mat2.identity(ctx.q) + m.source, "block identity A = I + g failed"
+    if m.source is not None and a != Mat2.identity(ctx.q) + m.source:
+        raise ArithmeticError("block identity A = I + g failed")
     mu1, mu2 = eigenvalues_2x2(a, ctx)
     if not mu1 or not mu2:
         raise ZeroEigenvalue("an eigenvalue vanishes; ratio undefined")

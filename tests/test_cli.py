@@ -74,6 +74,27 @@ def test_verify_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("ANISOGAUGE_BOUND", "100")
     code, out, _ = run(capsys, ["verify", "3", "5"])
     assert code == 0
+    code, out, err = run(capsys, ["verify", "3", "11"])
+    assert code == 3 and out == "" and err.startswith("error:")
+    monkeypatch.setenv("ANISOGAUGE_BOUND", "0")  # zero is a bound, not "unset"
+    code, out, err = run(capsys, ["verify", "3", "5"])
+    assert code == 3 and "exceeds bound 0" in err
+    code, _, _ = run(capsys, ["sweep", "3"])
+    assert code == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
+    monkeypatch.setenv("ANISOGAUGE_BOUND", raw)
+    for argv in (["verify", "3", "5"], ["sweep", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ANISOGAUGE_BOUND")
+    # an explicit --bound wins and the variable is not read
+    code, _, _ = run(capsys, ["verify", "3", "5", "--bound", "100"])
+    assert code == 0
 
 
 def test_sweep_rows(capsys):

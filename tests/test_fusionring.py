@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisogauge import (
+    BadParameter,
     ExistenceViolated,
     FusionRing,
     NotACharacter,
@@ -19,6 +21,7 @@ from anisogauge import (
     verify_axioms,
 )
 from anisogauge.errors import BoundExceeded
+from anisogauge.fusionring import AxiomReport, _generators
 
 
 def test_extension_ring_rules_3_5():
@@ -82,6 +85,151 @@ def test_axioms_unit_violation_detected():
     assert not report.passed and not report.unit_ok
 
 
+def _s3_rep_ring() -> FusionRing:
+    """The three-object ring 1, s, V with V V = 1 + s + V."""
+    tensor = {
+        ("1", "1"): {"1": 1}, ("1", "s"): {"s": 1}, ("1", "V"): {"V": 1},
+        ("s", "1"): {"s": 1}, ("s", "s"): {"1": 1}, ("s", "V"): {"V": 1},
+        ("V", "1"): {"V": 1}, ("V", "s"): {"V": 1},
+        ("V", "V"): {"1": 1, "s": 1, "V": 1},
+    }
+    return FusionRing(["1", "s", "V"], "1", {"1": "1", "s": "s", "V": "V"}, tensor)
+
+
+def _reference_report(ring: FusionRing) -> AxiomReport:
+    """Brute-force oracle on the label-level tensor: every check, every triple."""
+    basis, unit, dual = ring.basis, ring.unit, ring.dual
+    pos = ring.index
+    table = ring.tensor
+
+    def row(i, j):
+        return table.get((i, j), {})
+
+    def mul(left, right):
+        out = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                for k, v in row(a, b).items():
+                    out[k] = out.get(k, 0) + ca * cb * v
+        return {k: v for k, v in out.items() if v}
+
+    problems = []
+    bad = [j for j in basis if row(unit, j) != {j: 1} or row(j, unit) != {j: 1}]
+    unit_ok = not bad
+    if bad:
+        problems.append(f"unit law fails at {bad[0]}")
+    bad = [i for i in basis if dual[dual[i]] != i]
+    duality_ok = not bad
+    if bad:
+        problems.append(f"dual not involutive at {bad[0]}")
+    else:
+        bad = [(i, j) for i in basis for j in basis
+               if row(i, j).get(unit, 0) != int(j == dual[i])]
+        if bad:
+            duality_ok = False
+            i, j = bad[0]
+            problems.append(f"N({i},{j};unit) != {int(j == dual[i])}")
+    if duality_ok:
+        bad = [(i, j, k) for i in basis for j in basis
+               for k, v in sorted(row(i, j).items(), key=lambda kv: pos[kv[0]])
+               if row(dual[i], k).get(j, 0) != v or row(k, dual[j]).get(i, 0) != v]
+        if bad:
+            duality_ok = False
+            problems.append("reciprocity fails at N({},{};{})".format(*bad[0]))
+    first = next(
+        ((i, j, k) for i in basis for j in basis for k in basis
+         if mul(row(i, j), {k: 1}) != mul({i: 1}, row(j, k))),
+        None,
+    )
+    if first is not None:
+        problems.append("associativity fails at ({},{},{})".format(*first))
+    return AxiomReport(not problems, unit_ok, first is None, duality_ok,
+                       problems[0] if problems else None)
+
+
+def _with(ring: FusionRing, changes: dict) -> FusionRing:
+    tensor = dict(ring.tensor)
+    tensor.update(changes)
+    return FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+
+
+def _scale_orbit(ring: FusionRing, i: str, j: str, k: str, value: int) -> FusionRing:
+    """Set N(i,j;k) to value on its whole reciprocity orbit, so that duality
+    still holds and only associativity can break."""
+    dual = ring.dual
+    orbit, todo = set(), [(i, j, k)]
+    while todo:
+        t = todo.pop()
+        if t not in orbit:
+            orbit.add(t)
+            a, b, c = t
+            todo += [(dual[a], c, b), (c, dual[b], a)]
+    tensor = {key: dict(row) for key, row in ring.tensor.items()}
+    for a, b, c in orbit:
+        tensor.setdefault((a, b), {})[c] = value
+    return FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+
+
+RINGS = {
+    "extension-3-5": lambda: build_extension_ring(3, 5),
+    "cyclic-6": lambda: cyclic_group_ring(6),
+    "s3-reps": _s3_rep_ring,
+}
+
+MUTATIONS = {
+    # coefficient, kept consistent with reciprocity: only associativity breaks
+    ("extension-3-5", "coefficient"): lambda r: _scale_orbit(r, "X1", "X1", "X2", 6),
+    ("cyclic-6", "coefficient"): lambda r: _scale_orbit(r, "g1", "g1", "g2", 2),
+    ("s3-reps", "coefficient"): lambda r: _scale_orbit(r, "s", "V", "V", 2),
+    # a single-term product sent to the wrong basis element
+    ("extension-3-5", "target"): lambda r: _with(r, {("g1_0", "g0_1"): {"g1_2": 1}}),
+    ("cyclic-6", "target"): lambda r: _with(r, {("g2", "g3"): {"g1": 1}}),
+    ("s3-reps", "target"): lambda r: _with(r, {("V", "s"): {"s": 1}}),
+    # one entry changed without its reciprocity partners
+    ("extension-3-5", "reciprocity"): lambda r: _with(r, {("X1", "X1"): {"X2": 6}}),
+    ("cyclic-6", "reciprocity"): lambda r: _with(r, {("g1", "g1"): {"g2": 2}}),
+    ("s3-reps", "reciprocity"): lambda r: _with(r, {("V", "V"): {"1": 1, "s": 2, "V": 1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_axioms_match_reference(name):
+    ring = RINGS[name]()
+    assert verify_axioms(ring) == _reference_report(ring)
+    assert verify_axioms(ring).passed
+
+
+@pytest.mark.parametrize("name,kind", sorted(MUTATIONS))
+def test_mutations_caught_with_reference_counterexample(name, kind):
+    bad = MUTATIONS[(name, kind)](RINGS[name]())
+    report = verify_axioms(bad)
+    assert not report.passed
+    assert report == _reference_report(bad)
+    if kind == "coefficient":
+        assert report.unit_ok and report.duality_ok and not report.assoc_ok
+        assert report.counterexample.startswith("associativity fails at")
+
+
+def test_generators_of_extension_ring():
+    for p, q in [(3, 5), (3, 23), (2, 7), (3, 2)]:
+        ring = build_extension_ring(p, q)
+        assert [ring.basis[g] for g in _generators(ring)] == ["g0_1", "g1_0", "X1"]
+
+
+def test_full_scan_when_closure_reaches_nothing_more():
+    # s reaches only {1, s} and V is no single-term product, so every non-unit
+    # element is a generator: Light's test is the full scan (its mutations
+    # are covered above)
+    ring = _s3_rep_ring()
+    assert [ring.basis[g] for g in _generators(ring)] == ["s", "V"]
+    assert verify_axioms(ring).passed
+    golden = FusionRing(["1", "t"], "1", {"1": "1", "t": "t"},
+                        {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+                         ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}})
+    assert [golden.basis[g] for g in _generators(golden)] == ["t"]
+    assert verify_axioms(golden) == _reference_report(golden)
+
+
 def test_fp_dims_extension_rings():
     ring = build_extension_ring(3, 5)
     dims = fp_dims(ring)
@@ -106,15 +254,7 @@ def test_fp_dims_detects_invertibles():
 
 def test_fp_dims_power_iteration_fallback():
     # three-object ring with a 2-dimensional object: needs the eigenvector path
-    basis = ["1", "s", "V"]
-    dual = {"1": "1", "s": "s", "V": "V"}
-    tensor = {
-        ("1", "1"): {"1": 1}, ("1", "s"): {"s": 1}, ("1", "V"): {"V": 1},
-        ("s", "1"): {"s": 1}, ("s", "s"): {"1": 1}, ("s", "V"): {"V": 1},
-        ("V", "1"): {"V": 1}, ("V", "s"): {"V": 1},
-        ("V", "V"): {"1": 1, "s": 1, "V": 1},
-    }
-    ring = FusionRing(basis, "1", dual, tensor)
+    ring = _s3_rep_ring()
     assert verify_axioms(ring).passed
     assert fp_dims(ring) == {"1": 1, "s": 1, "V": 2}
 
@@ -289,3 +429,50 @@ def test_serialization_header():
     assert lines[0] == "fusionring v1 3"
     assert lines[1] == "g0 g0"
     assert lines[2] == "g1 g2"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "fusionring v1",
+        "fusionring v1 x",
+        "fusionring v2 1\ne e\n0 0 0 1\n",
+        "fusionring v1 2\ne e\n",
+        "fusionring v1 1\ne e\n0 0 1 1\n",
+        "fusionring v1 1\ne e\n0 0 -1 1\n",
+        "fusionring v1 1\ne e\n0 0 0\n",
+        "fusionring v1 1\ne e\n0 0 0 one\n",
+        "fusionring v1 1\ne f\n0 0 0 1\n",
+        "fusionring v1 2\ne e\ne e\n0 0 0 1\n",
+        "fusionring v1 1\ne e\n0 0 0 99999999999999999999\n",
+        "fusionring v1 1\ne e\n0 0 0 2\n",
+    ],
+)
+def test_ring_from_text_rejects_malformed(text):
+    with pytest.raises(BadParameter):
+        ring_from_text(text)
+
+
+_TEXT_3_5 = ring_to_text(build_extension_ring(3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cut=st.integers(0, len(_TEXT_3_5)),
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_TEXT_3_5) - 1),
+                  st.sampled_from(list("0123456789 -xXg_\nfusionrv"))),
+        max_size=4,
+    ),
+)
+def test_ring_from_text_fuzz(cut, edits):
+    chars = list(_TEXT_3_5)
+    for at, ch in edits:
+        chars[at] = ch
+    text = "".join(chars)[:cut]
+    try:
+        ring = ring_from_text(text)
+    except BadParameter:
+        return
+    assert ring_from_text(ring_to_text(ring)).tensor == ring.tensor

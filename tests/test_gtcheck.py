@@ -87,6 +87,15 @@ def test_gt_criterion_beta_singular():
         gt_criterion(m)
 
 
+def test_gt_criterion_rejects_wrong_source():
+    # the block identity A = I + g is an explicit check, so it holds under python -O too
+    ctx = make_field(5)
+    m = split_embedding(build_anisotropic(ctx), rotation(ctx, pick_order_p(ctx, 3)))
+    wrong = SplitOrthMap(ctx, m.alpha, m.beta, m.gamma, m.delta, m.gram, source=Mat2.identity(5))
+    with pytest.raises(ArithmeticError, match="block identity"):
+        gt_criterion(wrong)
+
+
 def test_hyperbolic_control_q5_a2():
     verdict = gt_criterion(hyperbolic_control(5, 2))
     assert verdict.group_theoretical

@@ -3,8 +3,9 @@
 The anisotropic orthogonal group is stored structurally: every element is
 (c, reflect) acting by v -> c * sigma^reflect(v) with norm(c) = 1, which
 turns the dihedral check into a presentation check.  Hyperbolic isometries
-are kept as raw 2x2 matrices.  Enumeration is a brute-force scan over all
-2x2 matrices mod q (vectorized), cross-checked against the structured set.
+are kept as raw 2x2 matrices.  Enumeration solves for the two columns of
+each isometry from the level sets of the form (complete by polarization),
+cross-checked against the structured set.
 """
 
 import numpy as np
@@ -12,8 +13,6 @@ import numpy as np
 from .errors import EvenCharacteristic, NotNormOne, UnsupportedKind
 from .ffield import ExtElement, FieldCtx, frobenius, ker_norm, norm
 from .quadspace import ANISOTROPIC, SPLIT4, QuadSpace, gram_matrix
-
-_EXHAUSTIVE_Q = 101
 
 
 class Mat2:
@@ -266,7 +265,8 @@ def split_embedding(space: QuadSpace, g) -> SplitOrthMap:
     Blocks (with h = 1/2): alpha = h(I + g), beta = gamma = h(I - g),
     delta = h(I + g), written in the canonical basis and its hat-dual.
     The result fixes every (v, v-hat) and sends (v, -v-hat) to
-    (g v, -(g v)-hat); both properties are verified exhaustively.
+    (g v, -(g v)-hat).  Both sides of each property are linear in v, so
+    checking them on the basis e1, e2 proves them for every v.
     """
     ctx = space.ctx
     q = ctx.q
@@ -277,26 +277,23 @@ def split_embedding(space: QuadSpace, g) -> SplitOrthMap:
     half = pow(2, -1, q)
     plus = (ident + mg).scale(half)
     minus = (ident - mg).scale(half)
-    g11, g12 = gram_matrix(space)[0]
-    g21, g22 = gram_matrix(space)[1]
+    (g11, g12), (g21, g22) = gram_matrix(space)
     gram = Mat2(q, g11, g12, g21, g22)
     m = SplitOrthMap(ctx, plus, minus, minus, plus, gram, source=mg)
 
-    cells = range(q) if q <= _EXHAUSTIVE_Q else range(min(q, 23))
-    for x0 in cells:
-        for x1 in cells:
-            fixed = m.apply_coords((x0, x1, x0, x1))
-            if fixed != (x0 % q, x1 % q, x0 % q, x1 % q):
-                raise ArithmeticError("embedding does not fix the diagonal")
-            gx = mg((x0, x1))
-            flipped = m.apply_coords((x0, x1, -x0 % q, -x1 % q))
-            if flipped != (gx[0], gx[1], -gx[0] % q, -gx[1] % q):
-                raise ArithmeticError("embedding wrong on the antidiagonal")
+    for x0, x1 in ((1, 0), (0, 1)):
+        if m.apply_coords((x0, x1, x0, x1)) != (x0, x1, x0, x1):
+            raise ArithmeticError("embedding does not fix the diagonal")
+        gx = mg((x0, x1))
+        flipped = m.apply_coords((x0, x1, -x0 % q, -x1 % q))
+        if flipped != (gx[0], gx[1], -gx[0] % q, -gx[1] % q):
+            raise ArithmeticError("embedding wrong on the antidiagonal")
     return m
 
 
 def is_orthogonal(space: QuadSpace, mapping) -> bool:
-    """Exhaustive form-preservation check (spanning-set polarization for split)."""
+    """Form-preservation check: spanning-set polarization for split, and on the
+    planes a point scan over every vector, since `mapping` may be nonlinear."""
     if space.kind == SPLIT4:
         if isinstance(mapping, SplitOrthMap):
             return mapping._preserves_q()
@@ -310,50 +307,53 @@ def is_orthogonal(space: QuadSpace, mapping) -> bool:
     return True
 
 
-def _scan_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
-    """All invertible 2x2 matrices mod q preserving the form, by brute force."""
+def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
+    """All invertible 2x2 matrices mod q preserving the form, solved by columns.
+
+    In any characteristic Q(ax + by) = a^2 Q(x) + b^2 Q(y) + ab B'(x, y) with
+    B'(x, y) = Q(x + y) - Q(x) - Q(y), so a linear g preserves Q iff it does on
+    e1, e2 and e1 + e2: the columns g e1, g e2 range over two level sets of Q.
+    The form table is first checked to be the quadratic form those three
+    values fix, so the argument holds for `space.form` as implemented.
+    """
     q = space.ctx.q
-    vidx_form = np.empty(q * q, dtype=np.int64)
+    form = np.empty(q * q, dtype=np.int64)
     for v in space.vectors():
         x, y = space.coords(v)
-        vidx_form[x * q + y] = space.form(v)
+        form[x * q + y] = space.form(v)
+    q1, q2, q12 = int(form[q]), int(form[1]), int(form[q + 1])
     xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
-    mats = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T  # (q^4, 4)
-    survivors: set[tuple[int, int, int, int]] = set()
-    chunk = 4096
-    for lo in range(0, len(mats), chunk):
-        blk = mats[lo:lo + chunk]
-        xp = (blk[:, 0:1] * xs[None, :] + blk[:, 1:2] * ys[None, :]) % q
-        yp = (blk[:, 2:3] * xs[None, :] + blk[:, 3:4] * ys[None, :]) % q
-        forms = vidx_form[xp * q + yp]
-        ok = (forms == vidx_form[None, :]).all(axis=1)
-        for row in blk[ok]:
-            a, b, c, d = (int(t) for t in row)
-            if (a * d - b * c) % q != 0:
-                survivors.add((a, b, c, d))
-    return survivors
+    if ((xs * xs * q1 + ys * ys * q2 + xs * ys * (q12 - q1 - q2) - form) % q).any():
+        raise ArithmeticError("form table is not a quadratic form")
+    us = np.flatnonzero(form == q1)
+    ws = np.flatnonzero(form == q2)
+    a, c = xs[us, None], ys[us, None]
+    b, d = xs[None, ws], ys[None, ws]
+    ok = (form[(a + b) % q * q + (c + d) % q] == q12) & ((a * d - b * c) % q != 0)
+    i, j = np.nonzero(ok)
+    return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))
 
 
 def enumerate_orth(space: QuadSpace):
     """All form-preserving invertible linear maps of a 2-dimensional space.
 
     Anisotropic: returns the 2(q+1) structured maps, after checking that
-    the brute-force matrix scan produces exactly the rotations and
-    reflections by norm-one elements.  Hyperbolic: returns the 2(q-1)
-    matrices and checks they have the rotation/reflection shape.  The
+    the solved isometry set is exactly the rotations and reflections by
+    norm-one elements.  Hyperbolic: returns the 2(q-1) matrices and checks
+    that the solved set is exactly diag(a, 1/a) and antidiag(1/a; a).  The
     dihedral presentation is certified in both cases.
     """
     if space.kind == SPLIT4:
         raise UnsupportedKind("enumeration only for the 2-dimensional kinds")
     ctx = space.ctx
     q = ctx.q
-    found = _scan_form_preserving(space)
+    found = _solve_form_preserving(space)
     if space.kind == ANISOTROPIC:
         maps = [AnisoOrthMap(ctx, c, False) for c in ker_norm(ctx)]
         maps += [AnisoOrthMap(ctx, c, True) for c in ker_norm(ctx)]
         structured = {m.matrix().entries() for m in maps}
         if structured != found:
-            raise ArithmeticError("anisotropic orthogonal group scan mismatch")
+            raise ArithmeticError("anisotropic orthogonal group: solved set != structured set")
         if len(maps) != 2 * (q + 1):
             raise ArithmeticError("unexpected anisotropic orthogonal order")
         dihedral_generators(maps, AnisoOrthMap.identity(ctx))
@@ -365,7 +365,7 @@ def enumerate_orth(space: QuadSpace):
         expected.add((a, 0, 0, ainv))
         expected.add((0, ainv, a, 0))
     if expected != found:
-        raise ArithmeticError("hyperbolic orthogonal group scan mismatch")
+        raise ArithmeticError("hyperbolic orthogonal group: solved set != structured set")
     mats = [Mat2(q, a, 0, 0, pow(a, -1, q)) for a in range(1, q)]
     mats += [Mat2(q, 0, pow(a, -1, q), a, 0) for a in range(1, q)]
     if len(mats) != 2 * (q - 1):

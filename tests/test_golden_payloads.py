@@ -1,0 +1,29 @@
+"""The --format json payloads of the long verify and sweep commands, pinned by sha256."""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from anisogauge.cli import main
+
+GOLDEN = {
+    ("verify", "3", "23"): "f8ac4c12b38f550edd7ae691ae8a7529baa6689baba989793a77edc973d6c7b0",
+    ("verify", "5", "19"): "6367ea3de916b4daf0eeebc083b9f86f6ab1d12d6756dbef4416c1d942e46ff9",
+    ("sweep", "20"): "36d71b73943f565a6a9edb60550f5c43865c4f11ba1bf0d41a0c3495ee6d1147",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_json_payload_matches_pinned_sha256(argv, monkeypatch):
+    monkeypatch.delenv("ANISOGAUGE_BOUND", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(buf.getvalue())
+    digest = payload.pop("sha256")
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    assert hashlib.sha256(body).hexdigest() == digest == GOLDEN[argv]

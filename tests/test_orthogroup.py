@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from anisogauge import (
     AnisoOrthMap,
+    AnisotropicSpace,
     EvenCharacteristic,
     Mat2,
     NotNormOne,
@@ -19,6 +21,7 @@ from anisogauge import (
     sigma_map,
     split_embedding,
 )
+from anisogauge.orthogroup import _solve_form_preserving
 
 
 @pytest.mark.parametrize("q,count", [(2, 6), (3, 8), (5, 12), (7, 16)])
@@ -175,3 +178,66 @@ def test_composition_law():
             prod = a * b
             for v in list(ctx.elements())[:6]:
                 assert prod(v) == a(b(v))
+
+
+def _scan_form_preserving(space):
+    """Oracle: every invertible 2x2 matrix mod q preserving the form on all q^2 vectors."""
+    q = space.ctx.q
+    vidx_form = np.empty(q * q, dtype=np.int64)
+    for v in space.vectors():
+        x, y = space.coords(v)
+        vidx_form[x * q + y] = space.form(v)
+    xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    mats = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T  # (q^4, 4)
+    survivors = set()
+    chunk = 4096
+    for lo in range(0, len(mats), chunk):
+        blk = mats[lo:lo + chunk]
+        xp = (blk[:, 0:1] * xs[None, :] + blk[:, 1:2] * ys[None, :]) % q
+        yp = (blk[:, 2:3] * xs[None, :] + blk[:, 3:4] * ys[None, :]) % q
+        ok = (vidx_form[xp * q + yp] == vidx_form[None, :]).all(axis=1)
+        for row in blk[ok]:
+            a, b, c, d = (int(t) for t in row)
+            if (a * d - b * c) % q != 0:
+                survivors.add((a, b, c, d))
+    return survivors
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_solved_orthogonal_set_matches_brute_force_scan(q):
+    ctx = make_field(q)
+    for space in (build_anisotropic(ctx), build_hyperbolic(ctx)):
+        assert _solve_form_preserving(space) == _scan_form_preserving(space)
+
+
+class _MutatedPlane(AnisotropicSpace):
+    """The anisotropic plane with the form value changed at one vector."""
+
+    def __init__(self, ctx, where, delta):
+        super().__init__(ctx)
+        self.where, self.delta = where, delta
+
+    def form(self, v):
+        value = super().form(v)
+        return (value + self.delta) % self.ctx.q if self.coords(v) == self.where else value
+
+
+@pytest.mark.parametrize("q", [2, 5, 7])
+@pytest.mark.parametrize("where", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 3)])
+def test_enumerate_orth_rejects_form_mutated_at_one_vector(q, where):
+    ctx = make_field(q)
+    where = (where[0] % q, where[1] % q)
+    for delta in range(1, q):
+        with pytest.raises(ArithmeticError):
+            enumerate_orth(_MutatedPlane(ctx, where, delta))
+
+
+@pytest.mark.parametrize("where", [(1, 0), (0, 1), (1, 1)])
+def test_structured_cross_check_catches_mutation_the_solver_accepts(where):
+    # Over F_2 every change at one nonzero vector is still a quadratic form,
+    # so only the comparison with the structured set can reject it.
+    space = _MutatedPlane(make_field(2), where, 1)
+    solved = _solve_form_preserving(space)
+    assert solved == _scan_form_preserving(space) and len(solved) != 6
+    with pytest.raises(ArithmeticError, match="structured set"):
+        enumerate_orth(space)

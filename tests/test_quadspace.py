@@ -2,6 +2,7 @@ import pytest
 
 from anisogauge import (
     EvenCharacteristic,
+    MetricGroup,
     UnsupportedKind,
     bilinear,
     build_anisotropic,
@@ -57,6 +58,20 @@ def test_metric_group_nondegenerate_and_even(q):
         # injectivity of a -> b(a, .)
         rows = {tuple(mg.bicharacter(a, c) for c in mg.carrier) for a in mg.carrier}
         assert len(rows) == q * q
+
+
+@pytest.mark.parametrize("carrier,m,t,cm,message", [
+    ([(0,), (1,)], 5, {(0,): 0, (1,): 1}, None, "not closed under addition"),
+    ([(0,), (1,)], 4, {(0,): 0}, 2, r"no value at \(1,\)"),
+    ([(0,), (1,), (2,)], 3, {(0,): 0, (1,): 1, (2,): 2}, None, r"not even at \(1,\)"),
+    ([(0,), (5,)], 5, {(0,): 0, (5,): 0}, None, r"must lie in \[0, 5\)"),
+    ([], 5, {}, None, "empty"),
+    ([(x, y) for x in range(3) for y in range(3)], 3,
+     {(x, y): x * x % 3 for x in range(3) for y in range(3)}, None, "degenerate"),
+], ids=["not-closed", "t-missing", "t-odd", "out-of-range", "empty", "degenerate"])
+def test_metric_group_rejects_bad_input_with_arithmetic_error(carrier, m, t, cm, message):
+    with pytest.raises(ArithmeticError, match=message):
+        MetricGroup(carrier, m, t, carrier_modulus=cm)
 
 
 def test_metric_group_rejects_split():

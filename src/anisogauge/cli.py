@@ -7,6 +7,7 @@ opt-in and goes to stderr so it never touches the payload.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from . import fusionring, gtcheck, orthogroup, quadspace
-from .errors import BoundExceeded, ExistenceViolated
+from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
 from .ffield import is_prime, ker_norm, make_field
 
 EXIT_OK = 0
@@ -85,14 +86,7 @@ def _bound(flag: int | None, default: int) -> int:
 
 
 def cmd_census(p: int, q: int, fmt: str) -> int:
-    try:
-        census = fusionring.equivariantization_census(p, q)
-    except ExistenceViolated as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_EXISTENCE
-    except BoundExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BOUND
+    census = fusionring.equivariantization_census(p, q)
     ctx = make_field(q)
     entries = [
         {"label": label, "dim": dim, "count": count}
@@ -120,89 +114,97 @@ def cmd_census(p: int, q: int, fmt: str) -> int:
 
 
 def _verify_checks(p: int, q: int) -> list[dict]:
-    checks = []
+    """The verify rows for (p, q), in payload order.
 
-    def add(name, status, detail):
-        checks.append({"name": name, "status": status, "detail": detail})
+    Each check returns (ok, detail) for its own row, ok None meaning
+    skipped, or a list of (name, ok, detail) rows.  The library certifies
+    sizes and orders by raising, so an AnisogaugeError or ArithmeticError
+    raised inside a check becomes a fail row carrying the error and the
+    other checks still run; any other exception is a bug and propagates.
+    The field, the anisotropic plane, the ring and the census are built
+    once per pair, and a check whose input failed to build fails with that
+    error.
+    """
+    field = functools.cache(lambda: make_field(q))
+    aniso = functools.cache(lambda: quadspace.build_anisotropic(field()))
+    ring = functools.cache(lambda: fusionring.build_extension_ring(p, q))
+    census = functools.cache(lambda: fusionring.equivariantization_census(p, q))
 
-    ctx = make_field(q)
-    kn = ker_norm(ctx)
-    add("norm-one-subgroup", "pass" if len(kn) == q + 1 else "fail", f"size {len(kn)}")
+    def orthogonal_order(space):
+        return True, f"order {len(orthogroup.enumerate_orth(space))}"
 
-    aniso = quadspace.build_anisotropic(ctx)
-    maps = orthogroup.enumerate_orth(aniso)  # certifies the dihedral presentation
-    ok = len(maps) == 2 * (q + 1)
-    add("anisotropic-orthogonal", "pass" if ok else "fail", f"order {len(maps)}")
+    def metric_group():
+        quadspace.metric_group_of(aniso())
+        return True, "non-degenerate"
 
-    hyp = quadspace.build_hyperbolic(ctx)
-    hmaps = orthogroup.enumerate_orth(hyp)
-    ok = len(hmaps) == 2 * (q - 1)
-    add("hyperbolic-orthogonal", "pass" if ok else "fail", f"order {len(hmaps)}")
+    def fusion_axioms():
+        report = fusionring.verify_axioms(ring())
+        return report.passed, report.counterexample or f"{len(ring().basis)} basis elements"
 
-    try:
-        quadspace.metric_group_of(aniso)
-        add("metric-group", "pass", "non-degenerate")
-    except ArithmeticError as err:
-        add("metric-group", "fail", str(err))
+    def fp_dims():
+        dims = fusionring.fp_dims(ring())
+        values = sorted(set(dims.values()))
+        global_dim = sum(v * v for v in dims.values())
+        ok = values == sorted({1, q}) and global_dim == p * q * q
+        return ok, f"dims {values}, global {global_dim}"
 
-    ring = fusionring.build_extension_ring(p, q)
-    report = fusionring.verify_axioms(ring)
-    add(
-        "fusion-axioms",
-        "pass" if report.passed else "fail",
-        report.counterexample or f"{len(ring.basis)} basis elements",
-    )
+    def semidirect_cross_check():
+        irreps = fusionring.semidirect_irreps(p, q)
+        degree0 = {(dim, count) for label, dim, count in census().entries[:2]}
+        semis = {(dim, count) for label, dim, count in irreps.entries}
+        detail = f"irreps rank {irreps.rank}"
+        if p * q * q > fusionring.CROSS_CHECK_BOUND:
+            detail += f"; brute-force class count skipped (p*q^2 > {fusionring.CROSS_CHECK_BOUND})"
+        return degree0 == semis, detail
 
-    dims = fusionring.fp_dims(ring)
-    values = sorted(set(dims.values()))
-    global_dim = sum(v * v for v in dims.values())
-    ok = values == sorted({1, q}) and global_dim == p * q * q
-    add("fp-dims", "pass" if ok else "fail", f"dims {values}, global {global_dim}")
-
-    census = fusionring.equivariantization_census(p, q)
-    ok = census.rank == p * p + (q * q - 1) // p and census.global_dim == p * p * q * q
-    add("census", "pass" if ok else "fail", f"rank {census.rank}")
-
-    irreps = fusionring.semidirect_irreps(p, q)
-    degree0 = {(dim, count) for label, dim, count in census.entries[:2]}
-    semis = {(dim, count) for label, dim, count in irreps.entries}
-    ok = degree0 == semis
-    add("semidirect-cross-check", "pass" if ok else "fail", f"irreps rank {irreps.rank}")
-
-    ok = gtcheck.quartic_identity_check(q)
-    add("quartic-identity", "pass" if ok else "fail", "(x+1)^3(x-1) expansion")
-
-    if q == 2 or p == 2:
-        reason = "q=2" if q == 2 else "p=2"
-        add("criterion-suite", "skip", f"even prime ({reason}); needs odd characteristic")
-    else:
+    def criterion_suite():
+        if q == 2 or p == 2:
+            reason = "q=2" if q == 2 else "p=2"
+            return None, f"even prime ({reason}); needs odd characteristic"
         suite = gtcheck.non_group_theoretical_suite(p, q)
-        for name, ok, detail in suite.entries:
-            add(f"criterion-{name}", "pass" if ok else "fail", detail)
+        return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite.entries]
 
-    if q == 2:
-        add("hyperbolic-controls", "skip", "q=2; needs odd characteristic")
-    else:
-        bad = []
-        for a in range(2, q - 1):  # skips 0, 1, and q-1 = -1
-            verdict = gtcheck.gt_criterion(gtcheck.hyperbolic_control(q, a))
-            if not verdict.group_theoretical:
-                bad.append(a)
-        add(
-            "hyperbolic-controls",
-            "pass" if not bad else "fail",
-            f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}",
-        )
-    return checks
+    def hyperbolic_controls():
+        if q == 2:
+            return None, "q=2; needs odd characteristic"
+        bad = [
+            a for a in range(2, q - 1)  # skips 0, 1, and q-1 = -1
+            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(q, a)).group_theoretical
+        ]
+        return not bad, f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}"
+
+    checks = (
+        ("norm-one-subgroup", lambda: (True, f"size {len(ker_norm(field()))}")),
+        ("anisotropic-orthogonal", lambda: orthogonal_order(aniso())),
+        ("hyperbolic-orthogonal", lambda: orthogonal_order(quadspace.build_hyperbolic(field()))),
+        ("metric-group", metric_group),
+        ("fusion-axioms", fusion_axioms),
+        ("fp-dims", fp_dims),
+        ("census", lambda: (True, f"rank {census().rank}")),
+        ("semidirect-cross-check", semidirect_cross_check),
+        ("quartic-identity", lambda: (gtcheck.quartic_identity_check(q), "(x+1)^3(x-1) expansion")),
+        ("criterion-suite", criterion_suite),
+        ("hyperbolic-controls", hyperbolic_controls),
+    )
+    rows = []
+    for name, check in checks:
+        try:
+            result = check()
+        except (AnisogaugeError, ArithmeticError) as err:
+            result = False, f"{type(err).__name__}: {err}"
+        rows += result if isinstance(result, list) else [(name, *result)]
+    return [
+        {"name": name, "status": "skip" if ok is None else "pass" if ok else "fail",
+         "detail": detail}
+        for name, ok, detail in rows
+    ]
 
 
 def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
-        print(f"error: p*q^2 = {p * q * q} exceeds bound {bound}", file=sys.stderr)
-        return EXIT_BOUND
-    if p == q or (q + 1) % p != 0:
-        print(f"error: p={p} does not divide q+1={q + 1}", file=sys.stderr)
-        return EXIT_EXISTENCE
+        raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
+    if (q + 1) % p != 0:
+        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
     checks = _verify_checks(p, q)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
@@ -231,8 +233,7 @@ def _odd_primes_upto(n: int) -> list[int]:
 def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
     cap = min(SWEEP_HARD_CAP, bound)
     if qmax > cap:
-        print(f"error: qmax={qmax} exceeds bound {cap}", file=sys.stderr)
-        return EXIT_BOUND
+        raise BoundExceeded(f"qmax={qmax} exceeds bound {cap}")
     rows = []
     failures = 0
     for q in _odd_primes_upto(qmax):
@@ -272,20 +273,14 @@ def cmd_double_rank(path: str, fmt: str) -> int:
         with open(path) as fh:
             tokens = fh.read().split()
         n = int(tokens[0])
+        if n < 1:
+            raise ValueError(f"group order {n} is not positive")
         if len(tokens) != 1 + n * n:
             raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
         table = np.array([int(t) for t in tokens[1:]], dtype=np.int32).reshape(n, n)
-    except (OSError, ValueError, IndexError) as err:
-        print(f"error: cannot read group table: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rank = fusionring.drinfeld_double_rank(table)
-    except BoundExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BOUND
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError, IndexError, OverflowError) as err:
+        raise BadParameter(f"cannot read group table: {err}") from None
+    rank = fusionring.drinfeld_double_rank(table)
     payload = {"command": "double-rank", "order": int(n), "rank": rank}
     table_lines = [f"group order {n}", f"double rank {rank}"]
     csv = ["order,rank", f"{n},{rank}"]
@@ -324,14 +319,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    if args.command == "census":
-        code = cmd_census(args.p, args.q, args.format)
-    elif args.command == "verify":
-        code = cmd_verify(args.p, args.q, _bound(args.bound, VERIFY_DEFAULT_BOUND), args.format)
-    elif args.command == "sweep":
-        code = cmd_sweep(args.qmax, _bound(args.bound, SWEEP_DEFAULT_BOUND), args.format)
-    else:
-        code = cmd_double_rank(args.group_file, args.format)
+    try:
+        if args.command == "census":
+            code = cmd_census(args.p, args.q, args.format)
+        elif args.command == "verify":
+            code = cmd_verify(args.p, args.q, _bound(args.bound, VERIFY_DEFAULT_BOUND), args.format)
+        elif args.command == "sweep":
+            code = cmd_sweep(args.qmax, _bound(args.bound, SWEEP_DEFAULT_BOUND), args.format)
+        else:
+            code = cmd_double_rank(args.group_file, args.format)
+    except AnisogaugeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, ExistenceViolated):
+            code = EXIT_EXISTENCE
+        elif isinstance(err, BoundExceeded):
+            code = EXIT_BOUND
+        else:
+            code = EXIT_USAGE
     if args.timing:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ExistenceViolated to exit code 2 and BoundExceeded to exit
-code 3; everything else is a usage or programming error.
+The CLI maps ExistenceViolated to exit code 2, BoundExceeded to exit
+code 3 and every other AnisogaugeError to exit code 64.  Inside a verify
+check, an AnisogaugeError or ArithmeticError becomes a fail row instead.
 """
 
 

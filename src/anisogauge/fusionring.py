@@ -178,7 +178,7 @@ class Census:
 def _require_pair(p: int, q: int) -> None:
     if not (is_prime(p) and is_prime(q)):
         raise NotPrime(f"({p}, {q}) must be prime")
-    if p == q or (q + 1) % p != 0:
+    if (q + 1) % p != 0:
         raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
 
 

@@ -1,9 +1,14 @@
+import hashlib
 import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from anisogauge import fusionring, gtcheck
 from anisogauge.cli import main
+from anisogauge.errors import ExistenceViolated, NotACharacter
 
 
 def run(capsys, argv):
@@ -213,3 +218,138 @@ def test_census_bound_exceeded(capsys):
     code, _, err = run(capsys, ["census", "3", "10007"])
     assert code == 3
     assert "exceeds bound" in err
+
+
+def _payload_and_digest_agree(out: str) -> dict:
+    data = json.loads(out)
+    digest = data.pop("sha256")
+    body = json.dumps(data, separators=(",", ":")).encode()
+    assert hashlib.sha256(body).hexdigest() == digest
+    return data
+
+
+def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
+    def broken(ring):
+        raise NotACharacter("no consistent positive character found")
+
+    monkeypatch.setattr(fusionring, "fp_dims", broken)
+    code, out, err = run(capsys, ["verify", "3", "5", "--format", "json"])
+    assert code == 1 and err == ""
+    data = _payload_and_digest_agree(out)
+    assert data["passed"] is False
+    rows = {c["name"]: c for c in data["checks"]}
+    assert rows["fp-dims"]["status"] == "fail"
+    assert rows["fp-dims"]["detail"] == "NotACharacter: no consistent positive character found"
+    assert all(c["status"] == "pass" for name, c in rows.items() if name != "fp-dims")
+
+
+def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
+    def broken(p, q):
+        raise ArithmeticError("ring build broke")
+
+    monkeypatch.setattr(fusionring, "build_extension_ring", broken)
+    code, out, _ = run(capsys, ["verify", "3", "5", "--format", "json"])
+    assert code == 1
+    rows = {c["name"]: c for c in _payload_and_digest_agree(out)["checks"]}
+    failed = {name for name, c in rows.items() if c["status"] == "fail"}
+    assert failed == {"fusion-axioms", "fp-dims"}
+    assert rows["fp-dims"]["detail"] == "ArithmeticError: ring build broke"
+
+
+def test_verify_criterion_suite_raise_is_one_row(capsys, monkeypatch):
+    def broken(p, q):
+        raise ExistenceViolated("suite broke")
+
+    monkeypatch.setattr(gtcheck, "non_group_theoretical_suite", broken)
+    code, out, _ = run(capsys, ["verify", "3", "5", "--format", "csv"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "criterion-suite,fail,ExistenceViolated: suite broke" in lines
+    assert not any(l.startswith("criterion-eigenvalues-swap") for l in lines)
+    assert any(l.startswith("hyperbolic-controls,pass") for l in lines)
+
+
+def test_verify_program_bug_propagates(monkeypatch):
+    def broken(ring):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(fusionring, "fp_dims", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "3", "5"])
+
+
+def test_sweep_isolates_a_failing_pair(capsys, monkeypatch):
+    orbit_census = fusionring.orbit_census
+
+    def broken(p, q):
+        if q == 11:
+            raise ArithmeticError("wrong number of orbits")
+        return orbit_census(p, q)
+
+    monkeypatch.setattr(fusionring, "orbit_census", broken)
+    code, out, _ = run(capsys, ["sweep", "11", "--format", "csv"])
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "3,5,true,17,pass",
+        "3,7,false,,",
+        "5,7,false,,",
+        "3,11,true,49,fail",
+        "5,11,false,,",
+        "7,11,false,,",
+    ]
+
+
+def test_semidirect_detail_says_when_brute_force_is_skipped(capsys):
+    code, out, _ = run(capsys, ["verify", "3", "29", "--bound", "3000", "--format", "csv"])
+    assert code == 0
+    assert (
+        "semidirect-cross-check,pass,irreps rank 283; brute-force class count skipped"
+        " (p*q^2 > 2000)" in out.splitlines()
+    )
+    _, out, _ = run(capsys, ["verify", "3", "5", "--format", "csv"])
+    assert "semidirect-cross-check,pass,irreps rank 11" in out.splitlines()
+
+
+def test_timing_prints_after_error(capsys):
+    code, out, err = run(capsys, ["--timing", "verify", "3", "7"])
+    assert code == 2 and out == ""
+    first, second = err.splitlines()
+    assert first == "error: p=3 does not divide q+1=8"
+    assert second.startswith("elapsed ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\n99999999999999999999\n", "error: cannot read group table: "),
+        ("0\n", "error: cannot read group table: group order 0 is not positive\n"),
+        ("-1\n0\n", "error: cannot read group table: group order -1 is not positive\n"),
+    ],
+)
+def test_double_rank_rejects_bad_entries(capsys, tmp_path, text, message):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["double-rank", str(path)])
+    assert code == 64 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(
+    st.text(),
+    # well-shaped tables: an order n and n*n arbitrary integer entries
+    st.integers(-1, 3).flatmap(lambda n: st.lists(
+        st.integers(-(2**70), 2**70), min_size=max(n, 0) ** 2, max_size=max(n, 0) ** 2,
+    ).map(lambda xs: " ".join(map(str, [n, *xs])))),
+))
+def test_double_rank_reader_fuzz(capsys, tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    code, out, err = run(capsys, ["double-rank", str(path)])
+    assert code in (0, 3, 64)
+    if code == 0:
+        assert out.startswith("group order ") and err == ""
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -1,7 +1,8 @@
 """Command-line driver emitting deterministic machine-readable reports.
 
 Commands: census, verify, sweep, double-rank.  Exit codes: 0 success,
-1 check failure, 2 existence violated, 3 bound exceeded, 64 usage.
+1 check failure (a failed verify row, or an ArithmeticError raised by a
+certification), 2 existence violated, 3 bound exceeded, 64 usage.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
 """
@@ -122,13 +123,28 @@ def _verify_checks(p: int, q: int) -> list[dict]:
     raised inside a check becomes a fail row carrying the error and the
     other checks still run; any other exception is a bug and propagates.
     The field, the anisotropic plane, the ring and the census are built
-    once per pair, and a check whose input failed to build fails with that
-    error.
+    at most once per pair, and a check whose input failed to build fails
+    with that error.
     """
-    field = functools.cache(lambda: make_field(q))
-    aniso = functools.cache(lambda: quadspace.build_anisotropic(field()))
-    ring = functools.cache(lambda: fusionring.build_extension_ring(p, q))
-    census = functools.cache(lambda: fusionring.equivariantization_census(p, q))
+    def once(build):
+        @functools.cache
+        def outcome():
+            try:
+                return build(), None
+            except (AnisogaugeError, ArithmeticError) as err:
+                return None, err
+
+        def get():
+            value, err = outcome()
+            if err is not None:
+                raise err
+            return value
+        return get
+
+    field = once(lambda: make_field(q))
+    aniso = once(lambda: quadspace.build_anisotropic(field()))
+    ring = once(lambda: fusionring.build_extension_ring(p, q))
+    census = once(lambda: fusionring.equivariantization_census(p, q))
 
     def orthogonal_order(space):
         return True, f"order {len(orthogroup.enumerate_orth(space))}"
@@ -328,14 +344,15 @@ def main(argv=None) -> int:
             code = cmd_sweep(args.qmax, _bound(args.bound, SWEEP_DEFAULT_BOUND), args.format)
         else:
             code = cmd_double_rank(args.group_file, args.format)
-    except AnisogaugeError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (AnisogaugeError, ArithmeticError) as err:
+        ours = isinstance(err, AnisogaugeError)  # else a certification failed
+        print(f"error: {err}" if ours else f"error: {type(err).__name__}: {err}", file=sys.stderr)
         if isinstance(err, ExistenceViolated):
             code = EXIT_EXISTENCE
         elif isinstance(err, BoundExceeded):
             code = EXIT_BOUND
         else:
-            code = EXIT_USAGE
+            code = EXIT_USAGE if ours else EXIT_CHECK_FAILED
     if args.timing:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

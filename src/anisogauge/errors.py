@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps ExistenceViolated to exit code 2, BoundExceeded to exit
-code 3 and every other AnisogaugeError to exit code 64.  Inside a verify
-check, an AnisogaugeError or ArithmeticError becomes a fail row instead.
+code 3, every other AnisogaugeError to exit code 64 and an ArithmeticError
+(a failed certification) to exit code 1.  Inside a verify check, an
+AnisogaugeError or ArithmeticError becomes a fail row instead.
 """
 
 

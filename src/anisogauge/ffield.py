@@ -104,10 +104,6 @@ class FieldCtx:
             for a1 in range(self.q):
                 yield ExtElement(self, a0, a1)
 
-    def base_elements(self) -> Iterator["ExtElement"]:
-        for a in range(self.q):
-            yield ExtElement(self, a, 0)
-
 
 class ExtElement:
     """An element a0 + a1*theta of the quadratic extension."""

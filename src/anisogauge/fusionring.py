@@ -8,7 +8,9 @@ primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
 checks associativity one way: Light's test on a generating set certified
 by closure, with the full scan as the fallback when it fails.  Censuses are
 inventories (label, dimension, count) whose weighted square sum must
-reproduce the declared global dimension.
+reproduce the declared global dimension.  The orbit census, the
+little-group census and the semidirect table all act on the same codes,
+by one permutation: v -> c*v for the order-p norm-one c.
 """
 
 import math
@@ -18,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadParameter, BoundExceeded, ExistenceViolated, NotACharacter, NotPrime
-from .ffield import ExtElement, is_prime, make_field, pick_order_p
+from .ffield import ExtElement, FieldCtx, is_prime, make_field, pick_order_p
+from .orthogroup import Mat2, rotation
 
 DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
@@ -76,9 +79,6 @@ class FusionRing:
         i, j = self.index[i], self.index[j]
         row = _dense(self, 1, np.zeros(1, int), self.prod[i, j, None], self.coef[i, j, None])[0]
         return {self.basis[k]: int(row[k]) for k in np.flatnonzero(row)}
-
-    def n(self, i: str, j: str, k: str) -> int:
-        return self.product(i, j).get(k, 0)
 
     def _entries(self):
         """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order."""
@@ -384,29 +384,45 @@ def _power_iteration(ring: FusionRing, iters: int = 5000, tol: float = 1e-14):
     return v / v[ring.unit_index] if v[ring.unit_index] > 0 else None
 
 
-def orbit_census(p: int, q: int) -> list[tuple[ExtElement, ...]]:
-    """Orbits of v -> c*v on the nonzero field elements; all have size p."""
+def _matrix_of_c(p: int, q: int) -> tuple[FieldCtx, Mat2]:
+    """The field and the matrix M of v -> c*v in the basis (1, theta), for
+    the order-p norm-one c of `pick_order_p`."""
     _require_pair(p, q)
     ctx = make_field(q)
-    c = pick_order_p(ctx, p)
-    seen: set = set()
-    orbits = []
-    for v in ctx.elements():
-        if not v or v in seen:
-            continue
-        orbit = [v]
-        w = c * v
-        while w != v:
-            orbit.append(w)
-            w = c * w
-        if len(orbit) != p:
-            raise ArithmeticError(f"orbit of {v!r} has size {len(orbit)}, expected {p}")
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit, key=ExtElement.key)))
-    orbits.sort(key=lambda o: o[0].key())
-    if len(orbits) != (q * q - 1) // p:
-        raise ArithmeticError("wrong number of orbits")
-    return orbits
+    return ctx, rotation(ctx, pick_order_p(ctx, p)).matrix()
+
+
+def _code_permutation(m: Mat2) -> np.ndarray:
+    """perm[a0*q + a1] is the code of m applied to (a0, a1), on the same
+    codes as the invertibles of `build_extension_ring`."""
+    q = m.q
+    a0, a1 = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    return (m.a * a0 + m.b * a1) % q * q + (m.c * a0 + m.d * a1) % q
+
+
+def _free_orbits(perm: np.ndarray, p: int) -> np.ndarray:
+    """The orbits of `perm` on the nonzero codes, one per row, each row
+    ascending and the rows ordered by their least code.  ArithmeticError
+    unless every orbit has size exactly p, so that there are
+    (len(perm) - 1) / p of them."""
+    codes = np.arange(1, len(perm))
+    least, image = codes.copy(), perm[codes]
+    for k in range(1, p):
+        short = np.flatnonzero(image == codes)
+        if len(short):
+            raise ArithmeticError(f"orbit of code {codes[short[0]]} has size {k}, expected {p}")
+        np.minimum(least, image, out=least)
+        image = perm[image]
+    if perm[0] != 0 or (image != codes).any():
+        raise ArithmeticError(f"the permutation moves 0 or does not return every code in {p} steps")
+    return codes[np.argsort(least, kind="stable")].reshape(-1, p)
+
+
+def orbit_census(p: int, q: int) -> list[tuple[ExtElement, ...]]:
+    """Orbits of v -> c*v on the nonzero field elements; all have size p."""
+    ctx, m = _matrix_of_c(p, q)
+    orbits = _free_orbits(_code_permutation(m), p).tolist()
+    return [tuple(ctx.elem(*divmod(code, q)) for code in row) for row in orbits]
 
 
 def equivariantization_census(p: int, q: int) -> Census:
@@ -434,29 +450,17 @@ def semidirect_group_table(p: int, q: int) -> np.ndarray:
     Element (v, k) has index k*q^2 + (a0*q + a1); the product is
     (v + c^k w, k + l).
     """
-    ctx = make_field(q)
-    c = pick_order_p(ctx, p)
+    perm = _code_permutation(_matrix_of_c(p, q)[1])
     q2 = q * q
     xs, ys = np.divmod(np.arange(q2, dtype=np.int64), q)
     vadd = ((xs[:, None] + xs[None, :]) % q) * q + (ys[:, None] + ys[None, :]) % q
-
-    perms = np.empty((p, q2), dtype=np.int64)
-    acc = ctx.one
+    table = np.empty((p * q2, p * q2), dtype=np.int32)
+    power = np.arange(q2)  # the code permutation of c^k
     for k in range(p):
-        # coords of acc * w for all w, via the multiplication matrix of acc
-        col1 = acc * ctx.one
-        col2 = acc * ctx.theta
-        nx = (col1.a0 * xs + col2.a0 * ys) % q
-        ny = (col1.a1 * xs + col2.a1 * ys) % q
-        perms[k] = nx * q + ny
-        acc = acc * c
-
-    n = p * q2
-    table = np.empty((n, n), dtype=np.int32)
-    for k in range(p):
+        twisted = vadd[:, power]
         for l in range(p):
-            kl = (k + l) % p
-            table[k * q2:(k + 1) * q2, l * q2:(l + 1) * q2] = kl * q2 + vadd[:, perms[k]]
+            table[k * q2:(k + 1) * q2, l * q2:(l + 1) * q2] = (k + l) % p * q2 + twisted
+        power = perm[power]
     return table
 
 
@@ -517,32 +521,8 @@ def semidirect_irreps(p: int, q: int) -> Census:
     irrep.  Cross-validated against brute-force conjugacy-class counting
     whenever the group order is at most 2000.
     """
-    _require_pair(p, q)
-    ctx = make_field(q)
-    c = pick_order_p(ctx, p)
-
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
-    col1, col2 = c * ctx.one, c * ctx.theta
-    orbits = 0
-    seen = set()
-    for w in ((a, b) for a in range(q) for b in range(q)):
-        if w == (0, 0) or w in seen:
-            continue
-        orbit = [w]
-        cur = w
-        while True:
-            cur = ((col1.a0 * cur[0] + col1.a1 * cur[1]) % q,
-                   (col2.a0 * cur[0] + col2.a1 * cur[1]) % q)
-            if cur == w:
-                break
-            orbit.append(cur)
-        if len(orbit) != p:
-            raise ArithmeticError("character orbit is not free")
-        seen.update(orbit)
-        orbits += 1
-    if orbits != (q * q - 1) // p:
-        raise ArithmeticError("wrong number of character orbits")
-
+    orbits = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1].transpose()), p))
     census = Census((("linear", 1, p), ("induced", p, orbits)), p * q * q)
     if p * q * q <= CROSS_CHECK_BOUND:
         classes = conjugacy_classes(semidirect_group_table(p, q))

@@ -244,7 +244,10 @@ def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
 
 
 def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
+    calls = []
+
     def broken(p, q):
+        calls.append((p, q))
         raise ArithmeticError("ring build broke")
 
     monkeypatch.setattr(fusionring, "build_extension_ring", broken)
@@ -254,6 +257,7 @@ def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
     failed = {name for name, c in rows.items() if c["status"] == "fail"}
     assert failed == {"fusion-axioms", "fp-dims"}
     assert rows["fp-dims"]["detail"] == "ArithmeticError: ring build broke"
+    assert calls == [(3, 5)]  # the builder ran once; its error reached both readers
 
 
 def test_verify_criterion_suite_raise_is_one_row(capsys, monkeypatch):
@@ -297,6 +301,16 @@ def test_sweep_isolates_a_failing_pair(capsys, monkeypatch):
         "5,11,false,,",
         "7,11,false,,",
     ]
+
+
+def test_census_certification_failure_exits_1(capsys, monkeypatch):
+    def broken(p, q):
+        raise ArithmeticError("wrong number of orbits")
+
+    monkeypatch.setattr(fusionring, "orbit_census", broken)
+    code, out, err = run(capsys, ["census", "3", "5"])
+    assert code == 1 and out == ""
+    assert err == "error: ArithmeticError: wrong number of orbits\n"
 
 
 def test_semidirect_detail_says_when_brute_force_is_skipped(capsys):

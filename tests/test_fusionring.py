@@ -21,7 +21,8 @@ from anisogauge import (
     verify_axioms,
 )
 from anisogauge.errors import BoundExceeded
-from anisogauge.fusionring import AxiomReport, _generators
+from anisogauge.ffield import ExtElement, make_field, pick_order_p
+from anisogauge.fusionring import AxiomReport, _free_orbits, _generators
 
 
 def test_extension_ring_rules_3_5():
@@ -296,6 +297,40 @@ def test_orbit_census(p, q, orbits):
     assert len(seen) == q * q - 1
 
 
+def _orbit_walk(p, q):
+    """Reference orbit census: walk v -> c*v on the field elements one by one."""
+    ctx = make_field(q)
+    c = pick_order_p(ctx, p)
+    seen, orbits = set(), []
+    for v in ctx.elements():
+        if not v or v in seen:
+            continue
+        orbit, w = [v], c * v
+        while w != v:
+            orbit.append(w)
+            w = c * w
+        seen.update(orbit)
+        orbits.append(tuple(sorted(orbit, key=ExtElement.key)))
+    return sorted(orbits, key=lambda o: o[0].key())
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (3, 5), (3, 11), (7, 13), (5, 19), (3, 23)])
+def test_orbit_census_matches_element_walk(p, q):
+    assert orbit_census(p, q) == _orbit_walk(p, q)
+
+
+def test_free_orbits_rejects_a_short_orbit():
+    perm = np.array([0, 2, 3, 1, 4, 5, 6])  # a 3-cycle, then three fixed codes
+    with pytest.raises(ArithmeticError, match="has size 1"):
+        _free_orbits(perm, 3)
+    with pytest.raises(ArithmeticError, match="has size 2"):
+        _free_orbits(np.array([0, 2, 1, 4, 5, 6, 3]), 3)
+    for perm in ([0, 2, 3, 4, 1], [1, 2, 0, 4, 5, 3]):  # a 4-cycle; a 3-cycle through 0
+        with pytest.raises(ArithmeticError, match="in 3 steps"):
+            _free_orbits(np.array(perm), 3)
+    assert _free_orbits(np.array([0, 2, 3, 1, 6, 4, 5]), 3).tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
 def test_orbit_census_existence():
     with pytest.raises(ExistenceViolated):
         orbit_census(5, 7)
@@ -339,6 +374,11 @@ def test_semidirect_irreps_3_2():
     table = semidirect_group_table(3, 2)
     assert len(table) == 12
     assert len(conjugacy_classes(table)) == 4
+
+
+def test_semidirect_group_table_existence():
+    with pytest.raises(ExistenceViolated):
+        semidirect_group_table(3, 7)
 
 
 def test_semidirect_irreps_3_5():

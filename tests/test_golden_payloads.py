@@ -1,4 +1,5 @@
-"""The --format json payloads of the long verify and sweep commands, pinned by sha256."""
+"""The --format json payloads of the long verify and sweep commands and of a
+census, pinned by sha256."""
 
 import contextlib
 import hashlib
@@ -13,6 +14,7 @@ GOLDEN = {
     ("verify", "3", "23"): "f8ac4c12b38f550edd7ae691ae8a7529baa6689baba989793a77edc973d6c7b0",
     ("verify", "5", "19"): "6367ea3de916b4daf0eeebc083b9f86f6ab1d12d6756dbef4416c1d942e46ff9",
     ("sweep", "20"): "36d71b73943f565a6a9edb60550f5c43865c4f11ba1bf0d41a0c3495ee6d1147",
+    ("census", "5", "19"): "2153f6e67df7ae34754902e3bc410e5edbea3d5fce12c0ec4e243707e4498465",
 }
 
 

@@ -13,7 +13,6 @@ from .errors import (
     NotACharacter,
     NotNormOne,
     NotPrime,
-    UnsupportedKind,
     ZeroEigenvalue,
 )
 from .ffield import (
@@ -30,16 +29,12 @@ from .ffield import (
 )
 from .quadspace import (
     AnisotropicSpace,
-    Functional,
     HyperbolicSpace,
     MetricGroup,
     QuadSpace,
-    Split4Space,
     bilinear,
     build_anisotropic,
     build_hyperbolic,
-    build_split,
-    hat,
     metric_group_of,
 )
 from .orthogroup import (
@@ -48,7 +43,6 @@ from .orthogroup import (
     SplitOrthMap,
     dihedral_generators,
     enumerate_orth,
-    is_orthogonal,
     rotation,
     sigma_map,
     split_embedding,

@@ -66,10 +66,21 @@ def _emit(payload: dict, fmt: str, table_lines, csv_lines) -> None:
         print(f"sha256 {digest}")
 
 
+def _non_negative(text: str) -> int:
+    """A bound, from --bound or ANISOGAUGE_BOUND: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _bound(flag: int | None, default: int) -> int:
     """The --bound flag, else ANISOGAUGE_BOUND, else the default.
 
-    A set variable that is not a non-negative integer is a usage error.
+    Either source must parse with `_non_negative`; otherwise it is a usage error.
     """
     if flag is not None:
         return flag
@@ -77,13 +88,10 @@ def _bound(flag: int | None, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        print(f"error: ANISOGAUGE_BOUND={raw!r} is not a non-negative integer", file=sys.stderr)
+        return _non_negative(raw)
+    except argparse.ArgumentTypeError as err:
+        print(f"error: ANISOGAUGE_BOUND={err}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return value
 
 
 def cmd_census(p: int, q: int, fmt: str) -> int:
@@ -317,12 +325,12 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="full verification suite for (p, q)")
     v.add_argument("p", type=_prime)
     v.add_argument("q", type=_prime)
-    v.add_argument("--bound", type=int, default=None, help="cap on p*q^2")
+    v.add_argument("--bound", type=_non_negative, default=None, help="cap on p*q^2")
     v.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     s = sub.add_parser("sweep", help="existence sweep over odd prime pairs")
     s.add_argument("qmax", type=int)
-    s.add_argument("--bound", type=int, default=None, help="cap on swept q")
+    s.add_argument("--bound", type=_non_negative, default=None, help="cap on swept q")
     s.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     d = sub.add_parser("double-rank", help="rank of the double from a multiplication table")

@@ -23,10 +23,6 @@ class NoSuchElement(AnisogaugeError):
     """No field element satisfies the requested constraints."""
 
 
-class UnsupportedKind(AnisogaugeError):
-    """Operation not defined for this kind of quadratic space."""
-
-
 class EvenCharacteristic(AnisogaugeError):
     """Operation requires odd characteristic (needs division by 2)."""
 

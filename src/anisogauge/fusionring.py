@@ -15,7 +15,6 @@ by one permutation: v -> c*v for the order-p norm-one c.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -334,8 +333,9 @@ def fp_dims(ring: FusionRing) -> dict:
     basis element, either side, are single-term with coefficient 1, if that
     set is closed) and the square root of the weight of i i^* when that row
     stays in the block, then certifies the character equations exactly.
-    Falls back to a power-iteration eigenvector, rationalized and
-    re-certified exactly; NotACharacter if neither works.
+    Falls back to a power-iteration eigenvector rounded to integers and
+    re-certified exactly: a certified d(i) is a rational eigenvalue of the
+    integer matrix N_i, hence an integer.  NotACharacter if neither works.
     """
     basis, prod, coef, dual = ring.basis, ring.prod, ring.coef, ring.dual_index
     everyone = np.arange(len(basis))
@@ -351,10 +351,10 @@ def fp_dims(ring: FusionRing) -> dict:
         return dict(zip(basis, proposal.tolist()))
 
     approx = _power_iteration(ring)
-    if approx is not None:
-        rational = [Fraction(x).limit_denominator(10 ** 6) for x in approx]
-        if _certify_character(ring, np.array(rational, dtype=object)):
-            return {l: int(v) if v.denominator == 1 else v for l, v in zip(basis, rational)}
+    if approx is not None and (np.abs(approx) < 2 ** 31).all():  # keeps d(i) d(j) in int64
+        rounded = np.rint(approx).astype(np.int64)
+        if _certify_character(ring, rounded):
+            return dict(zip(basis, rounded.tolist()))
     raise NotACharacter("no consistent positive character found")
 
 
@@ -432,7 +432,7 @@ def equivariantization_census(p: int, q: int) -> Census:
     object per free orbit, and p(p-1) q-dimensional pairs (X_i, character).
     Rank is p^2 + (q^2 - 1) / p and the squares sum to (p*q)^2.
     """
-    n_orbits = len(orbit_census(p, q))
+    n_orbits = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1]), p))
     entries = (
         ("(1,chi)", 1, p),
         ("orbit-sum", p, n_orbits),

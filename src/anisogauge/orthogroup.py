@@ -8,11 +8,13 @@ each isometry from the level sets of the form (complete by polarization),
 cross-checked against the structured set.
 """
 
+import itertools
+
 import numpy as np
 
-from .errors import EvenCharacteristic, NotNormOne, UnsupportedKind
+from .errors import EvenCharacteristic, NotNormOne
 from .ffield import ExtElement, FieldCtx, frobenius, ker_norm, norm
-from .quadspace import ANISOTROPIC, SPLIT4, QuadSpace, gram_matrix
+from .quadspace import ANISOTROPIC, QuadSpace, gram_matrix
 
 
 class Mat2:
@@ -174,9 +176,12 @@ def sigma_map(ctx: FieldCtx) -> AnisoOrthMap:
 class SplitOrthMap:
     """A block map (alpha beta; gamma delta) on base + dual, preserving Q.
 
-    All four blocks are 2x2 matrices over F_q in the canonical basis and
-    its hat-dual; `gram` is the Gram matrix of the base bilinear form,
-    needed to evaluate Q(v, w-hat) = coords(w)^T G coords(v).  `source`
+    The split form is the evaluation form on base + dual.  A functional is
+    written as the hat of its preimage y, y-hat = B(y, .), so on coordinates
+    (x, y) of the base vector and the preimage, Q(x, y-hat) = y^T G x with
+    G = `gram`, the Gram matrix of the base bilinear form B (the hat is
+    an isomorphism, since B is non-degenerate).  All four blocks are 2x2
+    matrices over F_q in the canonical basis and its hat-dual.  `source`
     (optional) records the 2-dim isometry this map was embedded from.
     """
 
@@ -206,27 +211,17 @@ class SplitOrthMap:
         return ((ax[0] + bx[0]) % q, (ax[1] + bx[1]) % q,
                 (gx[0] + dx[0]) % q, (gx[1] + dx[1]) % q)
 
-    def _bq(self, u: tuple[int, int, int, int], v: tuple[int, int, int, int]) -> int:
-        """Polarized split form in coordinates: (y_u^T G x_v + y_v^T G x_u) / 2."""
-        q = self.q
-        g = self.gram
-
-        def pair(y, x):
-            gx0 = g.a * x[0] + g.b * x[1]
-            gx1 = g.c * x[0] + g.d * x[1]
-            return y[0] * gx0 + y[1] * gx1
-
-        inv2 = pow(2, -1, q)
-        return (pair(u[2:], v[:2]) + pair(v[2:], u[:2])) * inv2 % q
+    def form(self, cs: tuple[int, int, int, int]) -> int:
+        """The split form Q on coordinates (x0, x1, y0, y1), as in the class docstring."""
+        gx = self.gram(cs[:2])
+        return (cs[2] * gx[0] + cs[3] * gx[1]) % self.q
 
     def _preserves_q(self) -> bool:
-        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        images = [self.apply_coords(e) for e in basis]
-        for i in range(4):
-            for j in range(i, 4):
-                if self._bq(images[i], images[j]) != self._bq(basis[i], basis[j]):
-                    return False
-        return True
+        """Q is quadratic and the map linear, so by polarization it suffices
+        that the map preserves Q on each e_i and each e_i + e_j."""
+        units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        sums = [tuple(map(sum, zip(u, v))) for u, v in itertools.combinations(units, 2)]
+        return all(self.form(self.apply_coords(v)) == self.form(v) for v in units + sums)
 
     def __mul__(self, other: "SplitOrthMap") -> "SplitOrthMap":
         src = None
@@ -291,22 +286,6 @@ def split_embedding(space: QuadSpace, g) -> SplitOrthMap:
     return m
 
 
-def is_orthogonal(space: QuadSpace, mapping) -> bool:
-    """Form-preservation check: spanning-set polarization for split, and on the
-    planes a point scan over every vector, since `mapping` may be nonlinear."""
-    if space.kind == SPLIT4:
-        if isinstance(mapping, SplitOrthMap):
-            return mapping._preserves_q()
-        raise UnsupportedKind("split-space check expects a SplitOrthMap")
-    if isinstance(mapping, Mat2) and space.kind == ANISOTROPIC:
-        mat = mapping
-        mapping = lambda v: space.from_coords(mat(space.coords(v)))  # noqa: E731
-    for v in space.vectors():
-        if space.form(mapping(v)) != space.form(v):
-            return False
-    return True
-
-
 def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     """All invertible 2x2 matrices mod q preserving the form, solved by columns.
 
@@ -343,8 +322,6 @@ def enumerate_orth(space: QuadSpace):
     that the solved set is exactly diag(a, 1/a) and antidiag(1/a; a).  The
     dihedral presentation is certified in both cases.
     """
-    if space.kind == SPLIT4:
-        raise UnsupportedKind("enumeration only for the 2-dimensional kinds")
     ctx = space.ctx
     q = ctx.q
     found = _solve_form_preserving(space)

@@ -1,10 +1,9 @@
 """Finite quadratic spaces and the metric groups they induce.
 
-Three fixed kinds: the anisotropic plane carried by the norm form of the
-quadratic extension, the hyperbolic plane (x, y) -> x*y over F_q, and the
-split 4-dimensional space on pairs (vector, functional) with the
-evaluation form.  Functionals are always encoded by their preimage under
-the hat isomorphism, which keeps the dual space concrete.
+Two fixed kinds: the anisotropic plane carried by the norm form of the
+quadratic extension, and the hyperbolic plane (x, y) -> x*y over F_q.  The
+split form on base + dual lives with its isometries, in
+`orthogroup.SplitOrthMap`.
 
 Metric-group values are stored as exponents in Z/m (t(a) = exp(2*pi*i*k/m)
 with k the stored exponent), never as complex numbers.
@@ -12,16 +11,15 @@ with k the stored exponent), never as complex numbers.
 
 import numpy as np
 
-from .errors import EvenCharacteristic, UnsupportedKind
+from .errors import EvenCharacteristic
 from .ffield import ExtElement, FieldCtx, norm
 
 ANISOTROPIC = "anisotropic"
 HYPERBOLIC = "hyperbolic"
-SPLIT4 = "split4"
 
 
 class QuadSpace:
-    """Base class; concrete spaces provide form/add/neg/coords."""
+    """Base class; concrete spaces provide form/add/vectors/coords."""
 
     kind: str
     ctx: FieldCtx
@@ -33,16 +31,10 @@ class QuadSpace:
     def add(self, v, w):
         raise NotImplementedError
 
-    def neg(self, v):
-        raise NotImplementedError
-
     def vectors(self):
         raise NotImplementedError
 
     def coords(self, v) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def from_coords(self, cs):
         raise NotImplementedError
 
     def __repr__(self):
@@ -57,7 +49,6 @@ class AnisotropicSpace(QuadSpace):
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.zero = ctx.zero
 
     def form(self, v: ExtElement) -> int:
         return norm(v)
@@ -65,17 +56,11 @@ class AnisotropicSpace(QuadSpace):
     def add(self, v, w):
         return v + w
 
-    def neg(self, v):
-        return -v
-
     def vectors(self):
         return self.ctx.elements()
 
     def coords(self, v: ExtElement) -> tuple[int, int]:
         return (v.a0, v.a1)
-
-    def from_coords(self, cs) -> ExtElement:
-        return self.ctx.elem(cs[0], cs[1])
 
     def basis(self) -> tuple[ExtElement, ExtElement]:
         return (self.ctx.one, self.ctx.theta)
@@ -89,7 +74,6 @@ class HyperbolicSpace(QuadSpace):
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.zero = (0, 0)
 
     def form(self, v: tuple[int, int]) -> int:
         return (v[0] * v[1]) % self.ctx.q
@@ -97,10 +81,6 @@ class HyperbolicSpace(QuadSpace):
     def add(self, v, w):
         q = self.ctx.q
         return ((v[0] + w[0]) % q, (v[1] + w[1]) % q)
-
-    def neg(self, v):
-        q = self.ctx.q
-        return ((-v[0]) % q, (-v[1]) % q)
 
     def vectors(self):
         q = self.ctx.q
@@ -111,80 +91,8 @@ class HyperbolicSpace(QuadSpace):
     def coords(self, v) -> tuple[int, int]:
         return v
 
-    def from_coords(self, cs):
-        q = self.ctx.q
-        return (cs[0] % q, cs[1] % q)
-
     def basis(self):
         return ((1, 0), (0, 1))
-
-
-class Split4Space(QuadSpace):
-    """base + dual with the evaluation form Q(v, w-hat) = B(w, v).
-
-    Vectors are pairs (v, w) of base-space vectors; the second slot is the
-    hat-preimage of the functional it denotes.
-    """
-
-    kind = SPLIT4
-    dim = 4
-
-    def __init__(self, base: QuadSpace):
-        if base.ctx.q == 2:
-            raise EvenCharacteristic("split space needs odd characteristic")
-        self.base = base
-        self.ctx = base.ctx
-        self.zero = (base.zero, base.zero)
-
-    def form(self, vw) -> int:
-        v, w = vw
-        return bilinear(self.base, w, v)
-
-    def add(self, vw1, vw2):
-        b = self.base
-        return (b.add(vw1[0], vw2[0]), b.add(vw1[1], vw2[1]))
-
-    def neg(self, vw):
-        b = self.base
-        return (b.neg(vw[0]), b.neg(vw[1]))
-
-    def vectors(self):
-        allv = list(self.base.vectors())
-        for v in allv:
-            for w in allv:
-                yield (v, w)
-
-    def coords(self, vw) -> tuple[int, int, int, int]:
-        return self.base.coords(vw[0]) + self.base.coords(vw[1])
-
-    def from_coords(self, cs):
-        return (self.base.from_coords(cs[:2]), self.base.from_coords(cs[2:]))
-
-
-class Functional:
-    """A linear functional on a 2-dim space, encoded by its hat-preimage."""
-
-    __slots__ = ("space", "preimage")
-
-    def __init__(self, space: QuadSpace, preimage):
-        self.space = space
-        self.preimage = preimage
-
-    def __call__(self, w) -> int:
-        return bilinear(self.space, self.preimage, w)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Functional)
-            and self.space is other.space
-            and self.preimage == other.preimage
-        )
-
-    def __hash__(self):
-        return hash(("hat", self.space.kind, self.space.coords(self.preimage)))
-
-    def __repr__(self):
-        return f"hat({self.preimage!r})"
 
 
 class MetricGroup:
@@ -238,12 +146,14 @@ class MetricGroup:
 
 
 def build_anisotropic(ctx: FieldCtx) -> AnisotropicSpace:
-    """The norm form on the extension; anisotropy verified exhaustively."""
-    space = AnisotropicSpace(ctx)
-    for v in space.vectors():
-        if space.form(v) == 0 and v:
-            raise ArithmeticError(f"norm form vanishes at {v!r}")
-    return space
+    """The norm form on the extension, anisotropic by argument.
+
+    For the defining polynomial f = x^2 + c1*x + c0, norm(a0 + a1*theta) is
+    a0^2 - c1*a0*a1 + c0*a1^2, which is a1^2 * f(-a0/a1) when a1 != 0 and
+    a0^2 when a1 = 0.  FieldCtx proves that f has no root in F_q, so the
+    norm vanishes only at 0.
+    """
+    return AnisotropicSpace(ctx)
 
 
 def build_hyperbolic(ctx: FieldCtx) -> HyperbolicSpace:
@@ -252,8 +162,6 @@ def build_hyperbolic(ctx: FieldCtx) -> HyperbolicSpace:
 
 def metric_group_of(space: QuadSpace) -> MetricGroup:
     """The metric group (A, t) of a 2-dimensional space: t = form mod q."""
-    if space.kind == SPLIT4:
-        raise UnsupportedKind("metric group only for the 2-dimensional kinds")
     q = space.ctx.q
     carrier = [space.coords(v) for v in space.vectors()]
     t = {space.coords(v): space.form(v) % q for v in space.vectors()}
@@ -269,19 +177,6 @@ def bilinear(space: QuadSpace, v, w) -> int:
     return (space.form(space.add(v, w)) - space.form(v) - space.form(w)) * inv2 % q
 
 
-def hat(space: QuadSpace, v) -> Functional:
-    """The functional w -> B(v, w)."""
-    if space.ctx.q == 2:
-        raise EvenCharacteristic("hat needs odd characteristic")
-    if space.kind != ANISOTROPIC:
-        raise UnsupportedKind("hat is defined on the anisotropic plane")
-    (g11, g12), (g21, g22) = gram_matrix(space)
-    # v -> B(v, .) is linear, so it is injective iff the Gram determinant is nonzero
-    if (g11 * g22 - g12 * g21) % space.ctx.q == 0:
-        raise ArithmeticError("bilinear form degenerate: hat not injective")
-    return Functional(space, v)
-
-
 def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:
     """Gram matrix of the polarized bilinear form in the canonical basis."""
     b1, b2 = space.basis()
@@ -289,24 +184,3 @@ def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:
         (bilinear(space, b1, b1), bilinear(space, b1, b2)),
         (bilinear(space, b2, b1), bilinear(space, b2, b2)),
     )
-
-
-def build_split(ctx: FieldCtx) -> Split4Space:
-    """The split 4-dimensional space over the anisotropic plane.
-
-    Checks that v -> (v, v) and v -> (v, -v) are an isometry and an
-    anti-isometry onto the diagonal copies, complete at every q: both maps
-    are linear and the split form is quadratic, so each pulls back to a
-    quadratic form on the plane, and two quadratic forms that agree on e1,
-    e2 and e1 + e2 agree everywhere by polarization.
-    """
-    base = build_anisotropic(ctx)
-    space = Split4Space(base)
-    q = ctx.q
-    e1, e2 = base.basis()
-    for v in (e1, e2, base.add(e1, e2)):
-        if space.form((v, v)) != base.form(v):
-            raise ArithmeticError("diagonal embedding is not an isometry")
-        if space.form((v, base.neg(v))) != (-base.form(v)) % q:
-            raise ArithmeticError("antidiagonal embedding is not an anti-isometry")
-    return space

@@ -102,6 +102,17 @@ def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["-1", "abc"])
+def test_bound_flag_rejects_bad_values(capsys, raw):
+    for argv in (["verify", "3", "5"], ["sweep", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--bound", raw])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --bound: {raw!r} is not a non-negative integer" in captured.err
+
+
 def test_sweep_rows(capsys):
     code, out, _ = run(capsys, ["sweep", "20", "--format", "csv"])
     assert code == 0
@@ -283,14 +294,14 @@ def test_verify_program_bug_propagates(monkeypatch):
 
 
 def test_sweep_isolates_a_failing_pair(capsys, monkeypatch):
-    orbit_census = fusionring.orbit_census
+    free_orbits = fusionring._free_orbits
 
-    def broken(p, q):
-        if q == 11:
+    def broken(perm, p):
+        if len(perm) == 11 * 11:
             raise ArithmeticError("wrong number of orbits")
-        return orbit_census(p, q)
+        return free_orbits(perm, p)
 
-    monkeypatch.setattr(fusionring, "orbit_census", broken)
+    monkeypatch.setattr(fusionring, "_free_orbits", broken)
     code, out, _ = run(capsys, ["sweep", "11", "--format", "csv"])
     assert code == 1
     assert out.splitlines()[1:] == [
@@ -304,10 +315,10 @@ def test_sweep_isolates_a_failing_pair(capsys, monkeypatch):
 
 
 def test_census_certification_failure_exits_1(capsys, monkeypatch):
-    def broken(p, q):
+    def broken(perm, p):
         raise ArithmeticError("wrong number of orbits")
 
-    monkeypatch.setattr(fusionring, "orbit_census", broken)
+    monkeypatch.setattr(fusionring, "_free_orbits", broken)
     code, out, err = run(capsys, ["census", "3", "5"])
     assert code == 1 and out == ""
     assert err == "error: ArithmeticError: wrong number of orbits\n"

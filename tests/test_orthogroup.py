@@ -7,13 +7,11 @@ from anisogauge import (
     EvenCharacteristic,
     Mat2,
     NotNormOne,
+    SplitOrthMap,
     build_anisotropic,
     build_hyperbolic,
-    build_split,
     dihedral_generators,
     enumerate_orth,
-    frobenius,
-    is_orthogonal,
     ker_norm,
     make_field,
     pick_order_p,
@@ -84,14 +82,6 @@ def test_rotation_multiplicative_injective():
     assert len(seen) == len(ker_norm(ctx))
 
 
-def test_is_orthogonal_examples():
-    ctx = make_field(5)
-    aniso = build_anisotropic(ctx)
-    assert is_orthogonal(aniso, lambda v: v)
-    assert not is_orthogonal(aniso, lambda v: ctx.elem(2) * v)
-    assert is_orthogonal(aniso, frobenius)
-
-
 def test_split_embedding_identity():
     ctx = make_field(5)
     aniso = build_anisotropic(ctx)
@@ -106,7 +96,6 @@ def test_split_embedding_rotation_beta_invertible():
     c = pick_order_p(ctx, 3)
     m = split_embedding(aniso, rotation(ctx, c))
     assert m.beta.det() != 0
-    assert is_orthogonal(build_split(ctx), m)
 
 
 def test_split_embedding_fixes_diagonal_everywhere():
@@ -163,11 +152,18 @@ def test_split_embedding_even_characteristic():
         split_embedding(aniso, AnisoOrthMap.identity(ctx))
 
 
-def test_enumerate_rejects_split_space():
-    from anisogauge import UnsupportedKind
-
-    with pytest.raises(UnsupportedKind):
-        enumerate_orth(build_split(make_field(5)))
+def test_split_map_rejects_a_non_isometry():
+    ctx = make_field(5)
+    gram = split_embedding(build_anisotropic(ctx), AnisoOrthMap.identity(ctx)).gram
+    ident, zero = Mat2.identity(5), Mat2.zero(5)
+    with pytest.raises(ArithmeticError, match="does not preserve the split form"):
+        SplitOrthMap(ctx, ident.scale(2), zero, zero, ident, gram)
+    # (x, y) -> (x + b y, y) with G b symmetric and zero on the diagonal keeps Q
+    # on every basis vector but not on e3 + e4: only the polarization sums see it
+    b = gram.inverse() * Mat2(5, 0, 1, 1, 0)
+    with pytest.raises(ArithmeticError, match="does not preserve the split form"):
+        SplitOrthMap(ctx, ident, b, zero, ident, gram)
+    assert SplitOrthMap(ctx, ident, zero, zero, ident, gram).blocks() == (ident, zero, zero, ident)
 
 
 def test_composition_law():

@@ -1,16 +1,17 @@
 import pytest
 
 from anisogauge import (
+    AnisoOrthMap,
     EvenCharacteristic,
+    Mat2,
     MetricGroup,
-    UnsupportedKind,
+    SplitOrthMap,
     bilinear,
     build_anisotropic,
     build_hyperbolic,
-    build_split,
-    hat,
     make_field,
     metric_group_of,
+    split_embedding,
 )
 
 
@@ -74,12 +75,6 @@ def test_metric_group_rejects_bad_input_with_arithmetic_error(carrier, m, t, cm,
         MetricGroup(carrier, m, t, carrier_modulus=cm)
 
 
-def test_metric_group_rejects_split():
-    ctx = make_field(5)
-    with pytest.raises(UnsupportedKind):
-        metric_group_of(build_split(ctx))
-
-
 def test_bilinear_examples():
     ctx = make_field(5)
     space = build_anisotropic(ctx)
@@ -108,50 +103,32 @@ def test_polarization_identity(q):
                 assert lhs == rhs
 
 
-def test_hat_examples():
-    ctx = make_field(5)
-    space = build_anisotropic(ctx)
-    f0 = hat(space, ctx.zero)
-    assert all(f0(w) == 0 for w in space.vectors())
-    for v in space.vectors():
-        assert hat(space, v)(v) == space.form(v)
-
-
-def test_hat_injective_q3():
-    space = build_anisotropic(make_field(3))
-    functionals = {hat(space, v) for v in space.vectors()}
-    assert len(functionals) == 9
-
-
-def test_hat_restrictions():
-    with pytest.raises(EvenCharacteristic):
-        hat(build_anisotropic(make_field(2)), make_field(2).one)
-    hyp = build_hyperbolic(make_field(5))
-    with pytest.raises(UnsupportedKind):
-        hat(hyp, (1, 0))
+def _split_identity(q):
+    """The anisotropic plane and the identity map of its split space."""
+    ctx = make_field(q)
+    base = build_anisotropic(ctx)
+    return base, split_embedding(base, AnisoOrthMap.identity(ctx))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_split_diagonal_isometries(q):
-    ctx = make_field(q)
-    split = build_split(ctx)
-    base = split.base
+    # v -> (v, v-hat) is an isometry and v -> (v, -v-hat) an anti-isometry
+    base, split = _split_identity(q)
     for v in base.vectors():
-        assert split.form((v, v)) == base.form(v)
-        assert split.form((v, -v)) == (-base.form(v)) % q
-    assert split.form((ctx.zero, ctx.theta)) == 0
+        assert split.form(base.coords(v) + base.coords(v)) == base.form(v)
+        assert split.form(base.coords(v) + base.coords(-v)) == (-base.form(v)) % q
+    assert split.form((0, 0, 0, 1)) == 0
 
 
 def test_split_even_characteristic():
+    ident, zero = Mat2.identity(2), Mat2.zero(2)
     with pytest.raises(EvenCharacteristic):
-        build_split(make_field(2))
+        SplitOrthMap(make_field(2), ident, zero, zero, ident, ident)
 
 
 def test_split_form_is_evaluation():
-    ctx = make_field(5)
-    split = build_split(ctx)
-    base = split.base
-    for v in list(base.vectors())[:8]:
+    # Q(v, w-hat) = w-hat(v) = B(w, v)
+    base, split = _split_identity(5)
+    for v in base.vectors():
         for w in base.vectors():
-            assert split.form((v, w)) == bilinear(base, w, v)
-            assert split.form((v, w)) == hat(base, w)(v)
+            assert split.form(base.coords(v) + base.coords(w)) == bilinear(base, w, v)

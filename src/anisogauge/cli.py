@@ -5,6 +5,8 @@ Commands: census, verify, sweep, double-rank.  Exit codes: 0 success,
 certification), 2 existence violated, 3 bound exceeded, 64 usage.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
+Only `verify` past its bound and existence gates, `sweep` and
+`double-rank` load numpy, so `census` and the gate exits start quickly.
 """
 
 import argparse
@@ -15,9 +17,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import fusionring, gtcheck, orthogroup, quadspace
+# numpy-free modules only; the array layers are imported inside the
+# commands that need them
+from . import gauging
 from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
 from .ffield import is_prime, ker_norm, make_field
 
@@ -67,7 +69,8 @@ def _emit(payload: dict, fmt: str, table_lines, csv_lines) -> None:
 
 
 def _non_negative(text: str) -> int:
-    """A bound, from --bound or ANISOGAUGE_BOUND: a non-negative integer."""
+    """A bound, from --bound or ANISOGAUGE_BOUND, or sweep's qmax: a
+    non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -95,7 +98,7 @@ def _bound(flag: int | None, default: int) -> int:
 
 
 def cmd_census(p: int, q: int, fmt: str) -> int:
-    census = fusionring.equivariantization_census(p, q)
+    census = gauging.equivariantization_census(p, q)
     ctx = make_field(q)
     entries = [
         {"label": label, "dim": dim, "count": count}
@@ -134,6 +137,8 @@ def _verify_checks(p: int, q: int) -> list[dict]:
     at most once per pair, and a check whose input failed to build fails
     with that error.
     """
+    from . import fusionring, gtcheck, orthogroup, quadspace
+
     def once(build):
         @functools.cache
         def outcome():
@@ -258,6 +263,8 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
     cap = min(SWEEP_HARD_CAP, bound)
     if qmax > cap:
         raise BoundExceeded(f"qmax={qmax} exceeds bound {cap}")
+    from . import gtcheck
+
     rows = []
     failures = 0
     for q in _odd_primes_upto(qmax):
@@ -293,6 +300,10 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
 
 
 def cmd_double_rank(path: str, fmt: str) -> int:
+    import numpy as np
+
+    from . import fusionring
+
     try:
         with open(path) as fh:
             tokens = fh.read().split()
@@ -329,7 +340,7 @@ def build_parser() -> _Parser:
     v.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     s = sub.add_parser("sweep", help="existence sweep over odd prime pairs")
-    s.add_argument("qmax", type=int)
+    s.add_argument("qmax", type=_non_negative)
     s.add_argument("--bound", type=_non_negative, default=None, help="cap on swept q")
     s.add_argument("--format", default="table", choices=["table", "json", "csv"])
 

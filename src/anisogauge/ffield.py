@@ -251,26 +251,46 @@ def trace(x: ExtElement) -> int:
     return (2 * x.a0) % x.ctx.q
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     """All norm-one elements, sorted by (a0, a1); a cyclic group of order q + 1.
 
-    Computed by exhaustive scan; cyclicity is certified by exhibiting a
-    generator of order exactly q + 1.
+    For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a1 the
+    members are the square roots a0 of 1 + d*a1^2, read from a table of
+    square roots mod q: O(q) instead of a scan of the q^2 elements.  For
+    q = 2 the four elements are scanned.  The size q + 1 is checked, and
+    cyclicity is certified by a generator g: g^(q+1) = norm(g) = 1, and
+    g^((q+1)/r) != 1 for each prime r | q + 1, so g has order exactly q + 1.
     """
-    members = tuple(x for x in ctx.elements() if norm(x) == 1)
-    n = ctx.q + 1
+    q = ctx.q
+    if q == 2:
+        members = tuple(x for x in ctx.elements() if norm(x) == 1)
+    else:
+        roots: dict[int, list[int]] = {}
+        for a in range(q):
+            roots.setdefault(a * a % q, []).append(a)
+        members = tuple(sorted(
+            (ExtElement(ctx, a0, a1) for a1 in range(q)
+             for a0 in roots.get((1 + ctx.d * a1 * a1) % q, ())),
+            key=ExtElement.key,
+        ))
+    n = q + 1
     if len(members) != n:
         raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {n}")
-    for g in members:
-        order = 1
-        acc = g
-        while acc != ctx.one:
-            acc = acc * g
-            order += 1
-        if order == n:
-            break
-    else:
+    cofactors = [n // r for r in _prime_factors(n)]
+    if not any(all(g ** k != ctx.one for k in cofactors) for g in members):
         raise ArithmeticError("norm-one subgroup is not cyclic")
     return members
 

@@ -7,10 +7,13 @@ prod[i, j] < 0, times the multi-term row multi[-1 - prod[i, j]], stored
 primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
 checks associativity one way: Light's test on a generating set certified
 by closure, with the full scan as the fallback when it fails.  Censuses are
-inventories (label, dimension, count) whose weighted square sum must
-reproduce the declared global dimension.  The orbit census, the
-little-group census and the semidirect table all act on the same codes,
-by one permutation: v -> c*v for the order-p norm-one c.
+`gauging.Census` inventories (label, dimension, count) whose weighted
+square sum must reproduce the declared global dimension.  The orbit census,
+the little-group census and the semidirect table all act on the same codes,
+by one permutation: v -> c*v for the order-p norm-one c, whose free orbits
+`_free_orbits` walks.  The equivariantization census lives in the
+numpy-free `gauging` module, which certifies its orbit count by argument;
+it is re-exported here.
 """
 
 import math
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BoundExceeded, ExistenceViolated, NotACharacter, NotPrime
-from .ffield import ExtElement, FieldCtx, is_prime, make_field, pick_order_p
+from .errors import BadParameter, BoundExceeded, NotACharacter
+from .ffield import ExtElement, FieldCtx, make_field, pick_order_p
+from .gauging import Census, _require_pair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
 DOUBLE_RANK_BOUND = 200
@@ -147,38 +151,6 @@ class AxiomReport:
     assoc_ok: bool
     duality_ok: bool
     counterexample: str | None = None
-
-
-@dataclass(frozen=True)
-class Census:
-    """Simple-object inventory; weighted square sum must match global_dim."""
-
-    entries: tuple
-    global_dim: int
-
-    def __post_init__(self):
-        total = sum(count * dim * dim for _, dim, count in self.entries)
-        if total != self.global_dim:
-            raise ArithmeticError(
-                f"census squares sum to {total}, declared {self.global_dim}"
-            )
-
-    @property
-    def rank(self) -> int:
-        return sum(count for _, _, count in self.entries)
-
-    def dims_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, dim, count in self.entries:
-            out[dim] = out.get(dim, 0) + count
-        return out
-
-
-def _require_pair(p: int, q: int) -> None:
-    if not (is_prime(p) and is_prime(q)):
-        raise NotPrime(f"({p}, {q}) must be prime")
-    if (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
 
 
 def build_extension_ring(p: int, q: int) -> FusionRing:
@@ -423,25 +395,6 @@ def orbit_census(p: int, q: int) -> list[tuple[ExtElement, ...]]:
     ctx, m = _matrix_of_c(p, q)
     orbits = _free_orbits(_code_permutation(m), p).tolist()
     return [tuple(ctx.elem(*divmod(code, q)) for code in row) for row in orbits]
-
-
-def equivariantization_census(p: int, q: int) -> Census:
-    """Simple objects after the cyclic-group equivariantization.
-
-    Three families: p invertibles (unit with a character), one p-dimensional
-    object per free orbit, and p(p-1) q-dimensional pairs (X_i, character).
-    Rank is p^2 + (q^2 - 1) / p and the squares sum to (p*q)^2.
-    """
-    n_orbits = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1]), p))
-    entries = (
-        ("(1,chi)", 1, p),
-        ("orbit-sum", p, n_orbits),
-        ("(X_i,chi)", q, p * (p - 1)),
-    )
-    census = Census(entries, p * p * q * q)
-    if census.rank != p * p + (q * q - 1) // p:
-        raise ArithmeticError("census rank disagrees with the closed formula")
-    return census
 
 
 def semidirect_group_table(p: int, q: int) -> np.ndarray:

@@ -1,0 +1,73 @@
+"""The simple-object census of the cyclic-group equivariantization.
+
+Gauging the Z/p action v -> c*v on the graded ring of `fusionring` gives a
+census of rank p^2 + (q^2 - 1)/p, which exists exactly when p | q + 1.
+The orbit count is certified by argument, with no walk over the q^2
+codes: c has order exactly p, and F_{q^2} is a field, so every nonzero
+orbit of v -> c*v has exactly p elements.  Nothing here needs numpy.
+"""
+
+from dataclasses import dataclass
+
+from .errors import ExistenceViolated, NotPrime
+from .ffield import is_prime, make_field, pick_order_p
+
+
+@dataclass(frozen=True)
+class Census:
+    """Simple-object inventory; weighted square sum must match global_dim."""
+
+    entries: tuple
+    global_dim: int
+
+    def __post_init__(self):
+        total = sum(count * dim * dim for _, dim, count in self.entries)
+        if total != self.global_dim:
+            raise ArithmeticError(
+                f"census squares sum to {total}, declared {self.global_dim}"
+            )
+
+    @property
+    def rank(self) -> int:
+        return sum(count for _, _, count in self.entries)
+
+    def dims_multiset(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for _, dim, count in self.entries:
+            out[dim] = out.get(dim, 0) + count
+        return out
+
+
+def _require_pair(p: int, q: int) -> None:
+    if not (is_prime(p) and is_prime(q)):
+        raise NotPrime(f"({p}, {q}) must be prime")
+    if (q + 1) % p != 0:
+        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
+
+
+def equivariantization_census(p: int, q: int) -> Census:
+    """Simple objects after the cyclic-group equivariantization.
+
+    Three families: p invertibles (unit with a character), one p-dimensional
+    object per free orbit of v -> c*v on the nonzero elements of F_{q^2},
+    and p(p-1) q-dimensional pairs (X_i, character).  Rank is
+    p^2 + (q^2 - 1) / p and the squares sum to (p*q)^2.
+
+    The orbit count is certified by argument.  The c of `pick_order_p` has
+    c != 1 and c^p = 1 with p prime, so it has order exactly p; this is
+    checked here, ArithmeticError otherwise.  `make_field` proves the
+    defining polynomial root-free, so F_{q^2} is a field and c^k v = v with
+    v != 0 forces c^k = 1, that is p | k.  So every nonzero orbit has
+    exactly p elements, and there are (q^2 - 1) / p of them.
+    """
+    _require_pair(p, q)
+    ctx = make_field(q)
+    c = pick_order_p(ctx, p)
+    if c == ctx.one or c ** p != ctx.one:
+        raise ArithmeticError(f"c = {c!r} does not have order {p}")
+    entries = (
+        ("(1,chi)", 1, p),
+        ("orbit-sum", p, (q * q - 1) // p),
+        ("(X_i,chi)", q, p * (p - 1)),
+    )
+    return Census(entries, p * p * q * q)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anisogauge import fusionring, gtcheck
+from anisogauge import fusionring, gauging, gtcheck
 from anisogauge.cli import main
 from anisogauge.errors import ExistenceViolated, NotACharacter
 
@@ -111,6 +111,16 @@ def test_bound_flag_rejects_bad_values(capsys, raw):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: argument --bound: {raw!r} is not a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["-5", "abc"])
+def test_sweep_rejects_bad_qmax(capsys, raw):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--", raw])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument qmax: {raw!r} is not a non-negative integer" in captured.err
 
 
 def test_sweep_rows(capsys):
@@ -315,13 +325,17 @@ def test_sweep_isolates_a_failing_pair(capsys, monkeypatch):
 
 
 def test_census_certification_failure_exits_1(capsys, monkeypatch):
-    def broken(perm, p):
-        raise ArithmeticError("wrong number of orbits")
+    def broken(ctx, p):
+        return ctx.theta  # theta^3 = 2*theta in F_25, so not of order 3
 
-    monkeypatch.setattr(fusionring, "_free_orbits", broken)
+    monkeypatch.setattr(gauging, "pick_order_p", broken)
     code, out, err = run(capsys, ["census", "3", "5"])
     assert code == 1 and out == ""
-    assert err == "error: ArithmeticError: wrong number of orbits\n"
+    assert err == "error: ArithmeticError: c = 0+1t does not have order 3\n"
+    monkeypatch.setattr(gauging, "pick_order_p", lambda ctx, p: ctx.one)
+    code, out, err = run(capsys, ["census", "3", "5"])
+    assert code == 1 and out == ""
+    assert err == "error: ArithmeticError: c = 1 does not have order 3\n"
 
 
 def test_semidirect_detail_says_when_brute_force_is_skipped(capsys):

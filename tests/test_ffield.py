@@ -14,6 +14,7 @@ from anisogauge import (
     sqrt_ext,
     trace,
 )
+from anisogauge.ffield import _prime_factors
 
 SMALL_ODD = [3, 5, 7, 11, 13]
 
@@ -180,3 +181,9 @@ def test_base_field_elements_are_squares_in_extension():
         ctx = make_field(q)
         for a in range(q):
             assert sqrt_ext(ctx.elem(a)) is not None
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(1, 500):
+        brute = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        assert _prime_factors(n) == brute

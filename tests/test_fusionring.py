@@ -22,7 +22,13 @@ from anisogauge import (
 )
 from anisogauge.errors import BoundExceeded
 from anisogauge.ffield import ExtElement, make_field, pick_order_p
-from anisogauge.fusionring import AxiomReport, _free_orbits, _generators
+from anisogauge.fusionring import (
+    AxiomReport,
+    _code_permutation,
+    _free_orbits,
+    _generators,
+    _matrix_of_c,
+)
 
 
 def test_extension_ring_rules_3_5():
@@ -356,6 +362,18 @@ def test_equivariantization_census_5_19():
     census = equivariantization_census(5, 19)
     assert census.rank == 97 == 25 + 72
     assert census.global_dim == 9025
+
+
+ODD_PRIMES_TO_50 = [n for n in range(3, 51, 2) if all(n % d for d in range(3, n, 2))]
+CENSUS_PAIRS = [(p, q) for q in ODD_PRIMES_TO_50 for p in ODD_PRIMES_TO_50
+                if p < q and (q + 1) % p == 0]
+
+
+@pytest.mark.parametrize("p,q", CENSUS_PAIRS + [(3, 2), (2, 3), (3, 1013)])
+def test_census_orbit_count_matches_free_orbit_walk(p, q):
+    # the census certifies (q^2 - 1) / p by the order of c; the walk counts
+    walked = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1]), p))
+    assert equivariantization_census(p, q).entries[1] == ("orbit-sum", p, walked)
 
 
 def test_rank_formula_consistency():

@@ -42,7 +42,6 @@ _EXPORTS = {
         "HyperbolicSpace",
         "MetricGroup",
         "QuadSpace",
-        "bilinear",
         "build_anisotropic",
         "build_hyperbolic",
         "metric_group_of",

@@ -232,8 +232,7 @@ def _verify_checks(p: int, q: int) -> list[dict]:
 def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
         raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
-    if (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
+    gauging._require_pair(p, q)
     checks = _verify_checks(p, q)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {

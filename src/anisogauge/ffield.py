@@ -310,6 +310,13 @@ def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     raise NoSuchElement(f"no element of order {p} in the norm-one subgroup")
 
 
+@lru_cache(maxsize=None)
+def _non_square(ctx: FieldCtx) -> ExtElement:
+    """The first non-square of F_{q^2} in (a0, a1) order, for odd q."""
+    n = ctx.q * ctx.q - 1
+    return next(e for e in ctx.elements() if e and e ** (n // 2) == -ctx.one)
+
+
 def sqrt_ext(x: ExtElement) -> ExtElement | None:
     """A canonical square root of x in the extension, or None if x is not a square.
 
@@ -330,7 +337,7 @@ def sqrt_ext(x: ExtElement) -> ExtElement | None:
         while s % 2 == 0:
             s //= 2
             m += 1
-        z = next(e for e in ctx.elements() if e and e ** (n // 2) == -ctx.one)
+        z = _non_square(ctx)
         c = z ** s
         y = x ** ((s + 1) // 2)
         t = x ** s

@@ -17,6 +17,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, make_field, pick_order_p, sqrt_ext
+from .gauging import _require_pair
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
 from .quadspace import build_anisotropic, build_hyperbolic
 
@@ -138,8 +139,7 @@ def non_group_theoretical_suite(p: int, q: int) -> SuiteReport:
     """
     if not (is_prime(p) and is_prime(q)) or p == 2 or q == 2:
         raise ExistenceViolated(f"({p}, {q}) must be odd primes")
-    if (q + 1) % p != 0:
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
+    _require_pair(p, q)
     ctx = make_field(q)
     c = pick_order_p(ctx, p)
     rho = rotation(ctx, c)

@@ -292,23 +292,15 @@ def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     In any characteristic Q(ax + by) = a^2 Q(x) + b^2 Q(y) + ab B'(x, y) with
     B'(x, y) = Q(x + y) - Q(x) - Q(y), so a linear g preserves Q iff it does on
     e1, e2 and e1 + e2: the columns g e1, g e2 range over two level sets of Q.
-    The form table is first checked to be the quadratic form those three
+    `space.certificate` proves the form table is the quadratic form those three
     values fix, so the argument holds for `space.form` as implemented.
     """
     q = space.ctx.q
-    form = np.empty(q * q, dtype=np.int64)
-    for v in space.vectors():
-        x, y = space.coords(v)
-        form[x * q + y] = space.form(v)
-    q1, q2, q12 = int(form[q]), int(form[1]), int(form[q + 1])
-    xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
-    if ((xs * xs * q1 + ys * ys * q2 + xs * ys * (q12 - q1 - q2) - form) % q).any():
-        raise ArithmeticError("form table is not a quadratic form")
-    us = np.flatnonzero(form == q1)
-    ws = np.flatnonzero(form == q2)
-    a, c = xs[us, None], ys[us, None]
-    b, d = xs[None, ws], ys[None, ws]
-    ok = (form[(a + b) % q * q + (c + d) % q] == q12) & ((a * d - b * c) % q != 0)
+    cert = space.certificate
+    form = cert.table
+    a, c = (k[:, None] for k in np.nonzero(form == cert.q1))
+    b, d = (k[None, :] for k in np.nonzero(form == cert.q2))
+    ok = (form[(a + b) % q, (c + d) % q] == form[1, 1]) & ((a * d - b * c) % q != 0)
     i, j = np.nonzero(ok)
     return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))
 

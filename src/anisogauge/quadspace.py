@@ -1,13 +1,21 @@
-"""Finite quadratic spaces and the metric groups they induce.
+"""Finite quadratic spaces, their certified forms and their metric groups.
 
 Two fixed kinds: the anisotropic plane carried by the norm form of the
 quadratic extension, and the hyperbolic plane (x, y) -> x*y over F_q.  The
 split form on base + dual lives with its isometries, in
 `orthogroup.SplitOrthMap`.
 
-Metric-group values are stored as exponents in Z/m (t(a) = exp(2*pi*i*k/m)
-with k the stored exponent), never as complex numbers.
+Each plane certifies its form once (`QuadSpace.certificate`): the q^2 table
+of the form equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2) mod q, where
+B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  The orthogonal-group
+solve, the metric group and the Gram matrix read its three values.  The
+metric group (F_q^2, t) stores t = Q mod q as exponents in Z/q
+(t(a) = exp(2*pi*i*k/q) with k the stored exponent), never as complex
+numbers.
 """
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +26,65 @@ ANISOTROPIC = "anisotropic"
 HYPERBOLIC = "hyperbolic"
 
 
+@dataclass(frozen=True, eq=False)
+class FormCertificate:
+    """A plane's form, certified to be the quadratic form with these values.
+
+    `q1`, `q2` and `polar` are Q(e1), Q(e2) and B'(e1, e2) mod q, and
+    `table[x, y]` = Q(x e1 + y e2) mod q = x^2 q1 + y^2 q2 + xy polar.
+    """
+
+    q1: int
+    q2: int
+    polar: int
+    table: np.ndarray
+
+
+def _polar_values(space: "QuadSpace") -> tuple[int, int, int]:
+    """Q(e1), Q(e2) and B'(e1, e2) = Q(e1 + e2) - Q(e1) - Q(e2), mod q."""
+    q = space.ctx.q
+    q1, q2, q12 = (space.form(space.vector(x, y)) % q for x, y in ((1, 0), (0, 1), (1, 1)))
+    return q1, q2, (q12 - q1 - q2) % q
+
+
 class QuadSpace:
-    """Base class; concrete spaces provide form/add/vectors/coords."""
+    """Base class; concrete spaces provide form/vector/coords."""
 
     kind: str
-    ctx: FieldCtx
-    dim: int
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
 
     def form(self, v) -> int:
         raise NotImplementedError
 
-    def add(self, v, w):
-        raise NotImplementedError
-
-    def vectors(self):
+    def vector(self, x: int, y: int):
+        """The vector x*e1 + y*e2 of the canonical basis."""
         raise NotImplementedError
 
     def coords(self, v) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def vectors(self):
+        """All q^2 vectors, in (x, y) lexicographic order."""
+        q = self.ctx.q
+        return (self.vector(x, y) for x in range(q) for y in range(q))
+
+    @functools.cached_property
+    def certificate(self) -> FormCertificate:
+        """The form table, built once and certified by polarization.
+
+        Raises ArithmeticError unless the table is the quadratic form fixed
+        by Q(e1), Q(e2) and Q(e1 + e2).
+        """
+        q = self.ctx.q
+        q1, q2, polar = _polar_values(self)
+        table = np.array([self.form(v) for v in self.vectors()], dtype=np.int64).reshape(q, q) % q
+        x, y = np.ogrid[:q, :q]
+        if ((x * x * q1 + y * y * q2 + x * y * polar - table) % q).any():
+            raise ArithmeticError("form table is not a quadratic form")
+        table.flags.writeable = False
+        return FormCertificate(q1, q2, polar, table)
 
     def __repr__(self):
         return f"{type(self).__name__}(q={self.ctx.q})"
@@ -45,104 +94,48 @@ class AnisotropicSpace(QuadSpace):
     """The extension field as a 2-dimensional space with the norm form."""
 
     kind = ANISOTROPIC
-    dim = 2
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
 
     def form(self, v: ExtElement) -> int:
         return norm(v)
 
-    def add(self, v, w):
-        return v + w
-
-    def vectors(self):
-        return self.ctx.elements()
+    def vector(self, x: int, y: int) -> ExtElement:
+        return ExtElement(self.ctx, x, y)
 
     def coords(self, v: ExtElement) -> tuple[int, int]:
         return (v.a0, v.a1)
-
-    def basis(self) -> tuple[ExtElement, ExtElement]:
-        return (self.ctx.one, self.ctx.theta)
 
 
 class HyperbolicSpace(QuadSpace):
     """Pairs over F_q with the form (x, y) -> x*y."""
 
     kind = HYPERBOLIC
-    dim = 2
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
 
     def form(self, v: tuple[int, int]) -> int:
         return (v[0] * v[1]) % self.ctx.q
 
-    def add(self, v, w):
-        q = self.ctx.q
-        return ((v[0] + w[0]) % q, (v[1] + w[1]) % q)
-
-    def vectors(self):
-        q = self.ctx.q
-        for x in range(q):
-            for y in range(q):
-                yield (x, y)
+    def vector(self, x: int, y: int) -> tuple[int, int]:
+        return (x % self.ctx.q, y % self.ctx.q)
 
     def coords(self, v) -> tuple[int, int]:
         return v
 
-    def basis(self):
-        return ((1, 0), (0, 1))
 
-
+@dataclass(frozen=True, eq=False)
 class MetricGroup:
-    """A finite abelian group with a quadratic form into Z/m exponents."""
+    """The metric group (F_q^2, t) of a plane: t[x, y] is the exponent in
+    Z/modulus of t(x e1 + y e2)."""
 
-    def __init__(self, carrier: list[tuple[int, ...]], modulus: int, t: dict,
-                 carrier_modulus: int | None = None):
-        self.carrier = carrier
-        self.modulus = modulus
-        self.carrier_modulus = carrier_modulus if carrier_modulus is not None else modulus
-        self.t = t
-        self._check()
-
-    def add(self, a, c):
-        q = self.carrier_modulus
-        return tuple((x + y) % q for x, y in zip(a, c))
+    modulus: int
+    t: np.ndarray
 
     def bicharacter(self, a, c) -> int:
-        """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/m."""
-        return (self.t[self.add(a, c)] - self.t[a] - self.t[c]) % self.modulus
-
-    def _check(self):
-        """Closure, evenness and non-degeneracy, on mixed-radix codes of the carrier."""
-        m, cm, n = self.modulus, self.carrier_modulus, len(self.carrier)
-        if not n:
-            raise ArithmeticError("carrier is empty")
-        coords = np.array(self.carrier, dtype=np.int64)
-        if ((coords < 0) | (coords >= cm)).any():
-            raise ArithmeticError(f"carrier coordinates must lie in [0, {cm})")
-        radix = cm ** np.arange(coords.shape[1], dtype=np.int64)
-        index = np.full(cm ** coords.shape[1], -1, dtype=np.int64)
-        index[coords @ radix] = np.arange(n)
-        addtab = index[(coords[:, None] + coords[None]) % cm @ radix]
-        if (addtab < 0).any():
-            raise ArithmeticError("carrier not closed under addition")
-        try:
-            tvec = np.array([self.t[a] for a in self.carrier], dtype=np.int64)
-        except KeyError as err:
-            raise ArithmeticError(f"t has no value at {err.args[0]}") from None
-        # a finite carrier closed under addition is a subgroup, so holds -a
-        odd = np.flatnonzero(tvec != tvec[index[-coords % cm @ radix]])
-        if len(odd):
-            raise ArithmeticError(f"t not even at {self.carrier[odd[0]]}")
-        # non-degeneracy: the rows a -> b(a, .) must be pairwise distinct
-        b = (tvec[addtab] - tvec[:, None] - tvec[None, :]) % m
-        if len(np.unique(b, axis=0)) != n:
-            raise ArithmeticError("bicharacter is degenerate")
+        """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/m, on coordinate pairs."""
+        m = self.modulus
+        s = ((a[0] + c[0]) % m, (a[1] + c[1]) % m)
+        return int(self.t[s] - self.t[a] - self.t[c]) % m
 
     def __repr__(self):
-        return f"MetricGroup(|A|={len(self.carrier)}, m={self.modulus})"
+        return f"MetricGroup(|A|={self.t.size}, m={self.modulus})"
 
 
 def build_anisotropic(ctx: FieldCtx) -> AnisotropicSpace:
@@ -161,26 +154,26 @@ def build_hyperbolic(ctx: FieldCtx) -> HyperbolicSpace:
 
 
 def metric_group_of(space: QuadSpace) -> MetricGroup:
-    """The metric group (A, t) of a 2-dimensional space: t = form mod q."""
-    q = space.ctx.q
-    carrier = [space.coords(v) for v in space.vectors()]
-    t = {space.coords(v): space.form(v) % q for v in space.vectors()}
-    return MetricGroup(carrier, q, t)
+    """The metric group (F_q^2, t) of a 2-dimensional space: t = form mod q.
 
-
-def bilinear(space: QuadSpace, v, w) -> int:
-    """Polarization B(v, w) = (form(v+w) - form(v) - form(w)) / 2."""
+    Complete by argument on `space.certificate`: the carrier is all of
+    F_q^2, so it is closed under addition; t(-v) = t(v) for a quadratic
+    form, so t is even; and the bicharacter is the polar form B', which is
+    non-degenerate exactly when its Gram determinant
+    4 Q(e1) Q(e2) - B'(e1, e2)^2 is nonzero mod q (q = 2 included).
+    """
+    cert = space.certificate
     q = space.ctx.q
-    if q == 2:
-        raise EvenCharacteristic("bilinear form needs odd characteristic")
-    inv2 = pow(2, -1, q)
-    return (space.form(space.add(v, w)) - space.form(v) - space.form(w)) * inv2 % q
+    if (4 * cert.q1 * cert.q2 - cert.polar ** 2) % q == 0:
+        raise ArithmeticError("bicharacter is degenerate")
+    return MetricGroup(q, cert.table)
 
 
 def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Gram matrix of the polarized bilinear form in the canonical basis."""
-    b1, b2 = space.basis()
-    return (
-        (bilinear(space, b1, b1), bilinear(space, b1, b2)),
-        (bilinear(space, b2, b1), bilinear(space, b2, b2)),
-    )
+    """Gram matrix of the polarized bilinear form B = B'/2 in the canonical basis."""
+    q = space.ctx.q
+    if q == 2:
+        raise EvenCharacteristic("bilinear form needs odd characteristic")
+    q1, q2, polar = _polar_values(space)
+    half = polar * pow(2, -1, q) % q
+    return ((q1, half), (half, q2))

@@ -1,18 +1,64 @@
+import itertools
+
+import numpy as np
 import pytest
+from test_orthogroup import _MutatedPlane
 
 from anisogauge import (
     AnisoOrthMap,
     EvenCharacteristic,
+    HyperbolicSpace,
     Mat2,
-    MetricGroup,
     SplitOrthMap,
-    bilinear,
     build_anisotropic,
     build_hyperbolic,
     make_field,
     metric_group_of,
     split_embedding,
 )
+from anisogauge.quadspace import gram_matrix
+
+PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
+
+
+def _polar(space, v, w):
+    """B(v, w) = (Q(v + w) - Q(v) - Q(w)) / 2, from the form and vector addition."""
+    q = space.ctx.q
+    total = space.vector(*(a + b for a, b in zip(space.coords(v), space.coords(w))))
+    return (space.form(total) - space.form(v) - space.form(w)) * pow(2, -1, q) % q
+
+
+class _FormPlane(HyperbolicSpace):
+    """F_q^2 with the quadratic form (x, y) -> a x^2 + b xy + c y^2."""
+
+    def __init__(self, ctx, a, b, c):
+        super().__init__(ctx)
+        self.coefs = (a, b, c)
+
+    def form(self, v):
+        a, b, c = self.coefs
+        return (a * v[0] * v[0] + b * v[0] * v[1] + c * v[1] * v[1]) % self.ctx.q
+
+
+def _degenerate_plane(q):
+    """The degenerate plane (x, y) -> x^2."""
+    return _FormPlane(make_field(q), 1, 0, 0)
+
+
+def _scan_nondegenerate(space):
+    """Oracle: on all q^4 pairs, the rows a -> b(a, .) of the bicharacter
+    t(a + c) - t(a) - t(c) are pairwise distinct, and t is even."""
+    q = space.ctx.q
+    t = np.empty(q * q, dtype=np.int64)
+    for v in space.vectors():
+        x, y = space.coords(v)
+        t[x * q + y] = space.form(v) % q
+    xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    if (t != t[(-xs % q) * q + (-ys % q)]).any():
+        return False
+    add = (xs[:, None] + xs[None, :]) % q * q + (ys[:, None] + ys[None, :]) % q
+    b = (t[add] - t[:, None] - t[None, :]) % q
+    return len(np.unique(b, axis=0)) == q * q
 
 
 def test_anisotropic_form_values():
@@ -52,55 +98,91 @@ def test_metric_group_q2_values():
 def test_metric_group_nondegenerate_and_even(q):
     for build in (build_anisotropic, build_hyperbolic):
         mg = metric_group_of(build(make_field(q)))
-        assert mg.t[(0,) * 2] == 0
-        for a in mg.carrier:
+        carrier = [(x, y) for x in range(q) for y in range(q)]
+        assert mg.t[(0, 0)] == 0
+        for a in carrier:
             neg = tuple((-x) % q for x in a)
             assert mg.t[a] == mg.t[neg]
         # injectivity of a -> b(a, .)
-        rows = {tuple(mg.bicharacter(a, c) for c in mg.carrier) for a in mg.carrier}
+        rows = {tuple(mg.bicharacter(a, c) for c in carrier) for a in carrier}
         assert len(rows) == q * q
 
 
-@pytest.mark.parametrize("carrier,m,t,cm,message", [
-    ([(0,), (1,)], 5, {(0,): 0, (1,): 1}, None, "not closed under addition"),
-    ([(0,), (1,)], 4, {(0,): 0}, 2, r"no value at \(1,\)"),
-    ([(0,), (1,), (2,)], 3, {(0,): 0, (1,): 1, (2,): 2}, None, r"not even at \(1,\)"),
-    ([(0,), (5,)], 5, {(0,): 0, (5,): 0}, None, r"must lie in \[0, 5\)"),
-    ([], 5, {}, None, "empty"),
-    ([(x, y) for x in range(3) for y in range(3)], 3,
-     {(x, y): x * x % 3 for x in range(3) for y in range(3)}, None, "degenerate"),
-], ids=["not-closed", "t-missing", "t-odd", "out-of-range", "empty", "degenerate"])
-def test_metric_group_rejects_bad_input_with_arithmetic_error(carrier, m, t, cm, message):
-    with pytest.raises(ArithmeticError, match=message):
-        MetricGroup(carrier, m, t, carrier_modulus=cm)
+def _accepts(space):
+    try:
+        metric_group_of(space)
+    except ArithmeticError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_13)
+def test_metric_group_accepts_exactly_when_the_scan_does(q):
+    # both planes and a degenerate one, and for q <= 5 every quadratic form
+    ctx = make_field(q)
+    spaces = [build_anisotropic(ctx), build_hyperbolic(ctx), _degenerate_plane(q)]
+    if q <= 5:
+        spaces += [_FormPlane(ctx, *coefs) for coefs in itertools.product(range(q), repeat=3)]
+    for space in spaces:
+        assert _accepts(space) == _scan_nondegenerate(space), getattr(space, "coefs", space)
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_13)
+def test_certificate_is_the_form_table(q):
+    ctx = make_field(q)
+    for space in (build_anisotropic(ctx), build_hyperbolic(ctx)):
+        cert = space.certificate
+        assert space.certificate is cert
+        for v in space.vectors():
+            assert cert.table[space.coords(v)] == space.form(v) % q
+        assert metric_group_of(space).t is cert.table
+
+
+def _mutated_planes(q):
+    ctx = make_field(q)
+    for where in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 3)):
+        for delta in range(1, q):
+            yield _MutatedPlane(ctx, where, delta)
+
+
+@pytest.mark.parametrize("planes,message", [
+    ([_degenerate_plane(q) for q in (2, 3, 5)], "degenerate"),
+    ([s for q in (5, 7) for s in _mutated_planes(q)], "not a quadratic form"),
+], ids=["degenerate", "mutated"])
+def test_metric_group_rejects_bad_input_with_arithmetic_error(planes, message):
+    for space in planes:
+        with pytest.raises(ArithmeticError, match=message):
+            metric_group_of(space)
 
 
 def test_bilinear_examples():
     ctx = make_field(5)
     space = build_anisotropic(ctx)
-    assert bilinear(space, ctx.one, ctx.theta) == 0
+    assert gram_matrix(space) == ((1, 0), (0, 3))  # norm = a0^2 - 2 a1^2
+    assert _polar(space, ctx.one, ctx.theta) == 0
     for v in space.vectors():
-        assert bilinear(space, v, v) == space.form(v)
-        assert bilinear(space, ctx.zero, v) == 0
+        assert _polar(space, v, v) == space.form(v)
+        assert _polar(space, ctx.zero, v) == 0
 
 
 def test_bilinear_even_characteristic():
-    space = build_anisotropic(make_field(2))
     with pytest.raises(EvenCharacteristic):
-        bilinear(space, space.ctx.one, space.ctx.theta)
+        gram_matrix(build_anisotropic(make_field(2)))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_polarization_identity(q):
+    # the polar form of Q is the bilinear form of its Gram matrix
     ctx = make_field(q)
     for build in (build_anisotropic, build_hyperbolic):
         space = build(ctx)
-        vs = list(space.vectors())
-        for v in vs:
-            for w in vs:
-                lhs = space.form(space.add(v, w))
-                rhs = (space.form(v) + space.form(w) + 2 * bilinear(space, v, w)) % q
-                assert lhs == rhs
+        (g11, g12), (g21, g22) = gram_matrix(space)
+        for v in space.vectors():
+            x0, x1 = space.coords(v)
+            for w in space.vectors():
+                y0, y1 = space.coords(w)
+                gram_form = x0 * (g11 * y0 + g12 * y1) + x1 * (g21 * y0 + g22 * y1)
+                assert _polar(space, v, w) == gram_form % q
 
 
 def _split_identity(q):
@@ -131,4 +213,4 @@ def test_split_form_is_evaluation():
     base, split = _split_identity(5)
     for v in base.vectors():
         for w in base.vectors():
-            assert split.form(base.coords(v) + base.coords(w)) == bilinear(base, w, v)
+            assert split.form(base.coords(v) + base.coords(w)) == _polar(base, w, v)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import anisogauge
@@ -15,3 +16,23 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_exist_where_the_tracer_patches_them():
+    # perfbench/tracer.py patches the functions in spans.WRAPPED by name:
+    # `ffield` ones on `anisogauge.cli`, which imported them, the rest on
+    # their own module.  A rename would break only the traced benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, names in spans.WRAPPED.items()
+        for name in names
+        if not callable(getattr(
+            importlib.import_module("anisogauge.cli" if module == "ffield" else f"anisogauge.{module}"),
+            name, None,
+        ))
+    ]
+    assert spans.WRAPPED and missing == []

@@ -6,7 +6,13 @@ elements i and j is coef[i, j] times basis element prod[i, j] or, where
 prod[i, j] < 0, times the multi-term row multi[-1 - prod[i, j]], stored
 primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
 checks associativity one way: Light's test on a generating set certified
-by closure, with the full scan as the fallback when it fails.  Censuses are
+by closure, with the full scan as the fallback when it fails.  The ring
+itself is the only n x n storage: the certificates (unit, duality and
+reciprocity, Light's test, fp_dims and its character check) and the ring
+build walk the n x n arrays in `_row_blocks` and expand multi-term rows in
+chunks, so that no int64 temporary holds more than about _BLOCK_CELLS
+cells, and the generator closure reads only the generators' rows and
+columns.  Censuses are
 `gauging.Census` inventories (label, dimension, count) whose weighted
 square sum must reproduce the declared global dimension.  The orbit census,
 the little-group census and the semidirect table all act on the same codes,
@@ -29,7 +35,7 @@ from .orthogroup import Mat2, rotation
 DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
-_DENSE_CELLS = 2 ** 20  # cap on the (pairs x n) block expanded at once
+_BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary of the certificates
 
 
 class FusionRing:
@@ -84,14 +90,14 @@ class FusionRing:
         return {self.basis[k]: int(row[k]) for k in np.flatnonzero(row)}
 
     def _entries(self):
-        """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order."""
+        """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order.
+
+        Holds all of them at once and sorts them, so only `.tensor`,
+        `ring_to_text` and `_power_iteration` call it; the certificates walk
+        `_block_entries` a block of rows at a time.
+        """
         n = len(self.basis)
-        i, j = np.nonzero((self.prod >= 0) & (self.coef != 0))
-        mi, mj = np.nonzero(self.prod < 0)
-        rows = self.multi[-1 - self.prod[mi, mj]] * self.coef[mi, mj, None]
-        r, mk = np.nonzero(rows)
-        i, j, k, v = (np.concatenate(pair) for pair in (
-            (i, mi[r]), (j, mj[r]), (self.prod[i, j], mk), (self.coef[i, j], rows[r, mk])))
+        i, j, k, v = (np.concatenate(a) for a in zip(*_block_entries(self, slice(0, n))))
         order = np.argsort((i * n + j) * n + k, kind="stable")
         return i[order], j[order], k[order], v[order]
 
@@ -106,6 +112,29 @@ class FusionRing:
 
     def __repr__(self):
         return f"FusionRing(rank={len(self.basis)}, unit={self.unit!r})"
+
+
+def _row_blocks(rows: int, width: int):
+    """Consecutive slices of range(rows), each of about _BLOCK_CELLS / width rows
+    (at least one), so a (block x width) temporary holds about _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _block_entries(ring: FusionRing, rows: slice):
+    """The nonzero N(i, j; k) = v with i in `rows`, as index arrays (i, j, k, v)
+    in pieces, each in lexicographic order: first the single-term cells, then
+    the multi-term cells, expanded in `_row_blocks` chunks."""
+    n = len(ring.basis)
+    t, c = ring.prod[rows], ring.coef[rows]
+    i, j = np.nonzero((t >= 0) & (c != 0))
+    yield i + rows.start, j, t[i, j], c[i, j]
+    mi, mj = np.nonzero(t < 0)
+    for chunk in _row_blocks(len(mi), n):
+        ci, cj = mi[chunk], mj[chunk]
+        scaled = ring.multi[-1 - t[ci, cj]] * c[ci, cj, None]
+        r, k = np.nonzero(scaled)
+        yield ci[r] + rows.start, cj[r], k, scaled[r, k]
 
 
 def _label_index(basis) -> dict:
@@ -168,7 +197,8 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     basis = [f"g{t // q}_{t % q}" for t in range(q2)] + [f"X{i}" for i in range(1, p)]
     dual = np.concatenate([(-a0 % q) * q + (-a1 % q), xs[::-1]])
     prod, coef = np.empty((n, n), dtype=np.int64), np.ones((n, n), dtype=np.int64)
-    prod[:q2, :q2] = ((a0[:, None] + a0) % q) * q + (a1[:, None] + a1) % q
+    for rows in _row_blocks(q2, q2):
+        prod[rows, :q2] = ((a0[rows, None] + a0) % q) * q + (a1[rows, None] + a1) % q
     prod[:q2, q2:], prod[q2:, :q2] = xs, xs[:, None]
     total = (deg[:, None] + deg) % p
     prod[q2:, q2:] = np.where(total == 0, -1, q2 + total - 1)
@@ -188,43 +218,52 @@ def _terms(ring: FusionRing, t, c):
 
 def _dense(ring: FusionRing, k: int, r, t, c) -> np.ndarray:
     """The (k, n) sums over s of c[s] * (row t[s]) placed in row r[s]."""
-    out = np.zeros((k, len(ring.basis)), dtype=np.int64)
-    single, multi = t >= 0, t < 0
+    n = len(ring.basis)
+    out = np.zeros((k, n), dtype=np.int64)
+    single, multi = t >= 0, np.flatnonzero(t < 0)
     # flat indices take numpy's fast path for ufunc.at
-    np.add.at(out.reshape(-1), r[single] * out.shape[1] + t[single], c[single])
-    np.add.at(out, r[multi], c[multi, None] * ring.multi[-1 - t[multi]])
+    np.add.at(out.reshape(-1), r[single] * n + t[single], c[single])
+    for chunk in _row_blocks(len(multi), n):
+        m = multi[chunk]
+        np.add.at(out, r[m], c[m, None] * ring.multi[-1 - t[m]])
     return out
 
 
 def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
     """The lexicographically first basis triple (x, s, y) with s in `middles`
-    and (x s) y != x (s y), or None.  Vectorized over (x, y): where x s and
-    s y are single-term each side is one scaled row, compared as a (row,
-    coefficient) pair; the few x with a multi-term x s, and y with a
-    multi-term s y, are expanded to dense vectors.
+    and (x s) y != x (s y), or None.  For each s, walks x in `_row_blocks`
+    and stops at the first block with a failure.  Within a block it is
+    vectorized over (x, y): where x s and s y are single-term each side is
+    one scaled row, compared as a (row, coefficient) pair; the pairs with a
+    multi-term x s or s y are expanded to dense vectors, _BLOCK_CELLS // n
+    pairs at a time.
     """
     prod, coef, n = ring.prod, ring.coef, len(ring.basis)
-    everyone, step = np.arange(n), max(1, _DENSE_CELLS // n)
+    everyone = np.arange(n)
     first = None
     for s in middles:
         ls, lc, rs, rc = prod[:, s], coef[:, s], prod[s], coef[s]  # x s, s y
-        a, b = np.maximum(ls, 0), np.maximum(rs, 0)
-        lt, lv, rt, rv = prod[a], lc[:, None] * coef[a], prod[:, b], rc * coef[:, b]
-        bad = (lv != rv) | ((lt != rt) & (lv != 0))
-        dx, dy = np.flatnonzero(ls < 0), np.flatnonzero(rs < 0)
-        px = np.concatenate([np.repeat(dx, n), np.tile(everyone, len(dy))])
-        py = np.concatenate([np.tile(everyone, len(dx)), np.repeat(dy, n)])
-        for lo in range(0, len(px), step):
-            x, y = px[lo:lo + step], py[lo:lo + step]
-            r, m, w = _terms(ring, ls[x], lc[x])
-            left = _dense(ring, len(x), r, prod[m, y[r]], w * coef[m, y[r]])
-            r, m, w = _terms(ring, rs[y], rc[y])
-            right = _dense(ring, len(x), r, prod[x[r], m], w * coef[x[r], m])
-            bad[x, y] = (left != right).any(axis=1)
-        hits = np.flatnonzero(bad)
-        if len(hits):
-            x, y = divmod(int(hits[0]), n)
-            first = min(first or (n, n, n), (x, int(s), y))
+        a, b, dy = np.maximum(ls, 0), np.maximum(rs, 0), np.flatnonzero(rs < 0)
+        for rows in _row_blocks(n, n):
+            xs, ar = everyone[rows], a[rows]
+            lt, lv = prod[ar], lc[rows, None] * coef[ar]
+            rt, rv = prod[rows][:, b], rc * coef[rows][:, b]
+            bad = (lv != rv) | ((lt != rt) & (lv != 0))
+            dx = xs[ls[rows] < 0]
+            px = np.concatenate([np.repeat(dx, n), np.tile(xs, len(dy))])
+            py = np.concatenate([np.tile(everyone, len(dx)), np.repeat(dy, len(xs))])
+            for chunk in _row_blocks(len(px), n):
+                x, y = px[chunk], py[chunk]
+                r, m, w = _terms(ring, ls[x], lc[x])
+                left = _dense(ring, len(x), r, prod[m, y[r]], w * coef[m, y[r]])
+                r, m, w = _terms(ring, rs[y], rc[y])
+                right = _dense(ring, len(x), r, prod[x[r], m], w * coef[x[r], m])
+                bad[x - rows.start, y] = (left != right).any(axis=1)
+            hits = np.flatnonzero(bad)
+            if len(hits):
+                x, y = divmod(int(hits[0]), n)
+                first = min(first or (n, n, n), (rows.start + x, int(s), y))
+                break
     return first
 
 
@@ -235,7 +274,6 @@ def _generators(ring: FusionRing) -> list[int]:
     coefficient c puts (a s) / c in the subalgebra S generates), until every
     basis element is reached.  For the extension ring S = {g0_1, g1_0, X1}.
     """
-    target = np.where(ring.coef != 0, ring.prod, -1)
     reached = np.zeros(len(ring.basis), dtype=bool)
     reached[ring.unit_index] = True
     gens: list[int] = []
@@ -244,35 +282,53 @@ def _generators(ring: FusionRing) -> list[int]:
         new = np.array(gens[-1:])
         while not reached[new].all():
             reached[new] = True
-            r = np.flatnonzero(reached)
-            new = np.concatenate([target[np.ix_(r, gens)], target[np.ix_(gens, r)].T]).ravel()
-            new = new[new >= 0]
+            r, s = np.flatnonzero(reached), np.array(gens)
+            cells = [(r[:, None], s), (s[:, None], r)]  # a s and s a
+            t = np.concatenate([ring.prod[cell].ravel() for cell in cells])
+            c = np.concatenate([ring.coef[cell].ravel() for cell in cells])
+            new = t[(t >= 0) & (c != 0)]
     return gens
 
 
 def _duality_problem(ring: FusionRing) -> str | None:
     """The first failure of the duality involution, of N(i, j; unit) = [j = i^*]
-    or of reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) on a nonzero entry."""
-    basis, dual, everyone = ring.basis, ring.dual_index, np.arange(len(ring.basis))
+    or of reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) on a nonzero entry.
+
+    Both array checks walk i in `_row_blocks`, with no sort: the first block
+    with a failure holds the lexicographically first one, which for
+    reciprocity is the least of the first failure in each lexicographically
+    ordered piece of `_block_entries` (single-term cells, multi-term chunks).
+    """
+    basis, dual, n = ring.basis, ring.dual_index, len(ring.basis)
+    everyone = np.arange(n)
     bad = np.flatnonzero(dual[dual] != everyone)
     if len(bad):
         return f"dual not involutive at {basis[bad[0]]}"
-    want = (everyone == dual[:, None]).astype(np.int64)
-    bad = np.argwhere(ring._coeffs(everyone[:, None], everyone, ring.unit_index) != want)
-    if len(bad):
-        return "N({},{};unit) != {}".format(*(basis[t] for t in bad[0]), want[tuple(bad[0])])
-    i, j, k, v = ring._entries()
-    bad = np.flatnonzero((ring._coeffs(dual[i], k, j) != v) | (ring._coeffs(k, dual[j], i) != v))
-    if len(bad):
-        return "reciprocity fails at N({},{};{})".format(*(basis[a[bad[0]]] for a in (i, j, k)))
+    for rows in _row_blocks(n, n):
+        i = everyone[rows]
+        want = (everyone == dual[i, None]).astype(np.int64)
+        bad = np.argwhere(ring._coeffs(i[:, None], everyone, ring.unit_index) != want)
+        if len(bad):
+            r, j = bad[0]
+            return f"N({basis[i[r]]},{basis[j]};unit) != {want[r, j]}"
+    for rows in _row_blocks(n, n):
+        hits = []
+        for i, j, k, v in _block_entries(ring, rows):
+            bad = np.flatnonzero((ring._coeffs(dual[i], k, j) != v)
+                                 | (ring._coeffs(k, dual[j], i) != v))
+            if len(bad):
+                hits.append(tuple(int(a[bad[0]]) for a in (i, j, k)))
+        if hits:
+            return "reciprocity fails at N({},{};{})".format(*(basis[t] for t in min(hits)))
     return None
 
 
 def verify_axioms(ring: FusionRing) -> AxiomReport:
     """Unit, duality and associativity check, complete at every rank.
 
-    Unit and duality are vectorized array checks.  Associativity is Light's
-    test (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2)
+    Unit and duality are vectorized array checks, in row blocks.
+    Associativity is Light's test (Clifford & Preston, The Algebraic Theory
+    of Semigroups I, 1.2)
     extended bilinearly: the s with (x s) y = x (s y) for all basis x, y form
     a subalgebra, so the generating set of `_generators` suffices, |S| n^2
     triples instead of n^3.  If that fails, or the unit law does (the
@@ -310,14 +366,22 @@ def fp_dims(ring: FusionRing) -> dict:
     integer matrix N_i, hence an integer.  NotACharacter if neither works.
     """
     basis, prod, coef, dual = ring.basis, ring.prod, ring.coef, ring.dual_index
-    everyone = np.arange(len(basis))
-    grouplike = (prod >= 0) & (coef == 1)
-    block = grouplike.all(axis=1) & grouplike.all(axis=0)
+    n = len(basis)
+    block, columns = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    for rows in _row_blocks(n, n):
+        grouplike = (prod[rows] >= 0) & (coef[rows] == 1)
+        block[rows] = grouplike.all(axis=1)
+        columns &= grouplike.all(axis=0)
+    block &= columns
     members = np.flatnonzero(block)
-    if not block[prod[np.ix_(members, members)]].all():
+    if not all(block[prod[np.ix_(members[rows], members)]].all()
+               for rows in _row_blocks(len(members), len(members))):
         block[:] = False
-    rows = _dense(ring, len(basis), everyone, prod[everyone, dual], coef[everyone, dual])
-    weight = np.where((rows[:, ~block] == 0).all(axis=1), rows.sum(axis=1), 0)
+    weight = np.empty(n, dtype=np.int64)
+    for rows in _row_blocks(n, n):  # weight of i i^* where that row stays in the block
+        i = np.arange(rows.start, rows.stop)
+        dense = _dense(ring, len(i), np.arange(len(i)), prod[i, dual[i]], coef[i, dual[i]])
+        weight[rows] = np.where((dense[:, ~block] == 0).all(axis=1), dense.sum(axis=1), 0)
     proposal = np.where(block, 1, [math.isqrt(max(w, 0)) for w in weight.tolist()])
     if (block | (proposal ** 2 == weight)).all() and _certify_character(ring, proposal):
         return dict(zip(basis, proposal.tolist()))
@@ -331,12 +395,18 @@ def fp_dims(ring: FusionRing) -> dict:
 
 
 def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
-    """d > 0, d(unit) = 1 and d(i) d(j) = sum_k N_ij^k d(k) for all i, j."""
+    """d > 0, d(unit) = 1 and d(i) d(j) = sum_k N_ij^k d(k) for all i, j,
+    checked in `_row_blocks` of i."""
     if (d <= 0).any() or d[ring.unit_index] != 1:
         return False
+    n = len(d)
     values = np.concatenate([d, ring.multi @ d])  # d of each basis element, then of each multi row
-    total = ring.coef * values[np.where(ring.prod >= 0, ring.prod, len(d) - 1 - ring.prod)]
-    return bool((d[:, None] * d == total).all())
+    for rows in _row_blocks(n, n):
+        t = ring.prod[rows]
+        total = ring.coef[rows] * values[np.where(t >= 0, t, n - 1 - t)]
+        if not (d[rows, None] * d == total).all():
+            return False
+    return True
 
 
 def _power_iteration(ring: FusionRing, iters: int = 5000, tol: float = 1e-14):
@@ -442,7 +512,9 @@ def conjugacy_classes(table: np.ndarray) -> list[np.ndarray]:
     for g in range(n):
         if visited[g]:
             continue
-        cls = np.unique(table[table[:, g], inv])
+        mark = np.zeros(n, dtype=bool)  # np.unique would import numpy.ma
+        mark[table[table[:, g], inv]] = True
+        cls = np.flatnonzero(mark)
         visited[cls] = True
         classes.append(cls)
     return classes

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +22,13 @@ from anisogauge import (
     semidirect_irreps,
     verify_axioms,
 )
+from anisogauge import fusionring
 from anisogauge.errors import BoundExceeded
 from anisogauge.ffield import ExtElement, make_field, pick_order_p
 from anisogauge.fusionring import (
     AxiomReport,
     _code_permutation,
+    _dense,
     _free_orbits,
     _generators,
     _matrix_of_c,
@@ -196,7 +200,14 @@ MUTATIONS = {
     ("extension-3-5", "reciprocity"): lambda r: _with(r, {("X1", "X1"): {"X2": 6}}),
     ("cyclic-6", "reciprocity"): lambda r: _with(r, {("g1", "g1"): {"g2": 2}}),
     ("s3-reps", "reciprocity"): lambda r: _with(r, {("V", "V"): {"1": 1, "s": 2, "V": 1}}),
+    # a single-term entry whose reciprocity partner N(X1,X2;g0_1) sits in the
+    # multi-term cell X1 X2, which comes first
+    ("extension-3-5", "reciprocity-multi-first"): lambda r: _with(r, {("X2", "g0_1"): {"X2": 2}}),
 }
+
+# _BLOCK_CELLS values: 1 and 37 give one row per block at rank 27; 110 gives
+# blocks of 4 rows there, the last one (g4_4, X1, X2) ending short
+SMALL_BLOCKS = [1, 37, 110]
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -215,6 +226,63 @@ def test_mutations_caught_with_reference_counterexample(name, kind):
     if kind == "coefficient":
         assert report.unit_ok and report.duality_ok and not report.assoc_ok
         assert report.counterexample.startswith("associativity fails at")
+
+
+@pytest.mark.parametrize("cells", SMALL_BLOCKS)
+def test_axioms_match_reference_in_small_blocks(cells, monkeypatch):
+    monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
+    for name in sorted(RINGS):
+        test_axioms_match_reference(name)
+    for name, kind in sorted(MUTATIONS):
+        test_mutations_caught_with_reference_counterexample(name, kind)
+
+
+def test_reciprocity_reports_the_first_failure_across_cell_kinds():
+    # failures at N(X1,X2;g0_1) (multi-term cell) and at N(X2,g0_1;X2),
+    # N(X2,g0_4;X2) (single-term cells), all in one row block by default
+    bad = MUTATIONS[("extension-3-5", "reciprocity-multi-first")](RINGS["extension-3-5"]())
+    assert bad.prod[bad.index["X1"], bad.index["X2"]] < 0
+    assert bad.prod[bad.index["X2"], bad.index["g0_1"]] >= 0
+    assert verify_axioms(bad).counterexample == "reciprocity fails at N(X1,X2;g0_1)"
+
+
+@pytest.mark.parametrize("cells", SMALL_BLOCKS)
+def test_ring_build_and_fp_dims_independent_of_block_size(cells, monkeypatch):
+    rings = {name: make() for name, make in RINGS.items()}
+    dims = {name: fp_dims(ring) for name, ring in rings.items()}
+    monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
+    blocked = build_extension_ring(3, 5)
+    for attr in ("prod", "coef", "multi", "dual_index"):
+        assert np.array_equal(getattr(blocked, attr), getattr(rings["extension-3-5"], attr))
+    assert blocked.basis == rings["extension-3-5"].basis
+    assert {name: fp_dims(ring) for name, ring in rings.items()} == dims
+
+
+@pytest.mark.parametrize("cells", SMALL_BLOCKS)
+def test_dense_rows_independent_of_block_size(cells, monkeypatch):
+    ring = _s3_rep_ring()
+    vv = ring.prod[2, 2]  # V V = 1 + s + V, a multi-term row
+    r, t, c = np.array([0, 1, 1, 0]), np.array([vv, vv, 2, vv]), np.array([1, 2, 3, 4])
+    monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
+    assert _dense(ring, 2, r, t, c).tolist() == [[5, 5, 5], [2, 2, 5]]
+
+
+def _traced_peak_mb(f) -> float:
+    """The tracemalloc peak while f() runs, above the level when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificates_stay_in_bounded_memory():
+    # rank 531; the ring's own prod and coef take 4.3 MB
+    ring = build_extension_ring(3, 23)
+    assert _traced_peak_mb(lambda: verify_axioms(ring)) < 10
+    assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
 
 
 def test_generators_of_extension_ring():

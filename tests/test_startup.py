@@ -11,29 +11,31 @@ from anisogauge import _EXPORTS
 
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
 
-# Runs the CLI in a fresh interpreter, then reports whether numpy was loaded.
+# Runs the CLI in a fresh interpreter, then reports its exit code and which
+# of numpy and numpy.ma were loaded.
 PROBE = """
 import sys
-argv = sys.argv[1:]
+argv, code = sys.argv[1:], None
 if argv:
     from anisogauge.cli import main
     try:
-        main(argv)
-    except SystemExit:
-        pass
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
 else:
     import anisogauge
-print("numpy" in sys.modules)
+print(code, *(name for name in ("numpy", "numpy.ma") if name in sys.modules))
 """
 
 
-def numpy_loaded(argv, env=None) -> bool:
+def probe(argv, env=None) -> tuple[str, set]:
     environ = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
     if not env:
         environ.pop("ANISOGAUGE_BOUND", None)
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=environ,
                          capture_output=True, text=True, check=True).stdout
-    return out.splitlines()[-1] == "True"
+    code, *modules = out.splitlines()[-1].split()
+    return code, set(modules)
 
 
 @pytest.mark.parametrize("argv,env", [
@@ -45,11 +47,24 @@ def numpy_loaded(argv, env=None) -> bool:
     (["verify", "1", "5"], None),
 ])
 def test_start_up_paths_skip_numpy(argv, env):
-    assert not numpy_loaded(argv, env)
+    assert "numpy" not in probe(argv, env)[1]
 
 
 def test_verify_past_its_gates_loads_numpy():
-    assert numpy_loaded(["verify", "3", "5"])
+    assert "numpy" in probe(["verify", "3", "5"])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "3", "5"],
+    ["verify", "3", "2"],
+    ["double-rank", "Z3_TABLE"],
+])
+def test_numpy_paths_skip_numpy_ma(argv, tmp_path):
+    # np.unique calls np.ma.is_masked, which imports numpy.ma (about 6 ms)
+    table = tmp_path / "z3.txt"
+    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    argv = [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
+    assert probe(argv) == ("0", {"numpy"})
 
 
 def test_lazy_exports_resolve_to_their_home_modules():

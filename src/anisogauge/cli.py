@@ -377,6 +377,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # numpy's bundled OpenBLAS starts one worker thread per core when numpy
+    # is imported, and each spins for about 60 ms of CPU before it sleeps.
+    # No command makes a BLAS call worth a second thread, and the spin costs
+    # a short run wall time whenever the cores are shared, so the program
+    # keeps BLAS to one thread unless the caller sets it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

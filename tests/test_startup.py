@@ -76,3 +76,26 @@ def test_lazy_exports_resolve_to_their_home_modules():
             assert name in names and name in anisogauge.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         anisogauge.no_such_name
+
+
+# Runs the CLI entry point in a fresh interpreter and reports, as it exits,
+# the OS threads of the process (Linux /proc).
+THREAD_PROBE = """
+import atexit, os, sys
+from anisogauge import cli
+atexit.register(lambda: print("threads", len(os.listdir("/proc/self/task")), file=sys.stderr))
+sys.argv = ["anisogauge", "verify", "3", "5"]
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_runs_on_one_thread():
+    # numpy's OpenBLAS would start a spinning worker per core at import
+    environ = {**os.environ, "PYTHONPATH": SRC}
+    for name in ("ANISOGAUGE_BOUND", "OPENBLAS_NUM_THREADS"):
+        environ.pop(name, None)
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=environ,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.splitlines()[-1] == "threads 1"

@@ -8,13 +8,14 @@ primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
 checks associativity one way: Light's test on a generating set certified
 by closure, with the full scan as the fallback when it fails.  The ring
 itself is the only n x n storage: the certificates (unit, duality and
-reciprocity, Light's test, fp_dims and its character check) and the ring
-build walk the n x n arrays in `_row_blocks` and expand multi-term rows in
-chunks, so that no int64 temporary holds more than about _BLOCK_CELLS
-cells, and the generator closure reads only the generators' rows and
-columns.  Censuses are
-`gauging.Census` inventories (label, dimension, count) whose weighted
-square sum must reproduce the declared global dimension.  The orbit census,
+reciprocity, Light's test, the character check) and the ring build walk
+the n x n arrays in `_row_blocks` and expand multi-term rows in chunks, so
+that no int64 temporary holds more than about _BLOCK_CELLS cells, and the
+generator closure reads only the generators' rows and columns.  fp_dims
+iterates an integer fixed point on the n cells (i, i^*) before the
+character check; there is no floating point.  Censuses are `gauging.Census`
+inventories (label, dimension, count) whose weighted square sum must
+reproduce the declared global dimension.  The orbit census,
 the little-group census and the semidirect table all act on the same codes,
 by one permutation: v -> c*v for the order-p norm-one c, whose free orbits
 `_free_orbits` walks.  The equivariantization census lives in the
@@ -92,9 +93,9 @@ class FusionRing:
     def _entries(self):
         """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order.
 
-        Holds all of them at once and sorts them, so only `.tensor`,
-        `ring_to_text` and `_power_iteration` call it; the certificates walk
-        `_block_entries` a block of rows at a time.
+        Holds all of them at once and sorts them, so only `.tensor` and
+        `ring_to_text` call it; the certificates walk `_block_entries` a
+        block of rows at a time.
         """
         n = len(self.basis)
         i, j, k, v = (np.concatenate(a) for a in zip(*_block_entries(self, slice(0, n))))
@@ -355,43 +356,50 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
 
 
 def fp_dims(ring: FusionRing) -> dict:
-    """The unique positive character d with d(i)d(j) = sum_k N_ij^k d(k).
+    """The unique positive character d* with d(i)d(j) = sum_k N_ij^k d(k), if integral.
 
-    Proposes 1 on the group-like block (elements whose products with every
-    basis element, either side, are single-term with coefficient 1, if that
-    set is closed) and the square root of the weight of i i^* when that row
-    stays in the block, then certifies the character equations exactly.
-    Falls back to a power-iteration eigenvector rounded to integers and
-    re-certified exactly: a certified d(i) is a rational eigenvalue of the
-    integer matrix N_i, hence an integer.  NotACharacter if neither works.
+    With W[i, k] = N(i, i^*; k), B = max_i (W 1)(i) and F(e) = isqrt(W e)
+    row by row, iterates e <- min(e, F(e)) from e = B on every basis
+    element until e stops changing, then certifies e exactly.  On a fusion
+    ring this finds d* whenever it is integral:
+    - d*(i) = d*(i^*) and d* is a character, so d*(i)^2 = (W d*)(i), hence
+      F(d*) = d*;
+    - d*(i)^2 = (W d*)(i) <= (W 1)(i) max d*, so max d*^2 <= B max d* and
+      the start B is at or above d*;
+    - W >= 0 makes F monotone, so every iterate stays at or above d*, and
+      the integer sum falls until e^2 <= W e;
+    - for m = max e(i)/d*(i), taken at i, m^2 d*(i)^2 = e(i)^2 <= (W e)(i)
+      <= m (W d*)(i) = m d*(i)^2, so m <= 1 and e = d*.
+    So NotACharacter means some FP dimension is not an integer (or the ring
+    is not a fusion ring).  On any ring, W e is clamped at 0 before isqrt, so
+    from B >= 0 the iterates stay >= 0 and their sum falls at every step:
+    the loop ends.  Each W e is one gather per row on the (i, i^*) cells,
+    with no n x n temporary; int64 stays exact since e <= B <= n MAX_COEF
+    gives |W e| <= n^2 MAX_COEF^2 < 2^62 while n < 2^16.
     """
-    basis, prod, coef, dual = ring.basis, ring.prod, ring.coef, ring.dual_index
-    n = len(basis)
-    block, columns = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
-    for rows in _row_blocks(n, n):
-        grouplike = (prod[rows] >= 0) & (coef[rows] == 1)
-        block[rows] = grouplike.all(axis=1)
-        columns &= grouplike.all(axis=0)
-    block &= columns
-    members = np.flatnonzero(block)
-    if not all(block[prod[np.ix_(members[rows], members)]].all()
-               for rows in _row_blocks(len(members), len(members))):
-        block[:] = False
-    weight = np.empty(n, dtype=np.int64)
-    for rows in _row_blocks(n, n):  # weight of i i^* where that row stays in the block
-        i = np.arange(rows.start, rows.stop)
-        dense = _dense(ring, len(i), np.arange(len(i)), prod[i, dual[i]], coef[i, dual[i]])
-        weight[rows] = np.where((dense[:, ~block] == 0).all(axis=1), dense.sum(axis=1), 0)
-    proposal = np.where(block, 1, [math.isqrt(max(w, 0)) for w in weight.tolist()])
-    if (block | (proposal ** 2 == weight)).all() and _certify_character(ring, proposal):
-        return dict(zip(basis, proposal.tolist()))
+    n = len(ring.basis)
+    cells = (np.arange(n), ring.dual_index)
+    e = np.full(n, _weights(ring, np.ones(n, dtype=np.int64))(cells).max())
+    while True:
+        step = np.minimum(e, [math.isqrt(max(w, 0)) for w in _weights(ring, e)(cells).tolist()])
+        if (step == e).all():
+            break
+        e = step
+    if not _certify_character(ring, e):
+        raise NotACharacter("no positive integer character found")
+    return dict(zip(ring.basis, e.tolist()))
 
-    approx = _power_iteration(ring)
-    if approx is not None and (np.abs(approx) < 2 ** 31).all():  # keeps d(i) d(j) in int64
-        rounded = np.rint(approx).astype(np.int64)
-        if _certify_character(ring, rounded):
-            return dict(zip(basis, rounded.tolist()))
-    raise NotACharacter("no consistent positive character found")
+
+def _weights(ring: FusionRing, e: np.ndarray):
+    """The map cells -> sum_k N(i, j; k) e(k) on the cells (i, j) that `cells`
+    picks from prod and coef: one gather per cell from e and from e of each
+    multi-term row, computed once here."""
+    n, values = len(e), np.concatenate([e, ring.multi @ e])
+
+    def weigh(cells):
+        t = ring.prod[cells]
+        return ring.coef[cells] * values[np.where(t >= 0, t, n - 1 - t)]
+    return weigh
 
 
 def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
@@ -399,31 +407,8 @@ def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
     checked in `_row_blocks` of i."""
     if (d <= 0).any() or d[ring.unit_index] != 1:
         return False
-    n = len(d)
-    values = np.concatenate([d, ring.multi @ d])  # d of each basis element, then of each multi row
-    for rows in _row_blocks(n, n):
-        t = ring.prod[rows]
-        total = ring.coef[rows] * values[np.where(t >= 0, t, n - 1 - t)]
-        if not (d[rows, None] * d == total).all():
-            return False
-    return True
-
-
-def _power_iteration(ring: FusionRing, iters: int = 5000, tol: float = 1e-14):
-    n = len(ring.basis)
-    m = np.zeros((n, n))  # m[k, j] = sum_i N_ij^k: multiplication by the sum of the basis
-    _, j, k, vals = ring._entries()
-    np.add.at(m, (k, j), vals)
-    v = np.ones(n)
-    for _ in range(iters):
-        w = m @ v
-        if not w.any():
-            return None
-        w /= np.linalg.norm(w)
-        v, step = w, np.max(np.abs(w - v))
-        if step < tol:
-            break
-    return v / v[ring.unit_index] if v[ring.unit_index] > 0 else None
+    weigh = _weights(ring, d)
+    return all((d[rows, None] * d == weigh(rows)).all() for rows in _row_blocks(len(d), len(d)))
 
 
 def _matrix_of_c(p: int, q: int) -> tuple[FieldCtx, Mat2]:
@@ -471,13 +456,14 @@ def semidirect_group_table(p: int, q: int) -> np.ndarray:
     """Multiplication table of the extension field (additively) twisted by c.
 
     Element (v, k) has index k*q^2 + (a0*q + a1); the product is
-    (v + c^k w, k + l).
+    (v + c^k w, k + l).  Stored in the smallest unsigned dtype that holds
+    p*q^2 - 1.
     """
     perm = _code_permutation(_matrix_of_c(p, q)[1])
     q2 = q * q
     xs, ys = np.divmod(np.arange(q2, dtype=np.int64), q)
     vadd = ((xs[:, None] + xs[None, :]) % q) * q + (ys[:, None] + ys[None, :]) % q
-    table = np.empty((p * q2, p * q2), dtype=np.int32)
+    table = np.empty((p * q2, p * q2), dtype=np.min_scalar_type(p * q2 - 1))
     power = np.arange(q2)  # the code permutation of c^k
     for k in range(p):
         twisted = vadd[:, power]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from anisogauge.errors import BoundExceeded
 from anisogauge.ffield import ExtElement, make_field, pick_order_p
 from anisogauge.fusionring import (
     AxiomReport,
+    _certify_character,
     _code_permutation,
     _dense,
     _free_orbits,
@@ -107,6 +109,64 @@ def _s3_rep_ring() -> FusionRing:
     return FusionRing(["1", "s", "V"], "1", {"1": "1", "s": "s", "V": "V"}, tensor)
 
 
+def _commutative_ring(basis, products) -> FusionRing:
+    """A commutative ring with every basis element self-dual, the first one
+    the unit; `products` gives the row of each unordered non-unit pair."""
+    unit = basis[0]
+    tensor = {(unit, x): {x: 1} for x in basis} | {(x, unit): {x: 1} for x in basis}
+    for (x, y), row in products.items():
+        tensor[x, y] = tensor[y, x] = row
+    return FusionRing(basis, unit, {x: x for x in basis}, tensor)
+
+
+def _s4_rep_ring() -> FusionRing:
+    """Rep(S4): 1, sign s, the 2-dimensional V, the standard W and W' = W s."""
+    return _commutative_ring(["1", "s", "V", "W", "W'"], {
+        ("s", "s"): {"1": 1}, ("s", "V"): {"V": 1}, ("s", "W"): {"W'": 1}, ("s", "W'"): {"W": 1},
+        ("V", "V"): {"1": 1, "s": 1, "V": 1},
+        ("V", "W"): {"W": 1, "W'": 1}, ("V", "W'"): {"W": 1, "W'": 1},
+        ("W", "W"): {"1": 1, "V": 1, "W": 1, "W'": 1},
+        ("W'", "W'"): {"1": 1, "V": 1, "W": 1, "W'": 1},
+        ("W", "W'"): {"s": 1, "V": 1, "W": 1, "W'": 1},
+    })
+
+
+def _tambara_yamagami_ring() -> FusionRing:
+    """TY(Z/2 x Z/2): the Klein four-group 0, a, b, c = a b and m, with
+    g m = m g = m and m m the sum of the group."""
+    klein = ["0", "a", "b", "c"]
+    products = {(x, y): {klein[i ^ j]: 1} for i, x in enumerate(klein) for j, y in enumerate(klein)
+                if 0 < i <= j}
+    products |= {(g, "m"): {"m": 1} for g in klein[1:]}
+    products["m", "m"] = {g: 1 for g in klein}
+    return _commutative_ring(klein + ["m"], products)
+
+
+def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
+    """The product ring A (x) B on the labels (x, y), x in A and y in B, with
+    N((x,y),(x',y');(z,z')) = N_A(x,x';z) N_B(y,y';z'), built on the arrays."""
+    na, nb = len(a.basis), len(b.basis)
+
+    def rows(ring):  # the row id of each cell, and the rows: basis vectors, then multi
+        n = len(ring.basis)
+        ids = np.where(ring.prod >= 0, ring.prod, n - 1 - ring.prod)
+        return ids, np.vstack([np.eye(n, dtype=np.int64), ring.multi])
+
+    (ida, rowsa), (idb, rowsb) = rows(a), rows(b)
+    width = len(rowsb)
+    key = (ida[:, None, :, None] * width + idb[None, :, None, :]).reshape(na * nb, na * nb)
+    coef = (a.coef[:, None, :, None] * b.coef[None, :, None, :]).reshape(na * nb, na * nb)
+    ka, kb = np.divmod(key, width)
+    prod, multi = ka * nb + kb, (ka >= na) | (kb >= nb)
+    keys, at = np.unique(key[multi], return_inverse=True)
+    prod[multi] = -1 - at.reshape(-1)
+    outer = rowsa[keys // width, :, None] * rowsb[keys % width, None, :]
+    return FusionRing._from_arrays([(x, y) for x in a.basis for y in b.basis],
+                                   a.unit_index * nb + b.unit_index,
+                                   (a.dual_index[:, None] * nb + b.dual_index).reshape(-1),
+                                   prod, coef, outer.reshape(len(keys), -1))
+
+
 def _reference_report(ring: FusionRing) -> AxiomReport:
     """Brute-force oracle on the label-level tensor: every check, every triple."""
     basis, unit, dual = ring.basis, ring.unit, ring.dual
@@ -185,6 +245,8 @@ RINGS = {
     "extension-3-5": lambda: build_extension_ring(3, 5),
     "cyclic-6": lambda: cyclic_group_ring(6),
     "s3-reps": _s3_rep_ring,
+    "s4-reps": _s4_rep_ring,
+    "ty-klein": _tambara_yamagami_ring,
 }
 
 MUTATIONS = {
@@ -328,12 +390,52 @@ def test_fp_dims_detects_invertibles():
 
 
 def test_fp_dims_power_iteration_fallback():
-    # three-object ring with a 2-dimensional object: needs the eigenvector path
+    # three-object ring with a 2-dimensional object V, whose V V = 1 + s + V
+    # is a multi-term row: the integer fixed point reaches d(V) = 2
     ring = _s3_rep_ring()
     assert verify_axioms(ring).passed
     dims = fp_dims(ring)
     assert dims == {"1": 1, "s": 1, "V": 2}
     assert all(type(v) is int for v in dims.values())
+
+
+@pytest.mark.parametrize("make,dims", [
+    (_s4_rep_ring, [1, 1, 2, 3, 3]),
+    (_tambara_yamagami_ring, [1, 1, 1, 1, 2]),
+])
+def test_fp_dims_several_non_invertibles(make, dims):
+    ring = make()
+    assert verify_axioms(ring).passed
+    assert list(fp_dims(ring).values()) == dims
+
+
+_FACTORS = RINGS | {
+    "cyclic-4": lambda: cyclic_group_ring(4),
+    "extension-3-2": lambda: build_extension_ring(3, 2),
+}
+
+
+@pytest.mark.parametrize("left,right", [
+    ("s3-reps", "s4-reps"), ("s3-reps", "s3-reps"), ("ty-klein", "cyclic-4"),
+    ("s4-reps", "extension-3-2"), ("ty-klein", "s3-reps"), ("extension-3-2", "cyclic-4"),
+])
+def test_fp_dims_multiply_on_product_rings(left, right):
+    a, b = _FACTORS[left](), _FACTORS[right]()
+    ring = _product_ring(a, b)
+    assert verify_axioms(ring).passed
+    da, db = fp_dims(a), fp_dims(b)
+    assert fp_dims(ring) == {(x, y): da[x] * db[y] for x in a.basis for y in b.basis}
+
+
+def test_fp_dims_rank_600_in_bounded_memory():
+    # Rep(S3) (x) Z/200: 200 objects of dimension 2 and 200 multi-term rows,
+    # so no group-like shortcut applies; the fixed point reads the n cells
+    # (i, i^*) and the character check reads the ring in row blocks
+    ring = _product_ring(_s3_rep_ring(), cyclic_group_ring(200))
+    assert len(ring.basis) == 600 and len(ring.multi) == 200
+    dims = fp_dims(ring)
+    assert dims == {(x, f"g{k}"): 2 if x == "V" else 1 for x in "1sV" for k in range(200)}
+    assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
 
 
 def test_fp_dims_irrational_raises():
@@ -462,6 +564,14 @@ def test_semidirect_irreps_3_2():
     table = semidirect_group_table(3, 2)
     assert len(table) == 12
     assert len(conjugacy_classes(table)) == 4
+
+
+def test_semidirect_group_table_in_smallest_dtype():
+    # 3 * 23^2 = 1587 elements: indices fit in 16 bits
+    table = semidirect_group_table(3, 23)
+    assert table.itemsize <= 2
+    assert table.max() == 3 * 23 * 23 - 1
+    assert semidirect_group_table(3, 2).dtype == np.uint8
 
 
 def test_semidirect_group_table_existence():
@@ -604,3 +714,34 @@ def test_ring_from_text_fuzz(cut, edits):
     except BadParameter:
         return
     assert ring_from_text(ring_to_text(ring)).tensor == ring.tensor
+    _fp_dims_certifies_or_refuses(ring)
+
+
+def _fp_dims_certifies_or_refuses(ring: FusionRing) -> None:
+    """Negative and zero coefficients parse, so a parsed ring is any integer
+    ring: fp_dims either returns a certified character or raises
+    NotACharacter, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dims = fp_dims(ring)
+        except NotACharacter:
+            return
+    assert _certify_character(ring, np.array([dims[label] for label in ring.basis]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_fp_dims_fuzz_on_unital_rings(n, data):
+    # the edits above rarely keep a unit, so this builds rings that parse:
+    # basis element 0 is the unit, every other cell gets up to two terms with
+    # any coefficient the format takes, and the duals are arbitrary
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-fusionring.MAX_COEF, fusionring.MAX_COEF))
+    entries = [f"0 {j} {j} 1" for j in range(n)] + [f"{i} 0 {i} 1" for i in range(1, n)]
+    for i in range(1, n):
+        for j in range(1, n):
+            row = data.draw(st.dictionaries(st.integers(0, n - 1), coefficient, max_size=2))
+            entries += [f"{i} {j} {k} {v}" for k, v in row.items()]
+    duals = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    text = "\n".join([f"fusionring v1 {n}", *(f"b{i} b{d}" for i, d in enumerate(duals)), *entries])
+    _fp_dims_certifies_or_refuses(ring_from_text(text))

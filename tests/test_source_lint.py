@@ -36,3 +36,19 @@ def test_traced_names_exist_where_the_tracer_patches_them():
         ))
     ]
     assert spans.WRAPPED and missing == []
+
+
+FLOATING = {"float", "float16", "float32", "float64", "linalg", "rint", "sqrt", "floor", "ceil"}
+
+
+def test_no_floating_point_in_package():
+    # Every result is exact integer arithmetic (README); no name or attribute
+    # that reaches floating point may appear in the package.
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)]  # Name, Attribute
+        if name in FLOATING
+    ]
+    assert found == []

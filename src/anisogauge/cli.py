@@ -233,6 +233,9 @@ def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
         raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
     gauging._require_pair(p, q)
+    from . import fusionring
+
+    fusionring._require_ring_budget(p, q)
     checks = _verify_checks(p, q)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {

@@ -5,22 +5,28 @@ accessors, reports, the `fusionring v1` text).  The product of basis
 elements i and j is coef[i, j] times basis element prod[i, j] or, where
 prod[i, j] < 0, times the multi-term row multi[-1 - prod[i, j]], stored
 primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
-checks associativity one way: Light's test on a generating set certified
-by closure, with the full scan as the fallback when it fails.  The ring
-itself is the only n x n storage: the certificates (unit, duality and
-reciprocity, Light's test, the character check) and the ring build walk
-the n x n arrays in `_row_blocks` and expand multi-term rows in chunks, so
-that no int64 temporary holds more than about _BLOCK_CELLS cells, and the
-generator closure reads only the generators' rows and columns.  fp_dims
-iterates an integer fixed point on the n cells (i, i^*) before the
-character check; there is no floating point.  Censuses are `gauging.Census`
-inventories (label, dimension, count) whose weighted square sum must
-reproduce the declared global dimension.  The orbit census,
-the little-group census and the semidirect table all act on the same codes,
-by one permutation: v -> c*v for the order-p norm-one c, whose free orbits
-`_free_orbits` walks.  The equivariantization census lives in the
-numpy-free `gauging` module, which certifies its orbit count by argument;
-it is re-exported here.
+certifies associativity and reciprocity on a generating set S certified by
+closure: Light's test on the |S| n^2 triples with a middle in S, then the
+anti-involution (x s)^* = s^* x^* on the |S| n cells (x, s).  When either
+fails, a full scan reports the first counterexample.  The ring itself is
+the only n x n storage: the certificates (unit, duality, Light's test, the
+full scans, the character check) and the ring build walk the n x n arrays
+in `_row_blocks`, and Light's test expands each shared multi-term row once
+per block, so that no int64 temporary holds more than about _BLOCK_CELLS
+cells; the generator closure reads only the generators' rows and columns.
+A ring whose two arrays would exceed RING_BYTE_BUDGET is refused before it
+is built.  fp_dims iterates an integer fixed point on the n cells (i, i^*)
+before the character check; there is no floating point.  Censuses are
+`gauging.Census` inventories (label, dimension, count) whose weighted
+square sum must reproduce the declared global dimension.  The orbit census,
+the little-group census, the class count and the semidirect table all act
+on the same codes, by one permutation: v -> c*v for the order-p norm-one
+c, whose free orbits `_free_orbits` walks.  The class count conjugates by
+every group element from the group law, with no (p q^2)^2 table;
+`semidirect_group_table` builds that table for conjugacy_classes, which is
+the count's oracle in the tests.  The equivariantization census lives in
+the numpy-free `gauging` module, which certifies its orbit count by
+argument; it is re-exported here.
 """
 
 import math
@@ -37,6 +43,7 @@ DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
 _BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary of the certificates
+RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of an extension ring's prod and coef
 
 
 class FusionRing:
@@ -192,6 +199,7 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     with coordinates (a0, a1) has index a0*q + a1, and X_i has q^2 + i - 1.
     """
     _require_pair(p, q)
+    _require_ring_budget(p, q)
     q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
     a0, a1 = np.divmod(np.arange(q2, dtype=np.int64), q)
     xs = q2 + deg - 1
@@ -206,6 +214,17 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     coef[q2:, q2:] = np.where(total == 0, 1, q)
     multi = (np.arange(n) < q2).astype(np.int64)[None]  # X_i X_{p-i}: the sum of all invertibles
     return FusionRing._from_arrays(basis, 0, dual, prod, coef, multi)
+
+
+def _require_ring_budget(p: int, q: int) -> None:
+    """BoundExceeded unless the two n x n int64 arrays of the extension ring
+    of rank n = q^2 + p - 1 fit in RING_BYTE_BUDGET, so that an oversized
+    ring is refused before any of it is allocated."""
+    n = q * q + p - 1
+    size = 2 * n * n * np.dtype(np.int64).itemsize
+    if size > RING_BYTE_BUDGET:
+        raise BoundExceeded(f"the ring of rank {n} needs {size} bytes, "
+                            f"over the budget of {RING_BYTE_BUDGET}")
 
 
 def _terms(ring: FusionRing, t, c):
@@ -235,9 +254,13 @@ def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
     and (x s) y != x (s y), or None.  For each s, walks x in `_row_blocks`
     and stops at the first block with a failure.  Within a block it is
     vectorized over (x, y): where x s and s y are single-term each side is
-    one scaled row, compared as a (row, coefficient) pair; the pairs with a
-    multi-term x s or s y are expanded to dense vectors, _BLOCK_CELLS // n
-    pairs at a time.
+    one scaled row, compared as a (row, coefficient) pair.  The pairs with a
+    multi-term x s or s y are expanded to dense vectors, one expansion per
+    shared multi-term row: for each x with a multi-term x s, (x s) y for a
+    block of y from one gather prod[m, ys] over its support m; for each y
+    with a multi-term s y, x (s y) for the block's other x from one gather
+    prod[xs, m].  Each gather and each dense block holds about _BLOCK_CELLS
+    cells.
     """
     prod, coef, n = ring.prod, ring.coef, len(ring.basis)
     everyone = np.arange(n)
@@ -250,16 +273,25 @@ def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
             lt, lv = prod[ar], lc[rows, None] * coef[ar]
             rt, rv = prod[rows][:, b], rc * coef[rows][:, b]
             bad = (lv != rv) | ((lt != rt) & (lv != 0))
-            dx = xs[ls[rows] < 0]
-            px = np.concatenate([np.repeat(dx, n), np.tile(xs, len(dy))])
-            py = np.concatenate([np.tile(everyone, len(dx)), np.repeat(dy, len(xs))])
-            for chunk in _row_blocks(len(px), n):
-                x, y = px[chunk], py[chunk]
-                r, m, w = _terms(ring, ls[x], lc[x])
-                left = _dense(ring, len(x), r, prod[m, y[r]], w * coef[m, y[r]])
-                r, m, w = _terms(ring, rs[y], rc[y])
-                right = _dense(ring, len(x), r, prod[x[r], m], w * coef[x[r], m])
-                bad[x - rows.start, y] = (left != right).any(axis=1)
+            for x in xs[ls[rows] < 0]:  # (x s) y, expanded over the support m of x s
+                _, m, w = _terms(ring, ls[x, None], lc[x, None])
+                for cols in _row_blocks(n, n):
+                    ys = everyone[cols]
+                    k, cell = len(ys), (m[:, None], ys)
+                    left = _dense(ring, k, np.tile(np.arange(k), len(m)),
+                                  prod[cell].ravel(), (w[:, None] * coef[cell]).ravel())
+                    r, t, v = _terms(ring, rs[ys], rc[ys])
+                    right = _dense(ring, k, r, prod[x, t], v * coef[x, t])
+                    bad[x - rows.start, ys] = (left != right).any(axis=1)
+            single = xs[ls[rows] >= 0]  # the pairs left: x s single-term, s y multi-term
+            k, at = len(single), a[single]
+            for y in dy:  # x (s y), expanded over the support m of s y
+                _, m, w = _terms(ring, rs[y, None], rc[y, None])
+                cell = (single[:, None], m)
+                left = _dense(ring, k, np.arange(k), prod[at, y], lc[single] * coef[at, y])
+                right = _dense(ring, k, np.repeat(np.arange(k), len(m)),
+                               prod[cell].ravel(), (coef[cell] * w).ravel())
+                bad[single - rows.start, y] = (left != right).any(axis=1)
             hits = np.flatnonzero(bad)
             if len(hits):
                 x, y = divmod(int(hits[0]), n)
@@ -292,14 +324,8 @@ def _generators(ring: FusionRing) -> list[int]:
 
 
 def _duality_problem(ring: FusionRing) -> str | None:
-    """The first failure of the duality involution, of N(i, j; unit) = [j = i^*]
-    or of reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) on a nonzero entry.
-
-    Both array checks walk i in `_row_blocks`, with no sort: the first block
-    with a failure holds the lexicographically first one, which for
-    reciprocity is the least of the first failure in each lexicographically
-    ordered piece of `_block_entries` (single-term cells, multi-term chunks).
-    """
+    """The first failure of the duality involution or of N(i, j; unit) = [j = i^*],
+    the second checked in `_row_blocks` of i."""
     basis, dual, n = ring.basis, ring.dual_index, len(ring.basis)
     everyone = np.arange(n)
     bad = np.flatnonzero(dual[dual] != everyone)
@@ -312,6 +338,19 @@ def _duality_problem(ring: FusionRing) -> str | None:
         if len(bad):
             r, j = bad[0]
             return f"N({basis[i[r]]},{basis[j]};unit) != {want[r, j]}"
+    return None
+
+
+def _reciprocity_problem(ring: FusionRing) -> str | None:
+    """The first failure of reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) on
+    a nonzero entry, by the full scan.
+
+    Walks i in `_row_blocks`, with no sort: the first block with a failure
+    holds the lexicographically first one, which is the least of the first
+    failure in each lexicographically ordered piece of `_block_entries`
+    (single-term cells, multi-term chunks).
+    """
+    dual, n = ring.dual_index, len(ring.basis)
     for rows in _row_blocks(n, n):
         hits = []
         for i, j, k, v in _block_entries(ring, rows):
@@ -320,39 +359,78 @@ def _duality_problem(ring: FusionRing) -> str | None:
             if len(bad):
                 hits.append(tuple(int(a[bad[0]]) for a in (i, j, k)))
         if hits:
-            return "reciprocity fails at N({},{};{})".format(*(basis[t] for t in min(hits)))
+            return "reciprocity fails at N({},{};{})".format(*(ring.basis[t] for t in min(hits)))
     return None
+
+
+def _anti_involution_holds(ring: FusionRing, gens) -> bool:
+    """(x s)^* = s^* x^* for every basis x and every s in `gens`, that is
+    N(x, s; k) = N(s^*, x^*; k^*) for all k: |gens| n cells, the single-term
+    ones compared as (row, coefficient) pairs and the others as dense rows
+    in `_row_blocks` chunks."""
+    prod, coef, dual, n = ring.prod, ring.coef, ring.dual_index, len(ring.basis)
+    for s in gens:
+        lt, lc, rt, rc = prod[:, s], coef[:, s], prod[dual[s], dual], coef[dual[s], dual]
+        single = (lt >= 0) & (rt >= 0)
+        if ((lc != rc) | ((dual[np.maximum(lt, 0)] != rt) & (lc != 0)))[single].any():
+            return False
+        multi = np.flatnonzero(~single)
+        for chunk in _row_blocks(len(multi), n):
+            x = multi[chunk]
+            r = np.arange(len(x))
+            left, right = (_dense(ring, len(x), r, t[x], c[x]) for t, c in ((lt, lc), (rt, rc)))
+            if (left[:, dual] != right).any():
+                return False
+    return True
 
 
 def verify_axioms(ring: FusionRing) -> AxiomReport:
     """Unit, duality and associativity check, complete at every rank.
 
-    Unit and duality are vectorized array checks, in row blocks.
-    Associativity is Light's test (Clifford & Preston, The Algebraic Theory
-    of Semigroups I, 1.2)
+    Unit, the duality involution and N(i, j; unit) = [j = i^*] are
+    vectorized array checks, in row blocks.  Associativity is Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2)
     extended bilinearly: the s with (x s) y = x (s y) for all basis x, y form
-    a subalgebra, so the generating set of `_generators` suffices, |S| n^2
+    a subalgebra, so the generating set S of `_generators` suffices, |S| n^2
     triples instead of n^3.  If that fails, or the unit law does (the
     certificate needs it), the full scan over every middle s reports the
-    lexicographically first failing triple.  The first failing check, in
-    the order unit, duality, associativity, gives the counterexample.
+    lexicographically first failing triple.
+
+    Reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) is certified the same
+    way (Etingof, Gelaki, Nikshych & Ostrik, Tensor Categories, 3.1): once
+    the unit law, the involution and N(i, j; unit) hold and Light's test
+    passes on S, it checks the anti-involution (x s)^* = s^* x^* for every
+    basis x and every s in S, |S| n cells.  That is enough:
+    - the y with (x y)^* = y^* x^* for all x form a subalgebra (it holds
+      the unit, since unit^* = unit, and by associativity (x y1 y2)^* =
+      y2^* (x y1)^* = y2^* y1^* x^*), so it holds on all of the ring;
+    - let tau be the coefficient of the unit.  By N(i, j; unit) = [j = i^*]
+      tau(i j) = tau(j i) and tau(i^*) = tau(i), and N(i,j;k) = tau(i j k^*);
+    - so tau(i j k^*) = tau((i j k^*)^*) = tau(k j^* i^*) = N(k,j^*;i), and
+      by symmetry of tau this equals tau(i^* k j^*) = N(i^*,k;j).
+    If a premise fails, or the anti-involution does, the full scan over
+    every nonzero entry reports the first failure.  The first failing check,
+    in the order unit, duality, associativity, gives the counterexample.
     """
     basis, prod, coef, u = ring.basis, ring.prod, ring.coef, ring.unit_index
     n = len(basis)
     everyone = np.arange(n)
     bad = np.flatnonzero((prod[u] != everyone) | (coef[u] != 1)
                          | (prod[:, u] != everyone) | (coef[:, u] != 1))
-    problems = [f"unit law fails at {basis[bad[0]]}" if len(bad) else None,
-                _duality_problem(ring), None]
-    middles = range(n) if problems[0] else _generators(ring)
+    unit = f"unit law fails at {basis[bad[0]]}" if len(bad) else None
+    middles = range(n) if unit else _generators(ring)
     fail = _first_assoc_failure(ring, middles)
-    if fail is not None and len(middles) < n:
+    certified = fail is None and not unit  # Light's test passed on S
+    if fail is not None and not unit:
         fail = _first_assoc_failure(ring, range(n))
-    if fail is not None:
-        problems[2] = "associativity fails at ({},{},{})".format(*(basis[t] for t in fail))
-    first = next((text for text in problems if text), None)
-    return AxiomReport(passed=first is None, unit_ok=problems[0] is None, assoc_ok=fail is None,
-                       duality_ok=problems[1] is None, counterexample=first)
+    duality = _duality_problem(ring)
+    if duality is None and not (certified and _anti_involution_holds(ring, middles)):
+        duality = _reciprocity_problem(ring)
+    assoc = None if fail is None else "associativity fails at ({},{},{})".format(
+        *(basis[t] for t in fail))
+    first = next((text for text in (unit, duality, assoc) if text), None)
+    return AxiomReport(passed=first is None, unit_ok=unit is None, assoc_ok=fail is None,
+                       duality_ok=duality is None, counterexample=first)
 
 
 def fp_dims(ring: FusionRing) -> dict:
@@ -529,19 +607,50 @@ def semidirect_irreps(p: int, q: int) -> Census:
     Little-group method on the characters of the translation part: the
     trivial character is fixed and contributes p linear irreps; every other
     character lies in a free orbit of size p and induces one p-dimensional
-    irrep.  Cross-validated against brute-force conjugacy-class counting
-    whenever the group order is at most 2000.
+    irrep.  Cross-validated, whenever the group order is at most
+    CROSS_CHECK_BOUND, against the number of conjugacy classes counted by
+    `_class_count` from the group law, which conjugates by every element.
     """
+    m = _matrix_of_c(p, q)[1]
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
-    orbits = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1].transpose()), p))
+    orbits = len(_free_orbits(_code_permutation(m.transpose()), p))
     census = Census((("linear", 1, p), ("induced", p, orbits)), p * q * q)
     if p * q * q <= CROSS_CHECK_BOUND:
-        classes = conjugacy_classes(semidirect_group_table(p, q))
-        if len(classes) != census.rank:
+        classes = _class_count(_code_permutation(m), p, q)
+        if classes != census.rank:
             raise ArithmeticError(
-                f"class count {len(classes)} disagrees with census rank {census.rank}"
+                f"class count {classes} disagrees with census rank {census.rank}"
             )
     return census
+
+
+def _class_count(perm: np.ndarray, p: int, q: int) -> int:
+    """The number of conjugacy classes of the group of `semidirect_group_table`,
+    with c acting on the codes by `perm`, without its table.
+
+    By the law (v, k)(w, l) = (v + c^k w, k + l), conjugation by (w, l) sends
+    (v, k) to (c^l v + w - c^k w, k).  Each element not yet reached starts a
+    class, and its conjugates by all p q^2 elements (w, l) are marked, on
+    codes: c^l v from the powers of `perm`, w - c^k w from one (p, q^2)
+    table of codes.
+    """
+    q2 = q * q
+    powers = np.empty((p, q2), dtype=np.int64)  # powers[l] = the codes of c^l
+    powers[0] = np.arange(q2)
+    for l in range(1, p):
+        powers[l] = perm[powers[l - 1]]
+    (w0, w1), (c0, c1) = np.divmod(powers[0], q), np.divmod(powers, q)
+    moved = (w0 - c0) % q, (w1 - c1) % q  # the codes of w - c^k w, by k
+    reached = np.zeros(p * q2, dtype=bool)
+    count = 0
+    for g in range(p * q2):
+        if reached[g]:
+            continue
+        k, v = divmod(g, q2)
+        (v0, v1), (d0, d1) = np.divmod(powers[:, v, None], q), (moved[0][k], moved[1][k])
+        reached[k * q2 + (v0 + d0) % q * q + (v1 + d1) % q] = True
+        count += 1
+    return count
 
 
 def drinfeld_double_rank(table: np.ndarray) -> int:

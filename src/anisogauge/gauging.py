@@ -38,10 +38,15 @@ class Census:
         return out
 
 
+def _exists(p: int, q: int) -> bool:
+    """The existence condition of the construction: p divides q + 1."""
+    return (q + 1) % p == 0
+
+
 def _require_pair(p: int, q: int) -> None:
     if not (is_prime(p) and is_prime(q)):
         raise NotPrime(f"({p}, {q}) must be prime")
-    if (q + 1) % p != 0:
+    if not _exists(p, q):
         raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
 
 

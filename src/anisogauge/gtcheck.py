@@ -17,7 +17,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, make_field, pick_order_p, sqrt_ext
-from .gauging import _require_pair
+from .gauging import _exists, _require_pair
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
 from .quadspace import build_anisotropic, build_hyperbolic
 
@@ -171,4 +171,4 @@ def existence_gate(p: int, q: int) -> bool:
         raise BadParameter(f"({p}, {q}) must be odd primes")
     if not p < q:
         raise BadParameter(f"need p < q, got ({p}, {q})")
-    return (q + 1) % p == 0
+    return _exists(p, q)

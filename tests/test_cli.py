@@ -1,11 +1,17 @@
 import hashlib
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import anisogauge
 from anisogauge import fusionring, gauging, gtcheck
 from anisogauge.cli import main
 from anisogauge.errors import ExistenceViolated, NotACharacter
@@ -65,6 +71,25 @@ def test_verify_bound_exceeded(capsys):
     code, _, err = run(capsys, ["verify", "7", "97"])
     assert code == 3
     assert "exceeds bound" in err
+
+
+def _cap_address_space():
+    limit = 2 ** 29  # numpy imports in well under this; a ring past the budget would not fit
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_verify_refuses_a_ring_over_its_byte_budget():
+    # rank 38811 would take two int64 arrays of 12 GB each; the refusal comes
+    # before they are allocated, and the child runs in a 512 MB address
+    # space, so a regression fails with a traceback instead of allocating
+    src = str(Path(anisogauge.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "anisogauge.cli", "verify", "3", "197", "--bound", "1000000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=_cap_address_space)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("error: the ring of rank 38811 needs 24100699536 bytes, "
+                           f"over the budget of {fusionring.RING_BYTE_BUDGET}\n")
 
 
 def test_verify_existence(capsys):

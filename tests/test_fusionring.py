@@ -28,13 +28,18 @@ from anisogauge.errors import BoundExceeded
 from anisogauge.ffield import ExtElement, make_field, pick_order_p
 from anisogauge.fusionring import (
     AxiomReport,
+    _anti_involution_holds,
     _certify_character,
+    _class_count,
     _code_permutation,
     _dense,
+    _first_assoc_failure,
     _free_orbits,
     _generators,
     _matrix_of_c,
+    _require_ring_budget,
 )
+from test_acceptance import ALL_VALID_PAIRS_2000
 
 
 def test_extension_ring_rules_3_5():
@@ -290,6 +295,47 @@ def test_mutations_caught_with_reference_counterexample(name, kind):
         assert report.counterexample.startswith("associativity fails at")
 
 
+def _associative_non_reciprocal_ring() -> FusionRing:
+    """1, a, b with a^* = b, a a = b, a b = b a = 1 + a and b b = a + b: an
+    associative ring with a unit and N(i, j; unit) = [j = i^*], but
+    N(a, b; a) = 1 while N(a^*, a; b) = N(b, a; b) = 0."""
+    tensor = {("1", x): {x: 1} for x in "1ab"} | {(x, "1"): {x: 1} for x in "ab"}
+    tensor |= {("a", "a"): {"b": 1}, ("a", "b"): {"1": 1, "a": 1}, ("b", "a"): {"1": 1, "a": 1},
+               ("b", "b"): {"a": 1, "b": 1}}
+    return FusionRing(["1", "a", "b"], "1", {"1": "1", "a": "b", "b": "a"}, tensor)
+
+
+def test_reciprocity_certificate_rejects_an_associative_ring():
+    # every premise of the certificate holds, so the anti-involution is what fails
+    ring = _associative_non_reciprocal_ring()
+    gens = _generators(ring)
+    assert _first_assoc_failure(ring, gens) is None
+    assert not _anti_involution_holds(ring, gens)
+    report = verify_axioms(ring)
+    assert report == _reference_report(ring)
+    assert report.unit_ok and report.assoc_ok and not report.duality_ok
+    assert report.counterexample == "reciprocity fails at N(a,b;a)"
+
+
+def test_passing_rings_verify_without_the_full_scans(monkeypatch):
+    # Light's test and the anti-involution on the generators decide alone
+    light = fusionring._first_assoc_failure
+
+    def generators_only(ring, middles):
+        if len(middles) == len(ring.basis):
+            raise AssertionError("the full associativity scan ran")
+        return light(ring, middles)
+
+    def no_scan(ring):
+        raise AssertionError("the full reciprocity scan ran")
+
+    monkeypatch.setattr(fusionring, "_first_assoc_failure", generators_only)
+    monkeypatch.setattr(fusionring, "_reciprocity_problem", no_scan)
+    for ring in [build_extension_ring(3, 5), build_extension_ring(5, 19)] + [
+            make() for make in RINGS.values()]:
+        assert verify_axioms(ring).passed
+
+
 @pytest.mark.parametrize("cells", SMALL_BLOCKS)
 def test_axioms_match_reference_in_small_blocks(cells, monkeypatch):
     monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
@@ -297,6 +343,7 @@ def test_axioms_match_reference_in_small_blocks(cells, monkeypatch):
         test_axioms_match_reference(name)
     for name, kind in sorted(MUTATIONS):
         test_mutations_caught_with_reference_counterexample(name, kind)
+    test_reciprocity_certificate_rejects_an_associative_ring()
 
 
 def test_reciprocity_reports_the_first_failure_across_cell_kinds():
@@ -345,6 +392,20 @@ def test_certificates_stay_in_bounded_memory():
     ring = build_extension_ring(3, 23)
     assert _traced_peak_mb(lambda: verify_axioms(ring)) < 10
     assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
+
+
+def test_ring_byte_budget(monkeypatch):
+    # 16 bytes per cell of the rank-27 ring; rank 5043 (q = 71) stays inside
+    fits = 16 * 27 * 27
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits)
+    assert len(build_extension_ring(3, 5).basis) == 27
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits - 1)
+    with pytest.raises(BoundExceeded, match=f"rank 27 needs {fits} bytes"):
+        build_extension_ring(3, 5)
+    monkeypatch.undo()
+    _require_ring_budget(3, 71)
+    with pytest.raises(BoundExceeded, match="rank 38811"):
+        _require_ring_budget(3, 197)
 
 
 def test_generators_of_extension_ring():
@@ -566,6 +627,12 @@ def test_semidirect_irreps_3_2():
     assert len(conjugacy_classes(table)) == 4
 
 
+@pytest.mark.parametrize("p,q", sorted(set(ALL_VALID_PAIRS_2000) | {(3, 2), (2, 3), (2, 7)}))
+def test_class_count_from_the_law_matches_the_table(p, q):
+    perm = _code_permutation(_matrix_of_c(p, q)[1])
+    assert _class_count(perm, p, q) == len(conjugacy_classes(semidirect_group_table(p, q)))
+
+
 def test_semidirect_group_table_in_smallest_dtype():
     # 3 * 23^2 = 1587 elements: indices fit in 16 bits
     table = semidirect_group_table(3, 23)
@@ -730,18 +797,38 @@ def _fp_dims_certifies_or_refuses(ring: FusionRing) -> None:
     assert _certify_character(ring, np.array([dims[label] for label in ring.basis]))
 
 
+def _unital_ring(n, data, coefficient, duals, terms=2) -> FusionRing:
+    """A ring that parses: basis element 0 is the unit and every other cell
+    gets up to `terms` terms with coefficients drawn from `coefficient`."""
+    entries = [f"0 {j} {j} 1" for j in range(n)] + [f"{i} 0 {i} 1" for i in range(1, n)]
+    for i in range(1, n):
+        for j in range(1, n):
+            row = data.draw(st.dictionaries(st.integers(0, n - 1), coefficient, max_size=terms))
+            entries += [f"{i} {j} {k} {v}" for k, v in row.items()]
+    text = "\n".join([f"fusionring v1 {n}", *(f"b{i} b{d}" for i, d in enumerate(duals)), *entries])
+    return ring_from_text(text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_fp_dims_fuzz_on_unital_rings(n, data):
     # the edits above rarely keep a unit, so this builds rings that parse:
-    # basis element 0 is the unit, every other cell gets up to two terms with
-    # any coefficient the format takes, and the duals are arbitrary
+    # every cell gets up to two terms with any coefficient the format takes,
+    # and the duals are arbitrary
     coefficient = st.one_of(st.integers(-3, 3), st.integers(-fusionring.MAX_COEF, fusionring.MAX_COEF))
-    entries = [f"0 {j} {j} 1" for j in range(n)] + [f"{i} 0 {i} 1" for i in range(1, n)]
-    for i in range(1, n):
-        for j in range(1, n):
-            row = data.draw(st.dictionaries(st.integers(0, n - 1), coefficient, max_size=2))
-            entries += [f"{i} {j} {k} {v}" for k, v in row.items()]
     duals = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    text = "\n".join([f"fusionring v1 {n}", *(f"b{i} b{d}" for i, d in enumerate(duals)), *entries])
-    _fp_dims_certifies_or_refuses(ring_from_text(text))
+    _fp_dims_certifies_or_refuses(_unital_ring(n, data, coefficient, duals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 5), data=st.data())
+def test_axioms_fuzz_match_reference(n, data):
+    # involutive duals and small coefficients, so that the unit-row check
+    # often holds and Light's test meets multi-term rows on either side
+    order = data.draw(st.permutations(range(1, n)))
+    pairs = data.draw(st.integers(0, (n - 1) // 2))
+    duals = list(range(n))
+    for a, b in zip(order[:pairs], order[pairs:2 * pairs]):
+        duals[a], duals[b] = b, a
+    ring = _unital_ring(n, data, st.sampled_from([1, 1, 2, -1]), duals, terms=3)
+    assert verify_axioms(ring) == _reference_report(ring)

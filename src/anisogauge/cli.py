@@ -191,7 +191,7 @@ def _verify_checks(p: int, q: int) -> list[dict]:
             reason = "q=2" if q == 2 else "p=2"
             return None, f"even prime ({reason}); needs odd characteristic"
         suite = gtcheck.non_group_theoretical_suite(p, q)
-        return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite.entries]
+        return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite]
 
     def hyperbolic_controls():
         if q == 2:

@@ -136,9 +136,6 @@ class ExtElement:
             return NotImplemented
         return ExtElement(self.ctx, self.a0 - o.a0, self.a1 - o.a1)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         return ExtElement(self.ctx, -self.a0, -self.a1)
 
@@ -163,9 +160,6 @@ class ExtElement:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "ExtElement":
         if n < 0:
@@ -205,10 +199,6 @@ class ExtElement:
         """Canonical (a0, a1) sort key."""
         return (self.a0, self.a1)
 
-    @property
-    def in_base(self) -> bool:
-        return self.a1 == 0
-
     def __repr__(self):
         if self.a1 == 0:
             return f"{self.a0}"
@@ -242,13 +232,6 @@ def norm(x: ExtElement) -> int:
     if q == 2:
         return (x.a0 * x.a0 + x.a0 * x.a1 + x.a1 * x.a1) % 2
     return (x.a0 * x.a0 - x.ctx.d * x.a1 * x.a1) % q
-
-
-def trace(x: ExtElement) -> int:
-    """Additive trace x + x^q, landing in the base field."""
-    if x.ctx.q == 2:
-        return x.a1
-    return (2 * x.a0) % x.ctx.q
 
 
 def _prime_factors(n: int) -> list[int]:

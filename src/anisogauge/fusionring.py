@@ -18,15 +18,13 @@ A ring whose two arrays would exceed RING_BYTE_BUDGET is refused before it
 is built.  fp_dims iterates an integer fixed point on the n cells (i, i^*)
 before the character check; there is no floating point.  Censuses are
 `gauging.Census` inventories (label, dimension, count) whose weighted
-square sum must reproduce the declared global dimension.  The orbit census,
-the little-group census, the class count and the semidirect table all act
-on the same codes, by one permutation: v -> c*v for the order-p norm-one
-c, whose free orbits `_free_orbits` walks.  The class count conjugates by
-every group element from the group law, with no (p q^2)^2 table;
-`semidirect_group_table` builds that table for conjugacy_classes, which is
-the count's oracle in the tests.  The equivariantization census lives in
-the numpy-free `gauging` module, which certifies its orbit count by
-argument; it is re-exported here.
+square sum must reproduce the declared global dimension.  The little-group
+census and the class count act on the same codes, by one permutation:
+v -> c*v for the order-p norm-one c, whose free orbits `_free_orbits`
+walks.  The class count conjugates by every group element from the group
+law, with no (p q^2)^2 table.  The equivariantization census lives in the
+numpy-free `gauging` module, which certifies its orbit count by argument;
+it is re-exported here.
 """
 
 import math
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BoundExceeded, NotACharacter
-from .ffield import ExtElement, FieldCtx, make_field, pick_order_p
+from .ffield import make_field, pick_order_p
 from .gauging import Census, _require_pair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
@@ -325,19 +323,21 @@ def _generators(ring: FusionRing) -> list[int]:
 
 def _duality_problem(ring: FusionRing) -> str | None:
     """The first failure of the duality involution or of N(i, j; unit) = [j = i^*],
-    the second checked in `_row_blocks` of i."""
+    the second checked in `_row_blocks` of i: N(i, j; unit) is the weight of
+    (i, j) under the unit's indicator, less 1 at j = i^*."""
     basis, dual, n = ring.basis, ring.dual_index, len(ring.basis)
     everyone = np.arange(n)
     bad = np.flatnonzero(dual[dual] != everyone)
     if len(bad):
         return f"dual not involutive at {basis[bad[0]]}"
+    weigh = _weights(ring, (everyone == ring.unit_index).astype(np.int64))
     for rows in _row_blocks(n, n):
-        i = everyone[rows]
-        want = (everyone == dual[i, None]).astype(np.int64)
-        bad = np.argwhere(ring._coeffs(i[:, None], everyone, ring.unit_index) != want)
-        if len(bad):
-            r, j = bad[0]
-            return f"N({basis[i[r]]},{basis[j]};unit) != {want[r, j]}"
+        off = weigh(rows)
+        off[np.arange(len(off)), dual[rows]] -= 1
+        if off.any():
+            r, j = np.argwhere(off)[0]
+            i = rows.start + r
+            return f"N({basis[i]},{basis[j]};unit) != {int(j == dual[i])}"
     return None
 
 
@@ -489,12 +489,12 @@ def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
     return all((d[rows, None] * d == weigh(rows)).all() for rows in _row_blocks(len(d), len(d)))
 
 
-def _matrix_of_c(p: int, q: int) -> tuple[FieldCtx, Mat2]:
-    """The field and the matrix M of v -> c*v in the basis (1, theta), for
-    the order-p norm-one c of `pick_order_p`."""
+def _matrix_of_c(p: int, q: int) -> Mat2:
+    """The matrix M of v -> c*v in the basis (1, theta), for the order-p
+    norm-one c of `pick_order_p`."""
     _require_pair(p, q)
     ctx = make_field(q)
-    return ctx, rotation(ctx, pick_order_p(ctx, p)).matrix()
+    return rotation(ctx, pick_order_p(ctx, p)).matrix()
 
 
 def _code_permutation(m: Mat2) -> np.ndarray:
@@ -521,34 +521,6 @@ def _free_orbits(perm: np.ndarray, p: int) -> np.ndarray:
     if perm[0] != 0 or (image != codes).any():
         raise ArithmeticError(f"the permutation moves 0 or does not return every code in {p} steps")
     return codes[np.argsort(least, kind="stable")].reshape(-1, p)
-
-
-def orbit_census(p: int, q: int) -> list[tuple[ExtElement, ...]]:
-    """Orbits of v -> c*v on the nonzero field elements; all have size p."""
-    ctx, m = _matrix_of_c(p, q)
-    orbits = _free_orbits(_code_permutation(m), p).tolist()
-    return [tuple(ctx.elem(*divmod(code, q)) for code in row) for row in orbits]
-
-
-def semidirect_group_table(p: int, q: int) -> np.ndarray:
-    """Multiplication table of the extension field (additively) twisted by c.
-
-    Element (v, k) has index k*q^2 + (a0*q + a1); the product is
-    (v + c^k w, k + l).  Stored in the smallest unsigned dtype that holds
-    p*q^2 - 1.
-    """
-    perm = _code_permutation(_matrix_of_c(p, q)[1])
-    q2 = q * q
-    xs, ys = np.divmod(np.arange(q2, dtype=np.int64), q)
-    vadd = ((xs[:, None] + xs[None, :]) % q) * q + (ys[:, None] + ys[None, :]) % q
-    table = np.empty((p * q2, p * q2), dtype=np.min_scalar_type(p * q2 - 1))
-    power = np.arange(q2)  # the code permutation of c^k
-    for k in range(p):
-        twisted = vadd[:, power]
-        for l in range(p):
-            table[k * q2:(k + 1) * q2, l * q2:(l + 1) * q2] = (k + l) % p * q2 + twisted
-        power = perm[power]
-    return table
 
 
 def group_identity(table: np.ndarray) -> int:
@@ -611,7 +583,7 @@ def semidirect_irreps(p: int, q: int) -> Census:
     CROSS_CHECK_BOUND, against the number of conjugacy classes counted by
     `_class_count` from the group law, which conjugates by every element.
     """
-    m = _matrix_of_c(p, q)[1]
+    m = _matrix_of_c(p, q)
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
     orbits = len(_free_orbits(_code_permutation(m.transpose()), p))
     census = Census((("linear", 1, p), ("induced", p, orbits)), p * q * q)
@@ -625,8 +597,9 @@ def semidirect_irreps(p: int, q: int) -> Census:
 
 
 def _class_count(perm: np.ndarray, p: int, q: int) -> int:
-    """The number of conjugacy classes of the group of `semidirect_group_table`,
-    with c acting on the codes by `perm`, without its table.
+    """The number of conjugacy classes of the order-p q^2 group of pairs
+    (v, k), v in F_{q^2} and k in Z/p, with c acting on the codes by `perm`,
+    without its multiplication table.
 
     By the law (v, k)(w, l) = (v + c^k w, k + l), conjugation by (w, l) sends
     (v, k) to (c^l v + w - c^k w, k).  Each element not yet reached starts a
@@ -674,16 +647,6 @@ def drinfeld_double_rank(table: np.ndarray) -> int:
     return total
 
 
-def cyclic_group_ring(n: int) -> FusionRing:
-    """Group ring of Z/n with basis g0..g(n-1)."""
-    labels = [f"g{k}" for k in range(n)]
-    dual = {f"g{k}": f"g{(-k) % n}" for k in range(n)}
-    tensor = {
-        (f"g{a}", f"g{b}"): {f"g{(a + b) % n}": 1} for a in range(n) for b in range(n)
-    }
-    return FusionRing(labels, "g0", dual, tensor)
-
-
 def ring_to_text(ring: FusionRing) -> str:
     """Plain-text form: header, one dual line per basis label, then the
     nonzero tensor entries as 0-based index quadruples in lexicographic order."""
@@ -720,7 +683,10 @@ def ring_from_text(text: str) -> FusionRing:
             raise BadParameter(f"entry {' '.join(line)!r} is not 'i j k v'") from None
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise BadParameter(f"entry {' '.join(line)!r} has an index outside 0..{n - 1}")
-        rows.setdefault((i, j), {})[k] = v
+        row = rows.setdefault((i, j), {})
+        if k in row:
+            raise BadParameter(f"entry {i} {j} {k} is repeated")
+        row[k] = v
     prod, coef, multi = _pack(n, rows)
     everyone = np.arange(n)
     units = np.flatnonzero(((prod == everyone) & (coef == 1)).all(axis=1)

@@ -31,12 +31,6 @@ class Census:
     def rank(self) -> int:
         return sum(count for _, _, count in self.entries)
 
-    def dims_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, dim, count in self.entries:
-            out[dim] = out.get(dim, 0) + count
-        return out
-
 
 def _exists(p: int, q: int) -> bool:
     """The existence condition of the construction: p divides q + 1."""

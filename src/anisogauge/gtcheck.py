@@ -27,17 +27,7 @@ class GTVerdict:
     mu1: ExtElement
     mu2: ExtElement
     ratio: ExtElement | None
-    ratio_reversed: ExtElement | None
     witness: str
-
-
-@dataclass
-class SuiteReport:
-    entries: list  # (name, passed, detail)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
 
 
 def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
@@ -88,7 +78,6 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
         mu1=mu1,
         mu2=mu2,
         ratio=ratio,
-        ratio_reversed=mu2 / mu1,
         witness=f"frobenius {'fixes' if gt else 'moves'} mu1/mu2 = {ratio!r}",
     )
 
@@ -128,9 +117,9 @@ def quartic_identity_check(q: int) -> bool:
     return [c % q for c in prod] == [c % q for c in target]
 
 
-def non_group_theoretical_suite(p: int, q: int) -> SuiteReport:
+def non_group_theoretical_suite(p: int, q: int) -> list[tuple[str, bool, str]]:
     """The four-step pipeline certifying the anisotropic rotation gauge fails
-    the group-theoreticality test.
+    the group-theoreticality test, as (name, passed, detail) entries.
 
     For c the canonical order-p norm-one element: (a) the rotation matrix
     has eigenvalues {c, c^-1} exchanged by Frobenius; (b) the ratio
@@ -161,7 +150,7 @@ def non_group_theoretical_suite(p: int, q: int) -> SuiteReport:
     ok_d = not verdict.group_theoretical and verdict.ratio in (c, c.inverse())
     entries.append(("non-gt-verdict", ok_d, verdict.witness))
 
-    return SuiteReport(entries)
+    return entries
 
 
 def existence_gate(p: int, q: int) -> bool:

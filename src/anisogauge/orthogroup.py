@@ -33,10 +33,6 @@ class Mat2:
     def identity(cls, q: int) -> "Mat2":
         return cls(q, 1, 0, 0, 1)
 
-    @classmethod
-    def zero(cls, q: int) -> "Mat2":
-        return cls(q, 0, 0, 0, 0)
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         q = self.q
         return Mat2(
@@ -52,9 +48,6 @@ class Mat2:
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.q, self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(self.q, -self.a, -self.b, -self.c, -self.d)
 
     def scale(self, k: int) -> "Mat2":
         return Mat2(self.q, k * self.a, k * self.b, k * self.c, k * self.d)
@@ -78,18 +71,6 @@ class Mat2:
     def __call__(self, v: tuple[int, int]) -> tuple[int, int]:
         q = self.q
         return ((self.a * v[0] + self.b * v[1]) % q, (self.c * v[0] + self.d * v[1]) % q)
-
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = Mat2.identity(self.q)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -128,20 +109,6 @@ class AnisoOrthMap:
         oc = frobenius(other.c) if self.reflect else other.c
         return AnisoOrthMap(self.ctx, self.c * oc, self.reflect ^ other.reflect)
 
-    def inverse(self) -> "AnisoOrthMap":
-        if self.reflect:
-            return AnisoOrthMap(self.ctx, self.c, True)
-        return AnisoOrthMap(self.ctx, self.c.inverse(), False)
-
-    def order(self) -> int:
-        acc = self
-        n = 1
-        ident = AnisoOrthMap.identity(self.ctx)
-        while acc != ident:
-            acc = acc * self
-            n += 1
-        return n
-
     def matrix(self) -> Mat2:
         """Matrix in the basis (1, theta)."""
         col1 = self(self.ctx.one)
@@ -166,11 +133,6 @@ class AnisoOrthMap:
 def rotation(ctx: FieldCtx, c: ExtElement) -> AnisoOrthMap:
     """The rotation v -> c*v for a norm-one c."""
     return AnisoOrthMap(ctx, c, False)
-
-
-def sigma_map(ctx: FieldCtx) -> AnisoOrthMap:
-    """The Galois reflection as an isometry."""
-    return AnisoOrthMap(ctx, ctx.one, True)
 
 
 class SplitOrthMap:
@@ -223,35 +185,9 @@ class SplitOrthMap:
         sums = [tuple(map(sum, zip(u, v))) for u, v in itertools.combinations(units, 2)]
         return all(self.form(self.apply_coords(v)) == self.form(v) for v in units + sums)
 
-    def __mul__(self, other: "SplitOrthMap") -> "SplitOrthMap":
-        src = None
-        if self.source is not None and other.source is not None:
-            src = self.source * other.source
-        return SplitOrthMap(
-            self.ctx,
-            self.alpha * other.alpha + self.beta * other.gamma,
-            self.alpha * other.beta + self.beta * other.delta,
-            self.gamma * other.alpha + self.delta * other.gamma,
-            self.gamma * other.beta + self.delta * other.delta,
-            self.gram,
-            src,
-        )
-
-    def blocks(self) -> tuple[Mat2, Mat2, Mat2, Mat2]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SplitOrthMap)
-            and self.q == other.q
-            and self.blocks() == other.blocks()
-        )
-
-    def __hash__(self):
-        return hash((self.q,) + tuple(m.entries() for m in self.blocks()))
-
     def __repr__(self):
-        return f"SplitOrthMap(q={self.q}, blocks={[m.entries() for m in self.blocks()]})"
+        blocks = [m.entries() for m in (self.alpha, self.beta, self.gamma, self.delta)]
+        return f"SplitOrthMap(q={self.q}, blocks={blocks})"
 
 
 def split_embedding(space: QuadSpace, g) -> SplitOrthMap:

@@ -48,7 +48,7 @@ def _polar_values(space: "QuadSpace") -> tuple[int, int, int]:
 
 
 class QuadSpace:
-    """Base class; concrete spaces provide form/vector/coords."""
+    """Base class; concrete spaces provide form and vector."""
 
     kind: str
 
@@ -60,9 +60,6 @@ class QuadSpace:
 
     def vector(self, x: int, y: int):
         """The vector x*e1 + y*e2 of the canonical basis."""
-        raise NotImplementedError
-
-    def coords(self, v) -> tuple[int, ...]:
         raise NotImplementedError
 
     def vectors(self):
@@ -101,9 +98,6 @@ class AnisotropicSpace(QuadSpace):
     def vector(self, x: int, y: int) -> ExtElement:
         return ExtElement(self.ctx, x, y)
 
-    def coords(self, v: ExtElement) -> tuple[int, int]:
-        return (v.a0, v.a1)
-
 
 class HyperbolicSpace(QuadSpace):
     """Pairs over F_q with the form (x, y) -> x*y."""
@@ -116,9 +110,6 @@ class HyperbolicSpace(QuadSpace):
     def vector(self, x: int, y: int) -> tuple[int, int]:
         return (x % self.ctx.q, y % self.ctx.q)
 
-    def coords(self, v) -> tuple[int, int]:
-        return v
-
 
 @dataclass(frozen=True, eq=False)
 class MetricGroup:
@@ -127,12 +118,6 @@ class MetricGroup:
 
     modulus: int
     t: np.ndarray
-
-    def bicharacter(self, a, c) -> int:
-        """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/m, on coordinate pairs."""
-        m = self.modulus
-        s = ((a[0] + c[0]) % m, (a[1] + c[1]) % m)
-        return int(self.t[s] - self.t[a] - self.t[c]) % m
 
     def __repr__(self):
         return f"MetricGroup(|A|={self.t.size}, m={self.modulus})"

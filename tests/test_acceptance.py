@@ -31,12 +31,12 @@ from anisogauge import (
     pick_order_p,
     quartic_identity_check,
     rotation,
-    semidirect_group_table,
     semidirect_irreps,
     split_embedding,
     verify_axioms,
 )
 from anisogauge.cli import main
+from oracles import dims_multiset, order, semidirect_group_table
 
 PRIMES_50 = [n for n in range(2, 51) if is_prime(n)]
 ODD_PRIMES_50 = [n for n in PRIMES_50 if n != 2]
@@ -80,7 +80,7 @@ def test_criterion_1_rank_17():
     census = equivariantization_census(3, 5)
     elapsed = time.perf_counter() - start
     assert census.rank == 17
-    assert census.dims_multiset() == {1: 3, 3: 8, 5: 6}
+    assert dims_multiset(census) == {1: 3, 3: 8, 5: 6}
     assert census.global_dim == 225
     assert elapsed < 1.0, f"census took {elapsed:.2f}s"
 
@@ -93,7 +93,7 @@ def test_criterion_2_dihedral_orders():
         maps = enumerate_orth(build_anisotropic(ctx))
         assert len(maps) == 2 * (q + 1), q
         r, s = dihedral_generators(maps, AnisoOrthMap.identity(ctx))
-        assert r.order() == q + 1 and (s * s) == AnisoOrthMap.identity(ctx)
+        assert order(r) == q + 1 and (s * s) == AnisoOrthMap.identity(ctx)
         hmaps = enumerate_orth(build_hyperbolic(ctx))
         assert len(hmaps) == 2 * (q - 1), q
         dihedral_generators(hmaps, Mat2.identity(q))
@@ -122,7 +122,7 @@ def test_criterion_3_fusion_axioms():
 def test_criterion_4_verdicts():
     assert CRITERION_PAIRS_50, "no pairs found"
     for p, q in CRITERION_PAIRS_50:
-        assert non_group_theoretical_suite(p, q).passed, (p, q)
+        assert all(ok for _, ok, _ in non_group_theoretical_suite(p, q)), (p, q)
     for q in ODD_PRIMES_50:
         for a in range(2, q - 1):  # F_q minus {0, 1, -1}
             verdict = gt_criterion(hyperbolic_control(q, a))

@@ -12,20 +12,17 @@ from anisogauge import (
     NotACharacter,
     build_extension_ring,
     conjugacy_classes,
-    cyclic_group_ring,
     drinfeld_double_rank,
     equivariantization_census,
     fp_dims,
-    orbit_census,
     ring_from_text,
     ring_to_text,
-    semidirect_group_table,
     semidirect_irreps,
     verify_axioms,
 )
 from anisogauge import fusionring
 from anisogauge.errors import BoundExceeded
-from anisogauge.ffield import ExtElement, make_field, pick_order_p
+from anisogauge.ffield import make_field, pick_order_p
 from anisogauge.fusionring import (
     AxiomReport,
     _anti_involution_holds,
@@ -39,6 +36,7 @@ from anisogauge.fusionring import (
     _matrix_of_c,
     _require_ring_budget,
 )
+from oracles import cyclic_group_ring, dims_multiset, semidirect_group_table
 from test_acceptance import ALL_VALID_PAIRS_2000
 
 
@@ -270,6 +268,11 @@ MUTATIONS = {
     # a single-term entry whose reciprocity partner N(X1,X2;g0_1) sits in the
     # multi-term cell X1 X2, which comes first
     ("extension-3-5", "reciprocity-multi-first"): lambda r: _with(r, {("X2", "g0_1"): {"X2": 2}}),
+    # N(i, j; unit) != [j = i^*], in a single-term cell and in multi-term rows
+    ("cyclic-6", "unit-entry"): lambda r: _with(r, {("g1", "g2"): {"g0": 1}}),
+    ("s3-reps", "unit-entry"): lambda r: _with(r, {("V", "V"): {"1": 2, "s": 1, "V": 1}}),
+    ("extension-3-5", "unit-entry"): lambda r: _with(
+        r, {("X1", "X2"): {label: 1 + (label == "g0_0") for label in r.basis[:25]}}),
 }
 
 # _BLOCK_CELLS values: 1 and 37 give one row per block at rank 27; 110 gives
@@ -529,15 +532,19 @@ def test_grading():
     "p,q,orbits", [(3, 5, 8), (3, 2, 1), (5, 19, 72)]
 )
 def test_orbit_census(p, q, orbits):
-    orbs = orbit_census(p, q)
-    assert len(orbs) == orbits == (q * q - 1) // p
-    assert all(len(o) == p for o in orbs)
-    seen = {v.key() for o in orbs for v in o}
-    assert len(seen) == q * q - 1
+    orbs = _orbit_codes(p, q)
+    assert orbs.shape == (orbits, p) and orbits == (q * q - 1) // p
+    assert sorted(orbs.ravel().tolist()) == list(range(1, q * q))
+
+
+def _orbit_codes(p, q):
+    """The free orbits of v -> c*v on the nonzero codes a0*q + a1, one per row."""
+    return _free_orbits(_code_permutation(_matrix_of_c(p, q)), p)
 
 
 def _orbit_walk(p, q):
-    """Reference orbit census: walk v -> c*v on the field elements one by one."""
+    """Reference orbit census: walk v -> c*v on the field elements one by one,
+    as rows of codes a0*q + a1, each ascending, ordered by their least code."""
     ctx = make_field(q)
     c = pick_order_p(ctx, p)
     seen, orbits = set(), []
@@ -549,13 +556,13 @@ def _orbit_walk(p, q):
             orbit.append(w)
             w = c * w
         seen.update(orbit)
-        orbits.append(tuple(sorted(orbit, key=ExtElement.key)))
-    return sorted(orbits, key=lambda o: o[0].key())
+        orbits.append(sorted(x.a0 * q + x.a1 for x in orbit))
+    return sorted(orbits)
 
 
 @pytest.mark.parametrize("p,q", [(3, 2), (3, 5), (3, 11), (7, 13), (5, 19), (3, 23)])
 def test_orbit_census_matches_element_walk(p, q):
-    assert orbit_census(p, q) == _orbit_walk(p, q)
+    assert _orbit_codes(p, q).tolist() == _orbit_walk(p, q)
 
 
 def test_free_orbits_rejects_a_short_orbit():
@@ -572,20 +579,20 @@ def test_free_orbits_rejects_a_short_orbit():
 
 def test_orbit_census_existence():
     with pytest.raises(ExistenceViolated):
-        orbit_census(5, 7)
+        _matrix_of_c(5, 7)
 
 
 def test_equivariantization_census_3_5():
     census = equivariantization_census(3, 5)
     assert census.rank == 17
-    assert census.dims_multiset() == {1: 3, 3: 8, 5: 6}
+    assert dims_multiset(census) == {1: 3, 3: 8, 5: 6}
     assert census.global_dim == 225
 
 
 def test_equivariantization_census_3_2():
     census = equivariantization_census(3, 2)
     assert census.rank == 10
-    assert census.dims_multiset() == {1: 3, 3: 1, 2: 6}
+    assert dims_multiset(census) == {1: 3, 3: 1, 2: 6}
     assert census.global_dim == 36
 
 
@@ -603,7 +610,7 @@ CENSUS_PAIRS = [(p, q) for q in ODD_PRIMES_TO_50 for p in ODD_PRIMES_TO_50
 @pytest.mark.parametrize("p,q", CENSUS_PAIRS + [(3, 2), (2, 3), (3, 1013)])
 def test_census_orbit_count_matches_free_orbit_walk(p, q):
     # the census certifies (q^2 - 1) / p by the order of c; the walk counts
-    walked = len(_free_orbits(_code_permutation(_matrix_of_c(p, q)[1]), p))
+    walked = len(_orbit_codes(p, q))
     assert equivariantization_census(p, q).entries[1] == ("orbit-sum", p, walked)
 
 
@@ -620,7 +627,7 @@ def test_rank_formula_consistency():
 
 def test_semidirect_irreps_3_2():
     census = semidirect_irreps(3, 2)
-    assert census.dims_multiset() == {1: 3, 3: 1}
+    assert dims_multiset(census) == {1: 3, 3: 1}
     assert census.global_dim == 12
     table = semidirect_group_table(3, 2)
     assert len(table) == 12
@@ -629,16 +636,8 @@ def test_semidirect_irreps_3_2():
 
 @pytest.mark.parametrize("p,q", sorted(set(ALL_VALID_PAIRS_2000) | {(3, 2), (2, 3), (2, 7)}))
 def test_class_count_from_the_law_matches_the_table(p, q):
-    perm = _code_permutation(_matrix_of_c(p, q)[1])
+    perm = _code_permutation(_matrix_of_c(p, q))
     assert _class_count(perm, p, q) == len(conjugacy_classes(semidirect_group_table(p, q)))
-
-
-def test_semidirect_group_table_in_smallest_dtype():
-    # 3 * 23^2 = 1587 elements: indices fit in 16 bits
-    table = semidirect_group_table(3, 23)
-    assert table.itemsize <= 2
-    assert table.max() == 3 * 23 * 23 - 1
-    assert semidirect_group_table(3, 2).dtype == np.uint8
 
 
 def test_semidirect_group_table_existence():
@@ -648,13 +647,13 @@ def test_semidirect_group_table_existence():
 
 def test_semidirect_irreps_3_5():
     census = semidirect_irreps(3, 5)
-    assert census.dims_multiset() == {1: 3, 3: 8}
+    assert dims_multiset(census) == {1: 3, 3: 8}
     assert census.global_dim == 75
 
 
 def test_semidirect_irreps_5_19():
     census = semidirect_irreps(5, 19)
-    assert census.dims_multiset() == {1: 5, 5: 72}
+    assert dims_multiset(census) == {1: 5, 5: 72}
 
 
 def test_semidirect_matches_census_degree_zero():
@@ -752,6 +751,7 @@ def test_serialization_header():
         "fusionring v1 2\ne e\ne e\n0 0 0 1\n",
         "fusionring v1 1\ne e\n0 0 0 99999999999999999999\n",
         "fusionring v1 1\ne e\n0 0 0 2\n",
+        "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 0 5\n",
     ],
 )
 def test_ring_from_text_rejects_malformed(text):

@@ -9,13 +9,18 @@ certifies associativity and reciprocity on a generating set S certified by
 closure: Light's test on the |S| n^2 triples with a middle in S, then the
 anti-involution (x s)^* = s^* x^* on the |S| n cells (x, s).  When either
 fails, a full scan reports the first counterexample.  The ring itself is
-the only n x n storage: the certificates (unit, duality, Light's test, the
+the only n x n storage, read-only, with prod and coef each in the smallest
+signed dtype that holds its values (prod in [-r, n - 1] for r multi-term
+rows): at most 3 bytes a cell for the extension ring while q < 128.  Every
+reader widens what it gathers to int64, or combines it only with int64
+arrays, before doing arithmetic on it; comparisons and indexing may read
+the narrow values.  The certificates (unit, duality, Light's test, the
 full scans, the character check) and the ring build walk the n x n arrays
 in `_row_blocks`, and Light's test expands each shared multi-term row once
 per block, so that no int64 temporary holds more than about _BLOCK_CELLS
 cells; the generator closure reads only the generators' rows and columns.
-A ring whose two arrays would exceed RING_BYTE_BUDGET is refused before it
-is built.  fp_dims iterates an integer fixed point on the n cells (i, i^*)
+A ring whose two arrays, in the dtypes it would be stored in, would exceed
+RING_BYTE_BUDGET is refused before it is built or parsed.  fp_dims iterates an integer fixed point on the n cells (i, i^*)
 before the character check; there is no floating point.  Censuses are
 `gauging.Census` inventories (label, dimension, count) whose weighted
 square sum must reproduce the declared global dimension.  The little-group
@@ -40,14 +45,15 @@ from .orthogroup import Mat2, rotation
 DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
-_BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary of the certificates
-RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of an extension ring's prod and coef
+_BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary, widened from the narrow ring
+RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod and coef, in their stored dtypes
 
 
 class FusionRing:
     """prod, coef (n x n) and multi (r x n) as in the module docstring, plus
-    unit_index and dual_index.  The label-level constructor takes `tensor`
-    mapping (i, j) to the row {k: N_ij^k}.  Axioms are not validated here.
+    unit_index and dual_index, all read-only.  The label-level constructor
+    takes `tensor` mapping (i, j) to the row {k: N_ij^k}.  Axioms are not
+    validated here.
     """
 
     def __init__(self, basis, unit: str, dual: dict, tensor: dict):
@@ -69,10 +75,17 @@ class FusionRing:
         return ring
 
     def _setup(self, basis, unit, dual, prod, coef, multi):
+        """Store the arrays, with prod and coef narrowed to the smallest signed
+        dtypes that hold them (no copy when they already are, as from `_pack`
+        and build_extension_ring), and make them read-only, so that no
+        in-place write can wrap silently in a narrow dtype."""
         self.basis, self.index = basis, _label_index(basis)
         self.unit_index, self.dual_index = unit, np.asarray(dual, dtype=np.int64)
-        self.prod, self.coef = prod, coef
-        self.multi = _primitive_rows(prod, coef, multi)
+        self.multi, coef = _primitive_rows(prod, coef, multi)
+        self.prod = prod.astype(_signed(-len(self.multi), len(basis) - 1), copy=False)
+        self.coef = coef.astype(_signed(coef.min(initial=0), coef.max(initial=0)), copy=False)
+        for a in (self.prod, self.coef, self.multi, self.dual_index):
+            a.flags.writeable = False
 
     @property
     def unit(self) -> str:
@@ -109,7 +122,7 @@ class FusionRing:
 
     def _coeffs(self, a, b, c) -> np.ndarray:
         """N(a, b; c) for broadcastable index arrays a, b, c."""
-        t, v = self.prod[a, b], self.coef[a, b]
+        t, v = _gather(self, (a, b))
         out = np.where(t == c, v, 0)
         multi = t < 0
         if multi.any():
@@ -127,18 +140,29 @@ def _row_blocks(rows: int, width: int):
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
+def _gather(ring: FusionRing, cells):
+    """prod and coef at `cells`, widened to int64 for arithmetic."""
+    return ring.prod[cells].astype(np.int64), ring.coef[cells].astype(np.int64)
+
+
+def _signed(lo: int, hi: int) -> np.dtype:
+    """The smallest signed integer dtype that holds every value in [lo, hi]."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+
+
 def _block_entries(ring: FusionRing, rows: slice):
     """The nonzero N(i, j; k) = v with i in `rows`, as index arrays (i, j, k, v)
     in pieces, each in lexicographic order: first the single-term cells, then
     the multi-term cells, expanded in `_row_blocks` chunks."""
     n = len(ring.basis)
-    t, c = ring.prod[rows], ring.coef[rows]
+    t, c = ring.prod[rows], ring.coef[rows]  # narrow, widened at each gather below
     i, j = np.nonzero((t >= 0) & (c != 0))
-    yield i + rows.start, j, t[i, j], c[i, j]
+    yield i + rows.start, j, t[i, j].astype(np.int64), c[i, j].astype(np.int64)
     mi, mj = np.nonzero(t < 0)
     for chunk in _row_blocks(len(mi), n):
         ci, cj = mi[chunk], mj[chunk]
-        scaled = ring.multi[-1 - t[ci, cj]] * c[ci, cj, None]
+        scaled = ring.multi[-1 - t[ci, cj].astype(np.int64)] * c[ci, cj, None].astype(np.int64)
         r, k = np.nonzero(scaled)
         yield ci[r] + rows.start, cj[r], k, scaled[r, k]
 
@@ -151,32 +175,50 @@ def _label_index(basis) -> dict:
 
 
 def _pack(n: int, rows: dict):
-    """prod, coef and unreduced multi arrays from {(i, j): {k: v}} on indices."""
-    prod, coef, multi = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64), []
+    """prod, coef and multi arrays from {(i, j): {k: v}} on indices, each
+    multi-term row primitive with its scale in coef.  prod and coef take the
+    dtypes of `_ring_dtypes`, picked from the parsed values, so an oversized
+    ring is refused before they are allocated."""
+    cells, multi = {}, []
     for (i, j), row in rows.items():
         row = {k: v for k, v in row.items() if v}
         if any(abs(v) > MAX_COEF for v in row.values()):
             raise BadParameter(f"a coefficient of N({i},{j};-) exceeds {MAX_COEF}")
-        if len(row) == 1:
-            ((prod[i, j], coef[i, j]),) = row.items()
-        elif row:
-            multi.append(np.zeros(n, dtype=np.int64))
-            multi[-1][list(row)] = list(row.values())
-            prod[i, j], coef[i, j] = -len(multi), 1
-    return prod, coef, np.array(multi, dtype=np.int64).reshape(len(multi), n)
+        if len(row) > 1:  # scaled by the gcd, signed so the least index is positive
+            scale = math.gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
+            multi.append({k: v // scale for k, v in row.items()})
+            row = {-len(multi): scale}
+        if row:
+            cells[i, j] = next(iter(row.items()))
+    values = [v for _, v in cells.values()]
+    prod_t, coef_t = _ring_dtypes(n, len(multi), min(values, default=0), max(values, default=0))
+    prod, coef = np.zeros((n, n), dtype=prod_t), np.zeros((n, n), dtype=coef_t)
+    if cells:
+        (i, j), (t, v) = zip(*cells), zip(*cells.values())
+        prod[i, j], coef[i, j] = t, v
+    out = np.zeros((len(multi), n), dtype=np.int64)
+    for r, row in enumerate(multi):
+        out[r, list(row)] = list(row.values())
+    return prod, coef, out
 
 
-def _primitive_rows(prod, coef, multi) -> np.ndarray:
+def _primitive_rows(prod, coef, multi):
     """Make the multi-term rows primitive and distinct, so scaled rows are equal
-    exactly when their (row, coefficient) pairs are; rewrites prod, coef in place."""
+    exactly when their (row, coefficient) pairs are: returns the rows and coef
+    with each multi-term cell times its row's scale, rewriting prod in place.
+    The scaled cells are computed in int64 and written into coef in place,
+    or into a copy in a dtype wide enough for them."""
     lead = multi[np.arange(len(multi)), np.argmax(multi != 0, axis=1)]
     scale = np.gcd.reduce(multi, axis=1) * np.sign(lead)
     rows, target = np.unique(multi // scale[:, None], axis=0, return_inverse=True)
-    marked = prod < 0
-    old = -1 - prod[marked]
+    marked = np.nonzero(prod < 0)
+    old = -1 - prod[marked].astype(np.int64)
     prod[marked] = -1 - target.reshape(-1)[old]
-    coef[marked] *= scale[old]
-    return rows
+    scaled = coef[marked].astype(np.int64) * scale[old]
+    wide = _signed(scaled.min(initial=0), scaled.max(initial=0))
+    coef = coef.astype(np.promote_types(coef.dtype, wide), copy=False)
+    coef[marked] = scaled
+    return rows, coef
 
 
 @dataclass
@@ -197,14 +239,14 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     with coordinates (a0, a1) has index a0*q + a1, and X_i has q^2 + i - 1.
     """
     _require_pair(p, q)
-    _require_ring_budget(p, q)
+    prod_t, coef_t = _require_ring_budget(p, q)
     q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
     a0, a1 = np.divmod(np.arange(q2, dtype=np.int64), q)
     xs = q2 + deg - 1
     basis = [f"g{t // q}_{t % q}" for t in range(q2)] + [f"X{i}" for i in range(1, p)]
     dual = np.concatenate([(-a0 % q) * q + (-a1 % q), xs[::-1]])
-    prod, coef = np.empty((n, n), dtype=np.int64), np.ones((n, n), dtype=np.int64)
-    for rows in _row_blocks(q2, q2):
+    prod, coef = np.empty((n, n), dtype=prod_t), np.ones((n, n), dtype=coef_t)
+    for rows in _row_blocks(q2, q2):  # int64 blocks, narrowed as they are stored
         prod[rows, :q2] = ((a0[rows, None] + a0) % q) * q + (a1[rows, None] + a1) % q
     prod[:q2, q2:], prod[q2:, :q2] = xs, xs[:, None]
     total = (deg[:, None] + deg) % p
@@ -214,19 +256,29 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     return FusionRing._from_arrays(basis, 0, dual, prod, coef, multi)
 
 
-def _require_ring_budget(p: int, q: int) -> None:
-    """BoundExceeded unless the two n x n int64 arrays of the extension ring
-    of rank n = q^2 + p - 1 fit in RING_BYTE_BUDGET, so that an oversized
-    ring is refused before any of it is allocated."""
-    n = q * q + p - 1
-    size = 2 * n * n * np.dtype(np.int64).itemsize
+def _require_ring_budget(p: int, q: int):
+    """The dtypes that `_ring_dtypes` gives prod and coef of the extension
+    ring of rank n = q^2 + p - 1 (one multi-term row; coefficients 1 and,
+    for p > 2, q), so that an oversized ring is refused before any of it is
+    allocated."""
+    return _ring_dtypes(q * q + p - 1, 1, 1, q if p > 2 else 1)
+
+
+def _ring_dtypes(n: int, multi_rows: int, lo: int, hi: int):
+    """The smallest signed dtypes of prod, which holds [-multi_rows, n - 1],
+    and of coef, which holds [lo, hi]; BoundExceeded when the two n x n
+    arrays in them would take more than RING_BYTE_BUDGET bytes."""
+    dtypes = _signed(-multi_rows, n - 1), _signed(lo, hi)
+    size = n * n * sum(t.itemsize for t in dtypes)
     if size > RING_BYTE_BUDGET:
         raise BoundExceeded(f"the ring of rank {n} needs {size} bytes, "
                             f"over the budget of {RING_BYTE_BUDGET}")
+    return dtypes
 
 
 def _terms(ring: FusionRing, t, c):
-    """The scaled rows c[r] * (row t[r]) as basis terms (r, m, w)."""
+    """The scaled rows c[r] * (row t[r]) as basis terms (r, m, w), for t and c
+    already widened to int64."""
     single, multi = np.flatnonzero(t >= 0), np.flatnonzero(t < 0)
     rows = ring.multi[-1 - t[multi]] * c[multi, None]
     mr, m = np.nonzero(rows)
@@ -235,8 +287,10 @@ def _terms(ring: FusionRing, t, c):
 
 
 def _dense(ring: FusionRing, k: int, r, t, c) -> np.ndarray:
-    """The (k, n) sums over s of c[s] * (row t[s]) placed in row r[s]."""
+    """The (k, n) sums over s of c[s] * (row t[s]) placed in row r[s]; t and c
+    may be narrow gathers, widened here."""
     n = len(ring.basis)
+    t, c = np.asarray(t, dtype=np.int64), np.asarray(c, dtype=np.int64)
     out = np.zeros((k, n), dtype=np.int64)
     single, multi = t >= 0, np.flatnonzero(t < 0)
     # flat indices take numpy's fast path for ufunc.at
@@ -258,13 +312,15 @@ def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
     block of y from one gather prod[m, ys] over its support m; for each y
     with a multi-term s y, x (s y) for the block's other x from one gather
     prod[xs, m].  Each gather and each dense block holds about _BLOCK_CELLS
-    cells.
+    cells.  The rows and columns of s are widened to int64, so every product
+    of them with a narrow gather of coef is int64; gathers of prod are only
+    compared or go to `_dense`, which widens them.
     """
     prod, coef, n = ring.prod, ring.coef, len(ring.basis)
     everyone = np.arange(n)
     first = None
     for s in middles:
-        ls, lc, rs, rc = prod[:, s], coef[:, s], prod[s], coef[s]  # x s, s y
+        (ls, lc), (rs, rc) = _gather(ring, (slice(None), s)), _gather(ring, s)  # x s, s y
         a, b, dy = np.maximum(ls, 0), np.maximum(rs, 0), np.flatnonzero(rs < 0)
         for rows in _row_blocks(n, n):
             xs, ar = everyone[rows], a[rows]
@@ -368,9 +424,9 @@ def _anti_involution_holds(ring: FusionRing, gens) -> bool:
     N(x, s; k) = N(s^*, x^*; k^*) for all k: |gens| n cells, the single-term
     ones compared as (row, coefficient) pairs and the others as dense rows
     in `_row_blocks` chunks."""
-    prod, coef, dual, n = ring.prod, ring.coef, ring.dual_index, len(ring.basis)
+    dual, n = ring.dual_index, len(ring.basis)
     for s in gens:
-        lt, lc, rt, rc = prod[:, s], coef[:, s], prod[dual[s], dual], coef[dual[s], dual]
+        (lt, lc), (rt, rc) = _gather(ring, (slice(None), s)), _gather(ring, (dual[s], dual))
         single = (lt >= 0) & (rt >= 0)
         if ((lc != rc) | ((dual[np.maximum(lt, 0)] != rt) & (lc != 0)))[single].any():
             return False
@@ -471,12 +527,14 @@ def fp_dims(ring: FusionRing) -> dict:
 def _weights(ring: FusionRing, e: np.ndarray):
     """The map cells -> sum_k N(i, j; k) e(k) on the cells (i, j) that `cells`
     picks from prod and coef: one gather per cell from e and from e of each
-    multi-term row, computed once here."""
-    n, values = len(e), np.concatenate([e, ring.multi @ e])
+    multi-term row, computed once here and stored in reverse after e, so
+    that prod indexes it directly (t < 0 counts back from the end to row
+    -1 - t).  No arithmetic touches the narrow prod, and the narrow coef
+    only multiplies int64 values."""
+    values = np.concatenate([e, (ring.multi @ e)[::-1]])
 
     def weigh(cells):
-        t = ring.prod[cells]
-        return ring.coef[cells] * values[np.where(t >= 0, t, n - 1 - t)]
+        return ring.coef[cells] * values[ring.prod[cells]]
     return weigh
 
 
@@ -661,7 +719,9 @@ def ring_to_text(ring: FusionRing) -> str:
 
 
 def ring_from_text(text: str) -> FusionRing:
-    """Parse the `ring_to_text` form; malformed input raises BadParameter."""
+    """Parse the `ring_to_text` form; malformed input raises BadParameter, and
+    a ring whose prod and coef would exceed RING_BYTE_BUDGET raises
+    BoundExceeded before they are allocated."""
     try:
         (magic, version, n), *lines = [l.split() for l in text.splitlines() if l.strip()]
         n = int(n)

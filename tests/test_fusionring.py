@@ -151,14 +151,15 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     na, nb = len(a.basis), len(b.basis)
 
     def rows(ring):  # the row id of each cell, and the rows: basis vectors, then multi
-        n = len(ring.basis)
-        ids = np.where(ring.prod >= 0, ring.prod, n - 1 - ring.prod)
+        n, prod = len(ring.basis), ring.prod.astype(np.int64)
+        ids = np.where(prod >= 0, prod, n - 1 - prod)
         return ids, np.vstack([np.eye(n, dtype=np.int64), ring.multi])
 
     (ida, rowsa), (idb, rowsb) = rows(a), rows(b)
     width = len(rowsb)
     key = (ida[:, None, :, None] * width + idb[None, :, None, :]).reshape(na * nb, na * nb)
-    coef = (a.coef[:, None, :, None] * b.coef[None, :, None, :]).reshape(na * nb, na * nb)
+    ca, cb = a.coef.astype(np.int64), b.coef.astype(np.int64)
+    coef = (ca[:, None, :, None] * cb[None, :, None, :]).reshape(na * nb, na * nb)
     ka, kb = np.divmod(key, width)
     prod, multi = ka * nb + kb, (ka >= na) | (kb >= nb)
     keys, at = np.unique(key[multi], return_inverse=True)
@@ -391,15 +392,25 @@ def _traced_peak_mb(f) -> float:
 
 
 def test_certificates_stay_in_bounded_memory():
-    # rank 531; the ring's own prod and coef take 4.3 MB
+    # rank 531; the ring's own prod and coef take 0.85 MB
     ring = build_extension_ring(3, 23)
     assert _traced_peak_mb(lambda: verify_axioms(ring)) < 10
     assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
 
 
+def test_build_stays_in_bounded_memory():
+    # rank 531 stores prod in int16 and coef in int8, 3 bytes a cell; the
+    # build's int64 blocks hold about _BLOCK_CELLS cells each
+    assert _traced_peak_mb(lambda: build_extension_ring(3, 23)) < 2
+    ring = build_extension_ring(3, 23)
+    assert (ring.prod.dtype, ring.coef.dtype) == (np.int16, np.int8)
+    assert ring.prod.nbytes + ring.coef.nbytes == 3 * 531 ** 2
+
+
 def test_ring_byte_budget(monkeypatch):
-    # 16 bytes per cell of the rank-27 ring; rank 5043 (q = 71) stays inside
-    fits = 16 * 27 * 27
+    # the rank-27 ring stores prod and coef in int8, 2 bytes a cell; rank
+    # 5043 (q = 71) stays inside, in int16 and int8
+    fits = 2 * 27 * 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits)
     assert len(build_extension_ring(3, 5).basis) == 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits - 1)
@@ -409,6 +420,125 @@ def test_ring_byte_budget(monkeypatch):
     _require_ring_budget(3, 71)
     with pytest.raises(BoundExceeded, match="rank 38811"):
         _require_ring_budget(3, 197)
+
+
+def test_ring_from_text_refuses_an_oversized_ring(monkeypatch):
+    # a rank-2000 text with one entry would store prod in int16 and coef in
+    # int8 (12 MB); the refusal comes before any of it is allocated
+    n, size = 2000, 3 * 2000 ** 2
+    text = "\n".join([f"fusionring v1 {n}", *(f"a{i} a{i}" for i in range(n)), "0 0 0 1"])
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size - 1)
+    with pytest.raises(BoundExceeded, match=f"rank {n} needs {size} bytes"):
+        ring_from_text(text)
+    assert _traced_peak_mb(lambda: pytest.raises(BoundExceeded, ring_from_text, text)) < 2
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size)
+    with pytest.raises(BadParameter, match="no unit"):
+        ring_from_text(text)
+
+
+def test_stored_arrays_are_read_only():
+    # an in-place write into a narrow array could wrap silently
+    for ring in (build_extension_ring(3, 5), _s3_rep_ring()):
+        for attr in ("prod", "coef", "multi", "dual_index"):
+            array = getattr(ring, attr)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
+
+def _as_int64(make, monkeypatch):
+    """make() with prod and coef stored in int64, as the int64 reference."""
+    with monkeypatch.context() as m:
+        m.setattr(fusionring, "_signed", lambda lo, hi: np.dtype(np.int64))
+        ring = make()
+    assert ring.prod.dtype == ring.coef.dtype == np.int64
+    return ring
+
+
+def _fp_dims_or_refusal(ring):
+    try:
+        return fp_dims(ring)
+    except NotACharacter:
+        return "NotACharacter"
+
+
+def _square_ring(c: int) -> FusionRing:
+    """1 and X with X X = c X: associative, with the character d(X) = c for
+    c > 0, but N(X, X; unit) = 0, so duality fails."""
+    return FusionRing(["1", "X"], "1", {"1": "1", "X": "X"},
+                      {("1", "1"): {"1": 1}, ("1", "X"): {"X": 1}, ("X", "1"): {"X": 1},
+                       ("X", "X"): {"X": c}})
+
+
+def _wrapping_ring() -> FusionRing:
+    """(a b) c = 127 (z c) = 254 w but a (b c) = -(a z) = -2 w, so the ring
+    is not associative; in int8, 254 wraps to -2 and the two sides agree."""
+    basis = ["1", "a", "b", "c", "z", "w"]
+    tensor = {("1", x): {x: 1} for x in basis} | {(x, "1"): {x: 1} for x in basis}
+    tensor |= {("a", "b"): {"z": 127}, ("z", "c"): {"w": 2}, ("b", "c"): {"z": -1},
+               ("a", "z"): {"w": 2}}
+    return FusionRing(basis, "1", {x: x for x in basis}, tensor)
+
+
+def _rescaled_ring(coef_dtype) -> FusionRing:
+    """1 and a with a a = 100 (4 + 2 a): the row [4, 2] at coefficient 100,
+    passed to _from_arrays unreduced, so the gcd rescale stores the
+    coefficient 200, past int8."""
+    prod = np.array([[0, 1], [1, -1]])
+    coef = np.array([[1, 1], [1, 100]], dtype=coef_dtype)
+    return FusionRing._from_arrays(["1", "a"], 0, [0, 1], prod, coef, np.array([[4, 2]]))
+
+
+DTYPE_EDGES = {
+    "coefficient-127": (lambda: _square_ring(127), np.int8),
+    "coefficient-128": (lambda: _square_ring(128), np.int16),
+    "coefficient-max": (lambda: _square_ring(fusionring.MAX_COEF), np.int32),
+    "coefficient-min": (lambda: _square_ring(-fusionring.MAX_COEF), np.int16),
+    "light-product-wraps-int8": (_wrapping_ring, np.int8),
+    "rescale-int64": (lambda: _rescaled_ring(np.int64), np.int16),
+    "rescale-int8": (lambda: _rescaled_ring(np.int8), np.int16),
+    "orbit-127": (lambda: _scale_orbit(_s3_rep_ring(), "s", "V", "V", 127), np.int8),
+    "orbit-128": (lambda: _scale_orbit(_s3_rep_ring(), "s", "V", "V", 128), np.int16),
+}
+
+
+def _matches_int64_reference(make, monkeypatch) -> FusionRing:
+    ring, wide = make(), _as_int64(make, monkeypatch)
+    assert verify_axioms(ring) == verify_axioms(wide) == _reference_report(ring)
+    assert _fp_dims_or_refusal(ring) == _fp_dims_or_refusal(wide)
+    return ring
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_EDGES))
+def test_dtype_edges_match_int64_references(name, monkeypatch):
+    make, coef_dtype = DTYPE_EDGES[name]
+    assert _matches_int64_reference(make, monkeypatch).coef.dtype == coef_dtype
+
+
+def test_dtype_edges_give_the_expected_answers():
+    assert fp_dims(_square_ring(fusionring.MAX_COEF)) == {"1": 1, "X": fusionring.MAX_COEF}
+    assert verify_axioms(_square_ring(128)).assoc_ok
+    assert not verify_axioms(_wrapping_ring()).assoc_ok
+    ring = _rescaled_ring(np.int8)
+    assert ring.product("a", "a") == {"1": 400, "a": 200}
+
+
+def test_multi_term_row_ids_past_int8_match_int64_reference(monkeypatch):
+    # rank 126 with 42 multi-term rows stores prod in int8, but the ids
+    # n - 1 - t of the multi-term rows that fp_dims weighs reach 167
+    def make():
+        return _product_ring(_s3_rep_ring(), cyclic_group_ring(42))
+
+    ring, wide = make(), _as_int64(make, monkeypatch)
+    assert (ring.prod.dtype, len(ring.multi)) == (np.int8, 42)
+    assert verify_axioms(ring) == verify_axioms(wide) == AxiomReport(True, True, True, True)
+    assert fp_dims(ring) == fp_dims(wide)
+
+
+@pytest.mark.parametrize("cells", SMALL_BLOCKS)
+def test_mutations_in_small_blocks_match_int64_references(cells, monkeypatch):
+    monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
+    for name, kind in sorted(MUTATIONS):
+        _matches_int64_reference(lambda: MUTATIONS[(name, kind)](RINGS[name]()), monkeypatch)
 
 
 def test_generators_of_extension_ring():

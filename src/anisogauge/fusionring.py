@@ -8,20 +8,24 @@ primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
 certifies associativity and reciprocity on a generating set S certified by
 closure: Light's test on the |S| n^2 triples with a middle in S, then the
 anti-involution (x s)^* = s^* x^* on the |S| n cells (x, s).  When either
-fails, a full scan reports the first counterexample.  The ring itself is
-the only n x n storage, read-only, with prod and coef each in the smallest
-signed dtype that holds its values (prod in [-r, n - 1] for r multi-term
-rows): at most 3 bytes a cell for the extension ring while q < 128.  Every
-reader widens what it gathers to int64, or combines it only with int64
-arrays, before doing arithmetic on it; comparisons and indexing may read
-the narrow values.  The certificates (unit, duality, Light's test, the
-full scans, the character check) and the ring build walk the n x n arrays
-in `_row_blocks`, and Light's test expands each shared multi-term row once
-per block, so that no int64 temporary holds more than about _BLOCK_CELLS
-cells; the generator closure reads only the generators' rows and columns.
-A ring whose two arrays, in the dtypes it would be stored in, would exceed
-RING_BYTE_BUDGET is refused before it is built or parsed.  fp_dims iterates an integer fixed point on the n cells (i, i^*)
-before the character check; there is no floating point.  Censuses are
+fails, a full scan reports the first counterexample.  `_pack` is the one
+normaliser: the label constructor and `ring_from_text` hand it flat index
+entries (i, j, k, v), and it makes the multi-term rows primitive and
+distinct; build_extension_ring builds its arrays in that form already.  The
+ring itself is the only n x n storage, read-only, with prod and coef each
+in the smallest signed dtype that holds its values (prod in [-r, n - 1] for
+r multi-term rows): at most 3 bytes a cell for the extension ring while
+q < 128.  Every reader widens what it gathers to int64, or combines it only
+with int64 arrays, before doing arithmetic on it; comparisons and indexing
+may read the narrow values.  The certificates (unit, duality, Light's test,
+the full scans, the character check) and the ring build walk the n x n
+arrays in `_row_blocks`, and Light's test expands each shared multi-term
+row once per block, so that no int64 temporary holds more than about
+_BLOCK_CELLS cells; the generator closure reads only the generators' rows
+and columns.  A ring whose prod, coef and int64 multi, in the dtypes they
+would be stored in, would exceed RING_BYTE_BUDGET is refused before any of
+them is allocated.  fp_dims iterates an integer fixed point on the n cells
+(i, i^*) before the character check; there is no floating point.  Censuses are
 `gauging.Census` inventories (label, dimension, count) whose weighted
 square sum must reproduce the declared global dimension.  The little-group
 census and the class count act on the same codes, by one permutation:
@@ -32,7 +36,9 @@ numpy-free `gauging` module, which certifies its orbit count by argument;
 it is re-exported here.
 """
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +52,7 @@ DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
 _BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary, widened from the narrow ring
-RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod and coef, in their stored dtypes
+RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod, coef and multi, as stored
 
 
 class FusionRing:
@@ -60,30 +66,29 @@ class FusionRing:
         basis = list(basis)
         at = _label_index(basis)
         try:
-            rows = {(at[i], at[j]): {at[k]: v for k, v in row.items()}
-                    for (i, j), row in tensor.items()}
+            entries = [(at[i], at[j], at[k], v) for (i, j), row in tensor.items()
+                       for k, v in row.items()]
             dual_index = [at[dual[label]] for label in basis]
             unit_index = at[unit]
         except KeyError as err:
             raise BadParameter(f"label {err.args[0]!r} is unknown or has no dual") from None
-        self._setup(basis, unit_index, dual_index, *_pack(len(basis), rows))
+        self._setup(basis, unit_index, dual_index, *_pack(len(basis), entries))
 
     @classmethod
     def _from_arrays(cls, basis, unit: int, dual, prod, coef, multi) -> "FusionRing":
+        """A ring on arrays already in the form `_setup` requires."""
         ring = cls.__new__(cls)
         ring._setup(basis, unit, dual, prod, coef, multi)
         return ring
 
     def _setup(self, basis, unit, dual, prod, coef, multi):
-        """Store the arrays, with prod and coef narrowed to the smallest signed
-        dtypes that hold them (no copy when they already are, as from `_pack`
-        and build_extension_ring), and make them read-only, so that no
-        in-place write can wrap silently in a narrow dtype."""
+        """Store the arrays as given and make them read-only, so that no
+        in-place write can wrap silently in a narrow dtype.  They must be in
+        the form `_pack` gives: prod and coef in the dtypes of `_ring_dtypes`,
+        and the multi rows int64, primitive and distinct."""
         self.basis, self.index = basis, _label_index(basis)
         self.unit_index, self.dual_index = unit, np.asarray(dual, dtype=np.int64)
-        self.multi, coef = _primitive_rows(prod, coef, multi)
-        self.prod = prod.astype(_signed(-len(self.multi), len(basis) - 1), copy=False)
-        self.coef = coef.astype(_signed(coef.min(initial=0), coef.max(initial=0)), copy=False)
+        self.prod, self.coef, self.multi = prod, coef, multi
         for a in (self.prod, self.coef, self.multi, self.dual_index):
             a.flags.writeable = False
 
@@ -174,51 +179,41 @@ def _label_index(basis) -> dict:
     return index
 
 
-def _pack(n: int, rows: dict):
-    """prod, coef and multi arrays from {(i, j): {k: v}} on indices, each
-    multi-term row primitive with its scale in coef.  prod and coef take the
-    dtypes of `_ring_dtypes`, picked from the parsed values, so an oversized
-    ring is refused before they are allocated."""
-    cells, multi = {}, []
-    for (i, j), row in rows.items():
-        row = {k: v for k, v in row.items() if v}
-        if any(abs(v) > MAX_COEF for v in row.values()):
+def _pack(n: int, entries):
+    """prod, coef and multi from index entries (i, j, k, v), v an int: the
+    one place where a ring's arrays are normalised.  Sorted by cell (i, j)
+    and k, a repeated (i, j, k) is refused before zero entries are dropped.
+    Each cell's scale is the gcd of its |v|, signed like the entry of least
+    k, and goes to coef; a multi-term cell's row divided by it is primitive,
+    and equal rows are stored once, keyed by a dict.  prod and coef take the
+    dtypes of `_ring_dtypes`, so an oversized ring is refused before any of
+    the three arrays is allocated."""
+    flat = array("q")
+    for i, j, k, v in entries:
+        if abs(v) > MAX_COEF:  # on the int, before int64 could overflow
             raise BadParameter(f"a coefficient of N({i},{j};-) exceeds {MAX_COEF}")
-        if len(row) > 1:  # scaled by the gcd, signed so the least index is positive
-            scale = math.gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
-            multi.append({k: v // scale for k, v in row.items()})
-            row = {-len(multi): scale}
-        if row:
-            cells[i, j] = next(iter(row.items()))
-    values = [v for _, v in cells.values()]
-    prod_t, coef_t = _ring_dtypes(n, len(multi), min(values, default=0), max(values, default=0))
-    prod, coef = np.zeros((n, n), dtype=prod_t), np.zeros((n, n), dtype=coef_t)
-    if cells:
-        (i, j), (t, v) = zip(*cells), zip(*cells.values())
-        prod[i, j], coef[i, j] = t, v
-    out = np.zeros((len(multi), n), dtype=np.int64)
-    for r, row in enumerate(multi):
-        out[r, list(row)] = list(row.values())
-    return prod, coef, out
-
-
-def _primitive_rows(prod, coef, multi):
-    """Make the multi-term rows primitive and distinct, so scaled rows are equal
-    exactly when their (row, coefficient) pairs are: returns the rows and coef
-    with each multi-term cell times its row's scale, rewriting prod in place.
-    The scaled cells are computed in int64 and written into coef in place,
-    or into a copy in a dtype wide enough for them."""
-    lead = multi[np.arange(len(multi)), np.argmax(multi != 0, axis=1)]
-    scale = np.gcd.reduce(multi, axis=1) * np.sign(lead)
-    rows, target = np.unique(multi // scale[:, None], axis=0, return_inverse=True)
-    marked = np.nonzero(prod < 0)
-    old = -1 - prod[marked].astype(np.int64)
-    prod[marked] = -1 - target.reshape(-1)[old]
-    scaled = coef[marked].astype(np.int64) * scale[old]
-    wide = _signed(scaled.min(initial=0), scaled.max(initial=0))
-    coef = coef.astype(np.promote_types(coef.dtype, wide), copy=False)
-    coef[marked] = scaled
-    return rows, coef
+        flat.extend((i * n + j, k, v))
+    table = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]  # by cell, then k
+    repeat = np.flatnonzero((np.diff(table[:, :2], axis=0) == 0).all(axis=1))
+    if len(repeat):
+        (i, j), k = divmod(int(table[repeat[0], 0]), n), table[repeat[0], 1]
+        raise BadParameter(f"entry {i} {j} {k} is repeated")
+    cell, k, v = table[table[:, 2] != 0].T
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    size = np.diff(starts, append=len(cell))
+    scale = np.gcd.reduceat(np.abs(v), starts) * np.sign(v[starts])
+    w = v // np.repeat(scale, size)
+    row, rows = np.full(len(starts), -1), {}  # each cell's multi row id, or -1
+    for s in np.flatnonzero(size > 1).tolist():
+        part = slice(starts[s], starts[s] + size[s])
+        row[s] = rows.setdefault((k[part].tobytes(), w[part].tobytes()), len(rows))
+    prod_t, coef_t = _ring_dtypes(n, len(rows), scale.min(initial=0), scale.max(initial=0))
+    prod, coef = np.zeros(n * n, dtype=prod_t), np.zeros(n * n, dtype=coef_t)
+    prod[cell[starts]], coef[cell[starts]] = np.where(row < 0, k[starts], -1 - row), scale
+    multi, at = np.zeros((len(rows), n), dtype=np.int64), np.repeat(row, size)
+    multi[at[at >= 0], k[at >= 0]] = w[at >= 0]  # equal rows write equal values
+    return prod.reshape(n, n), coef.reshape(n, n), multi
 
 
 @dataclass
@@ -267,9 +262,10 @@ def _require_ring_budget(p: int, q: int):
 def _ring_dtypes(n: int, multi_rows: int, lo: int, hi: int):
     """The smallest signed dtypes of prod, which holds [-multi_rows, n - 1],
     and of coef, which holds [lo, hi]; BoundExceeded when the two n x n
-    arrays in them would take more than RING_BYTE_BUDGET bytes."""
+    arrays in them and the multi_rows x n int64 multi would take more than
+    RING_BYTE_BUDGET bytes."""
     dtypes = _signed(-multi_rows, n - 1), _signed(lo, hi)
-    size = n * n * sum(t.itemsize for t in dtypes)
+    size = n * n * sum(t.itemsize for t in dtypes) + multi_rows * n * 8
     if size > RING_BYTE_BUDGET:
         raise BoundExceeded(f"the ring of rank {n} needs {size} bytes, "
                             f"over the budget of {RING_BYTE_BUDGET}")
@@ -719,15 +715,16 @@ def ring_to_text(ring: FusionRing) -> str:
 
 
 def ring_from_text(text: str) -> FusionRing:
-    """Parse the `ring_to_text` form; malformed input raises BadParameter, and
-    a ring whose prod and coef would exceed RING_BYTE_BUDGET raises
-    BoundExceeded before they are allocated."""
+    """Parse the `ring_to_text` form in one pass over its lines; malformed
+    input raises BadParameter, and a ring whose arrays would exceed
+    RING_BYTE_BUDGET raises BoundExceeded before they are allocated."""
+    lines = filter(None, map(str.split, text.splitlines()))
     try:
-        (magic, version, n), *lines = [l.split() for l in text.splitlines() if l.strip()]
+        magic, version, n = next(lines)
         n = int(n)
-    except ValueError:
+    except (StopIteration, ValueError):
         raise BadParameter("expected a 'fusionring v1 N' header") from None
-    named, entries = lines[:n], lines[n:]
+    named = list(itertools.islice(lines, max(n, 0)))
     if (magic, version) != ("fusionring", "v1") or n < 1 or len(named) != n \
             or any(len(l) != 2 for l in named):
         raise BadParameter("expected a 'fusionring v1 N' header and N lines 'label dual'")
@@ -735,19 +732,18 @@ def ring_from_text(text: str) -> FusionRing:
     index = _label_index(basis)
     if any(d not in index for _, d in named):
         raise BadParameter("a dual label is not a basis label")
-    rows: dict = {}
-    for line in entries:
-        try:
-            i, j, k, v = map(int, line)
-        except ValueError:
-            raise BadParameter(f"entry {' '.join(line)!r} is not 'i j k v'") from None
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise BadParameter(f"entry {' '.join(line)!r} has an index outside 0..{n - 1}")
-        row = rows.setdefault((i, j), {})
-        if k in row:
-            raise BadParameter(f"entry {i} {j} {k} is repeated")
-        row[k] = v
-    prod, coef, multi = _pack(n, rows)
+
+    def entries():
+        for line in lines:
+            try:
+                i, j, k, v = map(int, line)
+            except ValueError:
+                raise BadParameter(f"entry {' '.join(line)!r} is not 'i j k v'") from None
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise BadParameter(f"entry {' '.join(line)!r} has an index outside 0..{n - 1}")
+            yield i, j, k, v
+
+    prod, coef, multi = _pack(n, entries())
     everyone = np.arange(n)
     units = np.flatnonzero(((prod == everyone) & (coef == 1)).all(axis=1)
                            & ((prod.T == everyone) & (coef.T == 1)).all(axis=1))

@@ -79,7 +79,8 @@ def _cap_address_space():
 
 
 def test_verify_refuses_a_ring_over_its_byte_budget():
-    # rank 38811 would store prod in int32 and coef in int16, 9 GB in all;
+    # rank 38811 would store prod in int32 and coef in int16, plus one int64
+    # multi row, 9 GB in all;
     # the refusal comes before they are allocated, and the child runs in a
     # 512 MB address space, so a regression fails with a traceback instead
     # of allocating
@@ -89,7 +90,7 @@ def test_verify_refuses_a_ring_over_its_byte_budget():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         preexec_fn=_cap_address_space)
     assert done.returncode == 3 and done.stdout == ""
-    assert done.stderr == ("error: the ring of rank 38811 needs 9037762326 bytes, "
+    assert done.stderr == ("error: the ring of rank 38811 needs 9038072814 bytes, "
                            f"over the budget of {fusionring.RING_BYTE_BUDGET}\n")
 
 

@@ -147,7 +147,9 @@ def _tambara_yamagami_ring() -> FusionRing:
 
 def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """The product ring A (x) B on the labels (x, y), x in A and y in B, with
-    N((x,y),(x',y');(z,z')) = N_A(x,x';z) N_B(y,y';z'), built on the arrays."""
+    N((x,y),(x',y');(z,z')) = N_A(x,x';z) N_B(y,y';z'), built on the arrays:
+    the outer products of primitive rows are primitive and distinct, and prod
+    and coef are narrowed to the dtypes of `_ring_dtypes`."""
     na, nb = len(a.basis), len(b.basis)
 
     def rows(ring):  # the row id of each cell, and the rows: basis vectors, then multi
@@ -165,10 +167,12 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     keys, at = np.unique(key[multi], return_inverse=True)
     prod[multi] = -1 - at.reshape(-1)
     outer = rowsa[keys // width, :, None] * rowsb[keys % width, None, :]
+    prod_t, coef_t = fusionring._ring_dtypes(na * nb, len(keys), coef.min(), coef.max())
     return FusionRing._from_arrays([(x, y) for x in a.basis for y in b.basis],
                                    a.unit_index * nb + b.unit_index,
                                    (a.dual_index[:, None] * nb + b.dual_index).reshape(-1),
-                                   prod, coef, outer.reshape(len(keys), -1))
+                                   prod.astype(prod_t), coef.astype(coef_t),
+                                   outer.reshape(len(keys), -1))
 
 
 def _reference_report(ring: FusionRing) -> AxiomReport:
@@ -408,9 +412,9 @@ def test_build_stays_in_bounded_memory():
 
 
 def test_ring_byte_budget(monkeypatch):
-    # the rank-27 ring stores prod and coef in int8, 2 bytes a cell; rank
-    # 5043 (q = 71) stays inside, in int16 and int8
-    fits = 2 * 27 * 27
+    # the rank-27 ring stores prod and coef in int8, 2 bytes a cell, and its
+    # one int64 multi row; rank 5043 (q = 71) stays inside, in int16 and int8
+    fits = 2 * 27 * 27 + 8 * 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits)
     assert len(build_extension_ring(3, 5).basis) == 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits - 1)
@@ -434,6 +438,44 @@ def test_ring_from_text_refuses_an_oversized_ring(monkeypatch):
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size)
     with pytest.raises(BadParameter, match="no unit"):
         ring_from_text(text)
+
+
+def test_ring_from_text_counts_multi_rows_in_the_budget(monkeypatch):
+    # rank 1000 with 999 distinct two-term cells N(i, i) = 1 + 2 i: int16
+    # prod, int8 coef and 999 int64 multi rows, from a 31 KB text
+    n = 1000
+    size = 3 * n * n + 8 * (n - 1) * n
+    text = "\n".join([f"fusionring v1 {n}", *(f"a{i} a{i}" for i in range(n)),
+                      *(f"0 {j} {j} 1" for j in range(n)), *(f"{i} 0 {i} 1" for i in range(1, n)),
+                      *(f"{i} {i} {k} {v}" for i in range(1, n) for k, v in ((0, 1), (i, 2)))])
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size - 1)
+    with pytest.raises(BoundExceeded, match=f"rank {n} needs {size} bytes"):
+        ring_from_text(text)
+    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size)
+    ring = ring_from_text(text)
+    assert len(ring.multi) == n - 1
+    assert ring.prod.nbytes + ring.coef.nbytes + ring.multi.nbytes == size
+
+
+def test_ring_from_text_in_bounded_memory():
+    # rank 123; the parse holds flat int64 entries, not a dict per cell
+    text = ring_to_text(build_extension_ring(3, 11))
+    assert _traced_peak_mb(lambda: ring_from_text(text)) < 5
+
+
+def test_pack_stores_each_primitive_row_once():
+    # the cells 2 + 4 b and 1 + 2 b share the primitive row [1, 2]
+    ring = FusionRing(["a", "b"], "a", {"a": "a", "b": "b"},
+                      {("a", "a"): {"a": 2, "b": 4}, ("a", "b"): {"a": 1, "b": 2}})
+    assert ring.multi.tolist() == [[1, 2]]
+    assert ring.prod[0].tolist() == [-1, -1] and ring.coef[0].tolist() == [2, 1]
+    assert ring.product("a", "a") == {"a": 2, "b": 4}
+
+
+@pytest.mark.parametrize("value", [fusionring.MAX_COEF + 1, 10 ** 20])
+def test_label_constructor_refuses_a_coefficient_past_max(value):
+    with pytest.raises(BadParameter, match=r"N\(0,0;-\) exceeds"):
+        FusionRing(["1"], "1", {"1": "1"}, {("1", "1"): {"1": value}})
 
 
 def test_stored_arrays_are_read_only():
@@ -479,13 +521,12 @@ def _wrapping_ring() -> FusionRing:
     return FusionRing(basis, "1", {x: x for x in basis}, tensor)
 
 
-def _rescaled_ring(coef_dtype) -> FusionRing:
-    """1 and a with a a = 100 (4 + 2 a): the row [4, 2] at coefficient 100,
-    passed to _from_arrays unreduced, so the gcd rescale stores the
-    coefficient 200, past int8."""
-    prod = np.array([[0, 1], [1, -1]])
-    coef = np.array([[1, 1], [1, 100]], dtype=coef_dtype)
-    return FusionRing._from_arrays(["1", "a"], 0, [0, 1], prod, coef, np.array([[4, 2]]))
+def _rescaled_ring() -> FusionRing:
+    """1 and a with a a = 400 + 200 a: the primitive row [2, 1] at the
+    scale 200, past int8."""
+    return FusionRing(["1", "a"], "1", {"1": "1", "a": "a"},
+                      {("1", "1"): {"1": 1}, ("1", "a"): {"a": 1}, ("a", "1"): {"a": 1},
+                       ("a", "a"): {"1": 400, "a": 200}})
 
 
 DTYPE_EDGES = {
@@ -494,8 +535,7 @@ DTYPE_EDGES = {
     "coefficient-max": (lambda: _square_ring(fusionring.MAX_COEF), np.int32),
     "coefficient-min": (lambda: _square_ring(-fusionring.MAX_COEF), np.int16),
     "light-product-wraps-int8": (_wrapping_ring, np.int8),
-    "rescale-int64": (lambda: _rescaled_ring(np.int64), np.int16),
-    "rescale-int8": (lambda: _rescaled_ring(np.int8), np.int16),
+    "rescale": (_rescaled_ring, np.int16),
     "orbit-127": (lambda: _scale_orbit(_s3_rep_ring(), "s", "V", "V", 127), np.int8),
     "orbit-128": (lambda: _scale_orbit(_s3_rep_ring(), "s", "V", "V", 128), np.int16),
 }
@@ -518,8 +558,9 @@ def test_dtype_edges_give_the_expected_answers():
     assert fp_dims(_square_ring(fusionring.MAX_COEF)) == {"1": 1, "X": fusionring.MAX_COEF}
     assert verify_axioms(_square_ring(128)).assoc_ok
     assert not verify_axioms(_wrapping_ring()).assoc_ok
-    ring = _rescaled_ring(np.int8)
+    ring = _rescaled_ring()
     assert ring.product("a", "a") == {"1": 400, "a": 200}
+    assert (ring.multi.tolist(), ring.coef[1, 1]) == ([[2, 1]], 200)
 
 
 def test_multi_term_row_ids_past_int8_match_int64_reference(monkeypatch):
@@ -847,13 +888,17 @@ def test_drinfeld_double_rank_against_orbit_oracle():
 
 
 def test_serialization_round_trip():
-    for ring in (build_extension_ring(3, 5), cyclic_group_ring(6)):
+    for ring, rows in ((build_extension_ring(3, 5), 1), (cyclic_group_ring(6), 0)):
         text = ring_to_text(ring)
         back = ring_from_text(text)
+        assert len(back.multi) == rows
         assert back.basis == ring.basis
         assert back.unit == ring.unit
         assert back.dual == ring.dual
         assert back.tensor == ring.tensor
+        for attr in ("prod", "coef", "multi"):
+            assert getattr(back, attr).dtype == getattr(ring, attr).dtype
+            assert np.array_equal(getattr(back, attr), getattr(ring, attr))
         assert ring_to_text(back) == text  # deterministic
 
 
@@ -880,6 +925,7 @@ def test_serialization_header():
         "fusionring v1 1\ne f\n0 0 0 1\n",
         "fusionring v1 2\ne e\ne e\n0 0 0 1\n",
         "fusionring v1 1\ne e\n0 0 0 99999999999999999999\n",
+        "fusionring v1 1\ne e\n0 0 0 0\n0 0 0 1\n",
         "fusionring v1 1\ne e\n0 0 0 2\n",
         "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 0 5\n",
     ],

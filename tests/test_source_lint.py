@@ -52,3 +52,13 @@ def test_no_floating_point_in_package():
         if name in FLOATING
     ]
     assert found == []
+
+
+def test_no_line_in_package_longer_than_100_characters():
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert found == []

@@ -46,7 +46,6 @@ _EXPORTS = {
         "metric_group_of",
     ),
     "orthogroup": (
-        "AnisoOrthMap",
         "Mat2",
         "SplitOrthMap",
         "dihedral_generators",

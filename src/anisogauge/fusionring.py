@@ -544,11 +544,11 @@ def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
 
 
 def _matrix_of_c(p: int, q: int) -> Mat2:
-    """The matrix M of v -> c*v in the basis (1, theta), for the order-p
-    norm-one c of `pick_order_p`."""
+    """The rotation matrix of v -> c*v in the basis (1, theta), for the
+    order-p norm-one c of `pick_order_p`."""
     _require_pair(p, q)
     ctx = make_field(q)
-    return rotation(ctx, pick_order_p(ctx, p)).matrix()
+    return rotation(ctx, pick_order_p(ctx, p))
 
 
 def _code_permutation(m: Mat2) -> np.ndarray:
@@ -744,10 +744,13 @@ def ring_from_text(text: str) -> FusionRing:
             yield i, j, k, v
 
     prod, coef, multi = _pack(n, entries())
+    # the least u whose row and column are x -> x with coefficient 1: left-unit
+    # candidates are found in _row_blocks, then each candidate's column is checked
     everyone = np.arange(n)
-    units = np.flatnonzero(((prod == everyone) & (coef == 1)).all(axis=1)
-                           & ((prod.T == everyone) & (coef.T == 1)).all(axis=1))
-    if not len(units):
+    left = (u for rows in _row_blocks(n, n) for u in rows.start + np.flatnonzero(
+        ((prod[rows] == everyone) & (coef[rows] == 1)).all(axis=1)))
+    unit = next((u for u in left if ((prod[:, u] == everyone) & (coef[:, u] == 1)).all()), None)
+    if unit is None:
         raise BadParameter("no unit found in serialized ring")
-    return FusionRing._from_arrays(basis, int(units[0]), [index[d] for _, d in named],
+    return FusionRing._from_arrays(basis, int(unit), [index[d] for _, d in named],
                                    prod, coef, multi)

@@ -134,7 +134,7 @@ def non_group_theoretical_suite(p: int, q: int) -> list[tuple[str, bool, str]]:
     rho = rotation(ctx, c)
     entries = []
 
-    mu1, mu2 = eigenvalues_2x2(rho.matrix(), ctx)
+    mu1, mu2 = eigenvalues_2x2(rho, ctx)
     ok_a = {mu1, mu2} == {c, c.inverse()} and frobenius(mu1) == mu2
     entries.append(("eigenvalues-swap", ok_a, f"mu = {mu1!r}, {mu2!r}"))
 

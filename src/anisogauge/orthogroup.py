@@ -1,11 +1,10 @@
 """Orthogonal groups of the 2-dimensional spaces and the split embedding.
 
-The anisotropic orthogonal group is stored structurally: every element is
-(c, reflect) acting by v -> c * sigma^reflect(v) with norm(c) = 1, which
-turns the dihedral check into a presentation check.  Hyperbolic isometries
-are kept as raw 2x2 matrices.  Enumeration solves for the two columns of
-each isometry from the level sets of the form (complete by polarization),
-cross-checked against the structured set.
+Every plane isometry is a `Mat2` in the canonical basis, (1, theta) on the
+anisotropic plane.  Enumeration solves for the two columns of each isometry
+from the level sets of the form (complete by polarization), cross-checks the
+solved set against the structured rotations and reflections of each plane,
+and certifies the dihedral presentation.
 """
 
 import itertools
@@ -85,54 +84,19 @@ class Mat2:
         return f"Mat2({self.q}; {self.a},{self.b};{self.c},{self.d})"
 
 
-class AnisoOrthMap:
-    """An isometry of the anisotropic plane: v -> c * sigma^reflect(v)."""
-
-    __slots__ = ("ctx", "c", "reflect")
-
-    def __init__(self, ctx: FieldCtx, c: ExtElement, reflect: bool):
-        if norm(c) != 1:
-            raise NotNormOne(f"norm({c!r}) != 1")
-        self.ctx = ctx
-        self.c = c
-        self.reflect = bool(reflect)
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx) -> "AnisoOrthMap":
-        return cls(ctx, ctx.one, False)
-
-    def __call__(self, v: ExtElement) -> ExtElement:
-        return self.c * (frobenius(v) if self.reflect else v)
-
-    def __mul__(self, other: "AnisoOrthMap") -> "AnisoOrthMap":
-        # (c, s)(c', s') = (c * sigma^s(c'), s xor s')
-        oc = frobenius(other.c) if self.reflect else other.c
-        return AnisoOrthMap(self.ctx, self.c * oc, self.reflect ^ other.reflect)
-
-    def matrix(self) -> Mat2:
-        """Matrix in the basis (1, theta)."""
-        col1 = self(self.ctx.one)
-        col2 = self(self.ctx.theta)
-        return Mat2(self.ctx.q, col1.a0, col2.a0, col1.a1, col2.a1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AnisoOrthMap)
-            and self.c == other.c
-            and self.reflect == other.reflect
-        )
-
-    def __hash__(self):
-        return hash((self.c, self.reflect))
-
-    def __repr__(self):
-        tag = "*sigma" if self.reflect else ""
-        return f"AnisoOrthMap({self.c!r}{tag})"
+def _matrix_of_map(ctx: FieldCtx, f) -> Mat2:
+    """The matrix in the basis (1, theta) of the F_q-linear map f of the extension:
+    its columns are the coordinates of f(1) and f(theta)."""
+    col1, col2 = f(ctx.one), f(ctx.theta)
+    return Mat2(ctx.q, col1.a0, col2.a0, col1.a1, col2.a1)
 
 
-def rotation(ctx: FieldCtx, c: ExtElement) -> AnisoOrthMap:
-    """The rotation v -> c*v for a norm-one c."""
-    return AnisoOrthMap(ctx, c, False)
+def rotation(ctx: FieldCtx, c: ExtElement) -> Mat2:
+    """The matrix of the rotation v -> c*v in the basis (1, theta), for a
+    norm-one c; NotNormOne otherwise."""
+    if norm(c) != 1:
+        raise NotNormOne(f"norm({c!r}) != 1")
+    return _matrix_of_map(ctx, lambda v: c * v)
 
 
 class SplitOrthMap:
@@ -190,8 +154,8 @@ class SplitOrthMap:
         return f"SplitOrthMap(q={self.q}, blocks={blocks})"
 
 
-def split_embedding(space: QuadSpace, g) -> SplitOrthMap:
-    """Embed a 2-dim isometry g into the split orthogonal group.
+def split_embedding(space: QuadSpace, g: Mat2) -> SplitOrthMap:
+    """Embed a plane isometry g, a canonical-basis matrix, in the split orthogonal group.
 
     Blocks (with h = 1/2): alpha = h(I + g), beta = gamma = h(I - g),
     delta = h(I + g), written in the canonical basis and its hat-dual.
@@ -203,19 +167,18 @@ def split_embedding(space: QuadSpace, g) -> SplitOrthMap:
     q = ctx.q
     if q == 2:
         raise EvenCharacteristic("split embedding needs odd characteristic")
-    mg = g.matrix() if isinstance(g, AnisoOrthMap) else g
     ident = Mat2.identity(q)
     half = pow(2, -1, q)
-    plus = (ident + mg).scale(half)
-    minus = (ident - mg).scale(half)
+    plus = (ident + g).scale(half)
+    minus = (ident - g).scale(half)
     (g11, g12), (g21, g22) = gram_matrix(space)
     gram = Mat2(q, g11, g12, g21, g22)
-    m = SplitOrthMap(ctx, plus, minus, minus, plus, gram, source=mg)
+    m = SplitOrthMap(ctx, plus, minus, minus, plus, gram, source=g)
 
     for x0, x1 in ((1, 0), (0, 1)):
         if m.apply_coords((x0, x1, x0, x1)) != (x0, x1, x0, x1):
             raise ArithmeticError("embedding does not fix the diagonal")
-        gx = mg((x0, x1))
+        gx = g((x0, x1))
         flipped = m.apply_coords((x0, x1, -x0 % q, -x1 % q))
         if flipped != (gx[0], gx[1], -gx[0] % q, -gx[1] % q):
             raise ArithmeticError("embedding wrong on the antidiagonal")
@@ -241,46 +204,39 @@ def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))
 
 
-def enumerate_orth(space: QuadSpace):
-    """All form-preserving invertible linear maps of a 2-dimensional space.
+def enumerate_orth(space: QuadSpace) -> list[Mat2]:
+    """All form-preserving invertible linear maps of a plane, as canonical-basis matrices.
 
-    Anisotropic: returns the 2(q+1) structured maps, after checking that
-    the solved isometry set is exactly the rotations and reflections by
-    norm-one elements.  Hyperbolic: returns the 2(q-1) matrices and checks
-    that the solved set is exactly diag(a, 1/a) and antidiag(1/a; a).  The
-    dihedral presentation is certified in both cases.
+    Anisotropic: the q+1 rotations v -> c*v by norm-one c, then each rotation
+    times the matrix of Frobenius.  Hyperbolic: the q-1 maps diag(a, 1/a),
+    then the q-1 maps antidiag(1/a; a).  In both cases the structured set
+    must equal the set solved from the level sets of the form, and the
+    dihedral presentation is certified.
     """
     ctx = space.ctx
     q = ctx.q
     found = _solve_form_preserving(space)
     if space.kind == ANISOTROPIC:
-        maps = [AnisoOrthMap(ctx, c, False) for c in ker_norm(ctx)]
-        maps += [AnisoOrthMap(ctx, c, True) for c in ker_norm(ctx)]
-        structured = {m.matrix().entries() for m in maps}
-        if structured != found:
-            raise ArithmeticError("anisotropic orthogonal group: solved set != structured set")
-        dihedral_generators(maps, AnisoOrthMap.identity(ctx))
-        return maps
-    # hyperbolic: diag(a, a^-1) rotations and antidiag(a^-1; a) reflections
-    expected = set()
-    for a in range(1, q):
-        ainv = pow(a, -1, q)
-        expected.add((a, 0, 0, ainv))
-        expected.add((0, ainv, a, 0))
-    if expected != found:
-        raise ArithmeticError("hyperbolic orthogonal group: solved set != structured set")
-    mats = [Mat2(q, a, 0, 0, pow(a, -1, q)) for a in range(1, q)]
-    mats += [Mat2(q, 0, pow(a, -1, q), a, 0) for a in range(1, q)]
-    dihedral_generators(mats, Mat2.identity(q))
-    return mats
+        rotations = [rotation(ctx, c) for c in ker_norm(ctx)]
+        sigma = _matrix_of_map(ctx, frobenius)
+        maps = rotations + [r * sigma for r in rotations]
+    else:
+        inverses = [(a, pow(a, -1, q)) for a in range(1, q)]
+        maps = [Mat2(q, a, 0, 0, ainv) for a, ainv in inverses]
+        maps += [Mat2(q, 0, ainv, a, 0) for a, ainv in inverses]
+    if {m.entries() for m in maps} != found:
+        raise ArithmeticError(f"{space.kind} orthogonal group: solved set != structured set")
+    dihedral_generators(maps)
+    return maps
 
 
-def dihedral_generators(maps, identity):
+def dihedral_generators(maps: list[Mat2]) -> tuple[Mat2, Mat2]:
     """Exhibit (r, s) with r^n = s^2 = 1, s r s = r^-1, n = |maps| / 2.
 
     Also checks that the 2n products r^i s^j exhaust the group.  Raises if
-    the collection is not dihedral of order 2n.
+    the collection of matrices is not dihedral of order 2n.
     """
+    identity = Mat2.identity(maps[0].q)
     n = len(maps) // 2
     r = None
     for m in maps:

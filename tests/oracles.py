@@ -7,7 +7,7 @@ package objects (orders, block products, coordinates) kept out of `src/`.
 
 import numpy as np
 
-from anisogauge import AnisoOrthMap, ExtElement, FusionRing, SplitOrthMap
+from anisogauge import ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius
 from anisogauge.fusionring import _code_permutation, _matrix_of_c
 
 
@@ -41,12 +41,18 @@ def semidirect_group_table(p: int, q: int) -> np.ndarray:
     return table
 
 
-def order(m: AnisoOrthMap) -> int:
+def order(m: Mat2) -> int:
     """The least n >= 1 with m^n = 1."""
-    acc, n, identity = m, 1, AnisoOrthMap.identity(m.ctx)
+    acc, n, identity = m, 1, Mat2.identity(m.q)
     while acc != identity:
         acc, n = acc * m, n + 1
     return n
+
+
+def frobenius_matrix(ctx: FieldCtx) -> Mat2:
+    """The Galois reflection: the matrix of frobenius in the basis (1, theta)."""
+    f1, ft = frobenius(ctx.one), frobenius(ctx.theta)
+    return Mat2(ctx.q, f1.a0, ft.a0, f1.a1, ft.a1)
 
 
 def blocks(m: SplitOrthMap) -> tuple:

@@ -463,6 +463,16 @@ def test_ring_from_text_in_bounded_memory():
     assert _traced_peak_mb(lambda: ring_from_text(text)) < 5
 
 
+def test_ring_from_text_finds_the_unit_in_bounded_memory():
+    # rank 2000 with only the unit's row and column: int16 prod and int8 coef
+    # take 11.4 MB, and the unit search adds no n x n temporary
+    n = 2000
+    text = "\n".join([f"fusionring v1 {n}", *(f"a{i} a{i}" for i in range(n)),
+                      *(f"0 {j} {j} 1" for j in range(n)), *(f"{i} 0 {i} 1" for i in range(1, n))])
+    assert _traced_peak_mb(lambda: ring_from_text(text)) < 13.5
+    assert ring_from_text(text).unit_index == 0
+
+
 def test_pack_stores_each_primitive_row_once():
     # the cells 2 + 4 b and 1 + 2 b share the primitive row [1, 2]
     ring = FusionRing(["a", "b"], "a", {"a": "a", "b": "b"},
@@ -928,6 +938,8 @@ def test_serialization_header():
         "fusionring v1 1\ne e\n0 0 0 0\n0 0 0 1\n",
         "fusionring v1 1\ne e\n0 0 0 2\n",
         "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 0 5\n",
+        "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n",
+        "fusionring v1 2\na a\nb b\n0 0 0 1\n1 0 1 1\n",
     ],
 )
 def test_ring_from_text_rejects_malformed(text):

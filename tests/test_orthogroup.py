@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anisogauge import (
-    AnisoOrthMap,
     AnisotropicSpace,
     EvenCharacteristic,
     Mat2,
@@ -19,7 +18,7 @@ from anisogauge import (
     split_embedding,
 )
 from anisogauge.orthogroup import _solve_form_preserving
-from oracles import blocks, compose, coords, order
+from oracles import blocks, compose, coords, frobenius_matrix, order
 
 
 @pytest.mark.parametrize("q,count", [(2, 6), (3, 8), (5, 12), (7, 16)])
@@ -34,11 +33,13 @@ def test_hyperbolic_orthogonal_order(q, count):
     assert len(maps) == count == 2 * (q - 1)
 
 
-def test_anisotropic_group_is_rotations_and_reflections():
-    ctx = make_field(5)
+@pytest.mark.parametrize("q", [2, 5, 7])
+def test_anisotropic_group_is_rotations_and_reflections(q):
+    ctx = make_field(q)
     maps = set(enumerate_orth(build_anisotropic(ctx)))
+    sigma = frobenius_matrix(ctx)  # over F_2, theta -> theta + 1 is not diag(1, -1)
+    assert sigma == (Mat2(2, 1, 1, 0, 1) if q == 2 else Mat2(q, 1, 0, 0, -1))
     expected = {rotation(ctx, c) for c in ker_norm(ctx)}
-    sigma = AnisoOrthMap(ctx, ctx.one, True)  # the Galois reflection
     expected |= {rotation(ctx, c) * sigma for c in ker_norm(ctx)}
     assert maps == expected
 
@@ -47,11 +48,11 @@ def test_anisotropic_group_is_rotations_and_reflections():
 def test_dihedral_presentation(q):
     ctx = make_field(q)
     maps = enumerate_orth(build_anisotropic(ctx))
-    r, s = dihedral_generators(maps, AnisoOrthMap.identity(ctx))
+    r, s = dihedral_generators(maps)
     assert order(r) == q + 1
-    assert (s * s) == AnisoOrthMap.identity(ctx)
+    assert (s * s) == Mat2.identity(q)
     hmaps = enumerate_orth(build_hyperbolic(ctx))
-    dihedral_generators(hmaps, Mat2.identity(q))
+    dihedral_generators(hmaps)
 
 
 def test_q2_group_is_symmetric_group_on_three_letters():
@@ -64,7 +65,7 @@ def test_q2_group_is_symmetric_group_on_three_letters():
 
 def test_rotation_examples():
     ctx = make_field(2)
-    assert rotation(ctx, ctx.one) == AnisoOrthMap.identity(ctx)
+    assert rotation(ctx, ctx.one) == Mat2.identity(2)
     assert order(rotation(ctx, ctx.theta)) == 3
     ctx5 = make_field(5)
     c = pick_order_p(ctx5, 3)
@@ -86,7 +87,7 @@ def test_rotation_multiplicative_injective():
 def test_split_embedding_identity():
     ctx = make_field(5)
     aniso = build_anisotropic(ctx)
-    m = split_embedding(aniso, AnisoOrthMap.identity(ctx))
+    m = split_embedding(aniso, Mat2.identity(5))
     ident, zero = Mat2.identity(5), Mat2(5, 0, 0, 0, 0)
     assert blocks(m) == (ident, zero, zero, ident)
 
@@ -103,8 +104,8 @@ def test_split_embedding_fixes_diagonal_everywhere():
     ctx = make_field(7)
     aniso = build_anisotropic(ctx)
     for c in ker_norm(ctx):
-        m = split_embedding(aniso, rotation(ctx, c))
-        mg = rotation(ctx, c).matrix()
+        mg = rotation(ctx, c)
+        m = split_embedding(aniso, mg)
         for x0 in range(7):
             for x1 in range(7):
                 assert m.apply_coords((x0, x1, x0, x1)) == (x0, x1, x0, x1)
@@ -135,7 +136,7 @@ def test_unique_cyclic_subgroup_of_odd_order(p, q):
     for m in maps:
         if order(m) == p:
             sub = set()
-            acc = AnisoOrthMap.identity(ctx)
+            acc = Mat2.identity(q)
             for _ in range(p):
                 sub.add(acc)
                 acc = acc * m
@@ -150,12 +151,12 @@ def test_split_embedding_even_characteristic():
     ctx = make_field(2)
     aniso = build_anisotropic(ctx)
     with pytest.raises(EvenCharacteristic):
-        split_embedding(aniso, AnisoOrthMap.identity(ctx))
+        split_embedding(aniso, Mat2.identity(2))
 
 
 def test_split_map_rejects_a_non_isometry():
     ctx = make_field(5)
-    gram = split_embedding(build_anisotropic(ctx), AnisoOrthMap.identity(ctx)).gram
+    gram = split_embedding(build_anisotropic(ctx), Mat2.identity(5)).gram
     ident, zero = Mat2.identity(5), Mat2(5, 0, 0, 0, 0)
     with pytest.raises(ArithmeticError, match="does not preserve the split form"):
         SplitOrthMap(ctx, ident.scale(2), zero, zero, ident, gram)
@@ -168,13 +169,17 @@ def test_split_map_rejects_a_non_isometry():
 
 
 def test_composition_law():
-    ctx = make_field(5)
-    maps = enumerate_orth(build_anisotropic(ctx))
-    for a in maps:
-        for b in maps:
-            prod = a * b
-            for v in list(ctx.elements())[:6]:
-                assert prod(v) == a(b(v))
+    # rotation(ctx, c) acts on coordinates as v -> c*v, and matrix products compose
+    for q in (5, 7):
+        ctx = make_field(q)
+        for c in ker_norm(ctx):
+            for v in ctx.elements():
+                assert rotation(ctx, c)(coords(v)) == coords(c * v)
+        maps = enumerate_orth(build_anisotropic(ctx))
+        for a in maps:
+            for b in maps:
+                for v in ctx.elements():
+                    assert (a * b)(coords(v)) == a(b(coords(v)))
 
 
 def _scan_form_preserving(space):

@@ -5,7 +5,6 @@ import pytest
 from test_orthogroup import _MutatedPlane
 
 from anisogauge import (
-    AnisoOrthMap,
     EvenCharacteristic,
     HyperbolicSpace,
     Mat2,
@@ -190,7 +189,7 @@ def _split_identity(q):
     """The anisotropic plane and the identity map of its split space."""
     ctx = make_field(q)
     base = build_anisotropic(ctx)
-    return base, split_embedding(base, AnisoOrthMap.identity(ctx))
+    return base, split_embedding(base, Mat2.identity(q))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])

@@ -18,22 +18,26 @@ r multi-term rows): at most 3 bytes a cell for the extension ring while
 q < 128.  Every reader widens what it gathers to int64, or combines it only
 with int64 arrays, before doing arithmetic on it; comparisons and indexing
 may read the narrow values.  The certificates (unit, duality, Light's test,
-the full scans, the character check) and the ring build walk the n x n
-arrays in `_row_blocks`, and Light's test expands each shared multi-term
-row once per block, so that no int64 temporary holds more than about
+the full scans, the character check) walk the n x n arrays in
+`_row_blocks`, so that no int64 temporary holds more than about
 _BLOCK_CELLS cells; the generator closure reads only the generators' rows
-and columns.  A ring whose prod, coef and int64 multi, in the dtypes they
-would be stored in, would exceed RING_BYTE_BUDGET is refused before any of
-them is allocated.  fp_dims iterates an integer fixed point on the n cells
-(i, i^*) before the character check; there is no floating point.  Censuses are
-`gauging.Census` inventories (label, dimension, count) whose weighted
-square sum must reproduce the declared global dimension.  The little-group
-census and the class count act on the same codes, by one permutation:
-v -> c*v for the order-p norm-one c, whose free orbits `_free_orbits`
-walks.  The class count conjugates by every group element from the group
-law, with no (p q^2)^2 table.  The equivariantization census lives in the
-numpy-free `gauging` module, which certifies its orbit count by argument;
-it is re-exported here.
+and columns.  Light's test compares single-term sides cell to cell and
+handles each multi-term x s (or s y) once over all y (or all x): one
+gathered grid over its support, summed by np.add.at on flat indices, less
+the other side, one cell a pair, so a multi-term middle costs a few
+single-term ones.  The extension ring is built in its narrow dtypes from
+the addition table of Z/q.  A ring whose prod, coef and int64 multi, in the
+dtypes they would be stored in, would exceed RING_BYTE_BUDGET is refused
+before any of them is allocated.  fp_dims iterates an integer fixed point
+on the n cells (i, i^*) before the character check; there is no floating
+point.  Censuses are `gauging.Census` inventories (label, dimension, count)
+whose weighted square sum must reproduce the declared global dimension.
+The little-group census and the class count act on the same codes, by one
+permutation: v -> c*v for the order-p norm-one c, whose free orbits
+`_free_orbits` walks.  The class count conjugates by every group element
+from the group law, with no (p q^2)^2 table.  The equivariantization census
+lives in the numpy-free `gauging` module, which certifies its orbit count
+by argument; it is re-exported here.
 """
 
 import itertools
@@ -110,7 +114,8 @@ class FusionRing:
 
     def product(self, i: str, j: str) -> dict:
         i, j = self.index[i], self.index[j]
-        row = _dense(self, 1, np.zeros(1, int), self.prod[i, j, None], self.coef[i, j, None])[0]
+        row = _cell_rows(self, np.empty(len(self.basis), dtype=np.int64), self.prod[i, j, None],
+                         self.coef[i, j, None])[0]
         return {self.basis[k]: int(row[k]) for k in np.flatnonzero(row)}
 
     def _entries(self):
@@ -236,13 +241,14 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     _require_pair(p, q)
     prod_t, coef_t = _require_ring_budget(p, q)
     q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
-    a0, a1 = np.divmod(np.arange(q2, dtype=np.int64), q)
-    xs = q2 + deg - 1
+    xs, a, neg = q2 + deg - 1, np.arange(q), -np.arange(q) % q
     basis = [f"g{t // q}_{t % q}" for t in range(q2)] + [f"X{i}" for i in range(1, p)]
-    dual = np.concatenate([(-a0 % q) * q + (-a1 % q), xs[::-1]])
+    dual = np.concatenate([(neg[:, None] * q + neg).ravel(), xs[::-1]])
     prod, coef = np.empty((n, n), dtype=prod_t), np.ones((n, n), dtype=coef_t)
-    for rows in _row_blocks(q2, q2):  # int64 blocks, narrowed as they are stored
-        prod[rows, :q2] = ((a0[rows, None] + a0) % q) * q + (a1[rows, None] + a1) % q
+    # prod[a0 q + a1, b0 q + b1] = add[a0, b0] q + add[a1, b1] for the addition
+    # table of Z/q, written in the narrow dtype through a (q, q, q, q) view
+    add = ((a[:, None] + a) % q).astype(prod_t)
+    np.add(add[:, None, :, None] * q, add[None, :, None, :], out=prod[:q2, :q2].reshape(q, q, q, q))
     prod[:q2, q2:], prod[q2:, :q2] = xs, xs[:, None]
     total = (deg[:, None] + deg) % p
     prod[q2:, q2:] = np.where(total == 0, -1, q2 + total - 1)
@@ -272,76 +278,106 @@ def _ring_dtypes(n: int, multi_rows: int, lo: int, hi: int):
     return dtypes
 
 
-def _terms(ring: FusionRing, t, c):
-    """The scaled rows c[r] * (row t[r]) as basis terms (r, m, w), for t and c
-    already widened to int64."""
-    single, multi = np.flatnonzero(t >= 0), np.flatnonzero(t < 0)
-    rows = ring.multi[-1 - t[multi]] * c[multi, None]
-    mr, m = np.nonzero(rows)
-    return (np.concatenate([single, multi[mr]]), np.concatenate([t[single], m]),
-            np.concatenate([c[single], rows[mr, m]]))
+def _scratch(buf: np.ndarray, shape) -> np.ndarray:
+    """The first cells of the flat buffer buf, as an array of the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
-def _dense(ring: FusionRing, k: int, r, t, c) -> np.ndarray:
-    """The (k, n) sums over s of c[s] * (row t[s]) placed in row r[s]; t and c
-    may be narrow gathers, widened here."""
-    n = len(ring.basis)
-    t, c = np.asarray(t, dtype=np.int64), np.asarray(c, dtype=np.int64)
-    out = np.zeros((k, n), dtype=np.int64)
-    single, multi = t >= 0, np.flatnonzero(t < 0)
-    # flat indices take numpy's fast path for ufunc.at
-    np.add.at(out.reshape(-1), r[single] * n + t[single], c[single])
-    for chunk in _row_blocks(len(multi), n):
-        m = multi[chunk]
-        np.add.at(out, r[m], c[m, None] * ring.multi[-1 - t[m]])
+def _spread(ring: FusionRing, out: np.ndarray, r, t, c, at: np.ndarray) -> None:
+    """out[r[i]] += c[i] * (row t[i]) over the cells of t and c (one shape, c
+    int64, r broadcast), repeats summed: np.add.at on flat indices in the
+    scratch `at` adds each cell at column t (0 if multi-term), then each
+    multi-term cell its row less that term, in `_row_blocks` chunks."""
+    n, flat = out.shape[1], out.reshape(-1)
+    at = np.add(r * n, t, out=_scratch(at, t.shape)).reshape(-1)
+    cells = np.flatnonzero(t < 0)
+    if not len(cells):
+        np.add.at(flat, at, c.reshape(-1))
+        return
+    multi = np.unravel_index(cells, t.shape)
+    at[cells] -= t[multi]
+    np.add.at(flat, at, c.reshape(-1))
+    at, t, c = at[cells], t[multi], c[multi]
+    for chunk in _row_blocks(len(at), n):
+        terms = ring.multi[-1 - t[chunk]] * c[chunk, None]
+        terms[:, 0] -= c[chunk]
+        i, k = np.nonzero(terms)
+        np.add.at(flat, at[chunk][i] + k, terms[i, k])
+
+
+def _cell_rows(ring: FusionRing, buf: np.ndarray, t, c) -> np.ndarray:
+    """The rows c[i] * (row t[i]) as a (len(t), n) view of the int64 buffer
+    buf: one cell a row, so no repeats to sum.  t and c may be narrow."""
+    out = _scratch(buf, (len(t), len(ring.basis)))
+    multi = t < 0
+    if multi.any():  # so ring.multi has a row 0, scaled by 0 where t >= 0
+        np.multiply(ring.multi[np.where(multi, -1 - t, 0)], np.where(multi, c, 0)[:, None],
+                    out=out)
+    else:
+        out.fill(0)
+    single = np.flatnonzero(~multi)
+    out[single, t[single]] = c[single]
+    return out
+
+
+def _difference(ring: FusionRing, space: np.ndarray, t1, c1, t, coefs, w) -> np.ndarray:
+    """The (k, n) rows sum_j w[j] coefs[j, i] (row t[j, i]) - c1[i] (row t1[i])
+    for i < k = len(t1), on (len(w), k) grids t and coefs, in space[0]; the
+    grid's int64 values and flat indices go to space[1] and space[2]."""
+    out = _cell_rows(ring, space[0], t1, -c1)
+    values = np.multiply(w[:, None], coefs, out=_scratch(space[1], t.shape))
+    _spread(ring, out, np.arange(len(t1)), t, values, space[2])
     return out
 
 
 def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
     """The lexicographically first basis triple (x, s, y) with s in `middles`
     and (x s) y != x (s y), or None.  For each s, walks x in `_row_blocks`
-    and stops at the first block with a failure.  Within a block it is
-    vectorized over (x, y): where x s and s y are single-term each side is
-    one scaled row, compared as a (row, coefficient) pair.  The pairs with a
-    multi-term x s or s y are expanded to dense vectors, one expansion per
-    shared multi-term row: for each x with a multi-term x s, (x s) y for a
-    block of y from one gather prod[m, ys] over its support m; for each y
-    with a multi-term s y, x (s y) for the block's other x from one gather
-    prod[xs, m].  Each gather and each dense block holds about _BLOCK_CELLS
-    cells.  The rows and columns of s are widened to int64, so every product
-    of them with a narrow gather of coef is int64; gathers of prod are only
-    compared or go to `_dense`, which widens them.
+    and stops at the first block with a failure.  Where x s and s y are
+    single-term, each side is one scaled cell, compared as a (row,
+    coefficient) pair.  Each multi-term s y is handled once for the block's
+    x, and each multi-term x s once for all y in `_row_blocks`: the side over
+    the support m of that product is one gathered grid, prod[xs][:, m] or
+    prod[m, ys], and the other, one cell a pair, is subtracted in
+    `_difference`; where both are multi-term, the x s pass spreads x (s y)
+    too.  The int64 blocks, about _BLOCK_CELLS cells each, reuse one scratch
+    allocation.  The rows and columns of s are widened to int64, so their
+    products with narrow coef gathers are int64; prod is only compared or
+    used as indices.
     """
     prod, coef, n = ring.prod, ring.coef, len(ring.basis)
-    everyone = np.arange(n)
+    # int64 blocks, reused: fresh ones would fault in pages the heap gave back
+    space = np.empty((3, next(_row_blocks(n, n)).stop * n), dtype=np.int64)
     first = None
     for s in middles:
         (ls, lc), (rs, rc) = _gather(ring, (slice(None), s)), _gather(ring, s)  # x s, s y
-        a, b, dy = np.maximum(ls, 0), np.maximum(rs, 0), np.flatnonzero(rs < 0)
+        a, b = np.maximum(ls, 0), np.maximum(rs, 0)
         for rows in _row_blocks(n, n):
-            xs, ar = everyone[rows], a[rows]
-            lt, lv = prod[ar], lc[rows, None] * coef[ar]
-            rt, rv = prod[rows][:, b], rc * coef[rows][:, b]
-            bad = (lv != rv) | ((lt != rt) & (lv != 0))
-            for x in xs[ls[rows] < 0]:  # (x s) y, expanded over the support m of x s
-                _, m, w = _terms(ring, ls[x, None], lc[x, None])
+            ar, single, shape = a[rows], ls[rows] >= 0, (rows.stop - rows.start, n)
+            lv = np.multiply(lc[rows, None], coef[ar], out=_scratch(space[0], shape))
+            rv = np.multiply(rc, coef[rows][:, b], out=_scratch(space[1], shape))
+            bad = (lv != rv) | ((prod[ar] != prod[rows][:, b]) & (lv != 0))
+            for y in np.flatnonzero(rs < 0):  # x (s y) over the support m of s y
+                w = ring.multi[-1 - rs[y]] * rc[y]
+                m = np.flatnonzero(w)
+                cheap = np.where(single, lc[rows] * coef[ar, y], 0)
+                out = _difference(ring, space, prod[ar, y], cheap,
+                                  prod[rows][:, m].T, coef[rows][:, m].T, w[m])
+                bad[single, y] = out.any(axis=1)[single]
+            for x in rows.start + np.flatnonzero(~single):  # (x s) y over the support m of x s
+                w = ring.multi[-1 - ls[x]] * lc[x]
+                m = np.flatnonzero(w)
                 for cols in _row_blocks(n, n):
-                    ys = everyone[cols]
-                    k, cell = len(ys), (m[:, None], ys)
-                    left = _dense(ring, k, np.tile(np.arange(k), len(m)),
-                                  prod[cell].ravel(), (w[:, None] * coef[cell]).ravel())
-                    r, t, v = _terms(ring, rs[ys], rc[ys])
-                    right = _dense(ring, k, r, prod[x, t], v * coef[x, t])
-                    bad[x - rows.start, ys] = (left != right).any(axis=1)
-            single = xs[ls[rows] >= 0]  # the pairs left: x s single-term, s y multi-term
-            k, at = len(single), a[single]
-            for y in dy:  # x (s y), expanded over the support m of s y
-                _, m, w = _terms(ring, rs[y, None], rc[y, None])
-                cell = (single[:, None], m)
-                left = _dense(ring, k, np.arange(k), prod[at, y], lc[single] * coef[at, y])
-                right = _dense(ring, k, np.repeat(np.arange(k), len(m)),
-                               prod[cell].ravel(), (coef[cell] * w).ravel())
-                bad[single - rows.start, y] = (left != right).any(axis=1)
+                    bc, single_y = b[cols], rs[cols] >= 0
+                    cheap = np.where(single_y, rc[cols] * coef[x, bc], 0)
+                    out = _difference(ring, space, prod[x, bc], cheap,
+                                      prod[m, cols], coef[m, cols], w[m])
+                    ym = np.flatnonzero(~single_y)  # x (s y) with s y multi-term too
+                    if len(ym):
+                        terms = ring.multi[-1 - rs[cols][ym]] * rc[cols][ym, None]
+                        i, j = np.nonzero(terms)
+                        _spread(ring, out, ym[i], prod[x, j], -terms[i, j] * coef[x, j], space[2])
+                    bad[x - rows.start, cols] = out.any(axis=1)
             hits = np.flatnonzero(bad)
             if len(hits):
                 x, y = divmod(int(hits[0]), n)
@@ -429,8 +465,8 @@ def _anti_involution_holds(ring: FusionRing, gens) -> bool:
         multi = np.flatnonzero(~single)
         for chunk in _row_blocks(len(multi), n):
             x = multi[chunk]
-            r = np.arange(len(x))
-            left, right = (_dense(ring, len(x), r, t[x], c[x]) for t, c in ((lt, lc), (rt, rc)))
+            left, right = (_cell_rows(ring, np.empty(len(x) * n, dtype=np.int64), t[x], c[x])
+                           for t, c in ((lt, lc), (rt, rc)))
             if (left[:, dual] != right).any():
                 return False
     return True

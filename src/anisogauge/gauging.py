@@ -7,25 +7,23 @@ codes: c has order exactly p, and F_{q^2} is a field, so every nonzero
 orbit of v -> c*v has exactly p elements.  Nothing here needs numpy.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ExistenceViolated, NotPrime
 from .ffield import is_prime, make_field, pick_order_p
 
 
-@dataclass(frozen=True)
-class Census:
-    """Simple-object inventory; weighted square sum must match global_dim."""
+class Census(namedtuple("Census", "entries global_dim")):
+    """Simple-object inventory; weighted square sum must match global_dim.
+    Not a dataclass, whose import pulls in inspect on numpy-free paths."""
 
-    entries: tuple
-    global_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = sum(count * dim * dim for _, dim, count in self.entries)
-        if total != self.global_dim:
-            raise ArithmeticError(
-                f"census squares sum to {total}, declared {self.global_dim}"
-            )
+    def __new__(cls, entries: tuple, global_dim: int):
+        total = sum(count * dim * dim for _, dim, count in entries)
+        if total != global_dim:
+            raise ArithmeticError(f"census squares sum to {total}, declared {global_dim}")
+        return super().__new__(cls, entries, global_dim)
 
     @property
     def rank(self) -> int:

@@ -29,12 +29,12 @@ from anisogauge.fusionring import (
     _certify_character,
     _class_count,
     _code_permutation,
-    _dense,
     _first_assoc_failure,
     _free_orbits,
     _generators,
     _matrix_of_c,
     _require_ring_budget,
+    _spread,
 )
 from oracles import cyclic_group_ring, dims_multiset, semidirect_group_table
 from test_acceptance import ALL_VALID_PAIRS_2000
@@ -344,6 +344,37 @@ def test_passing_rings_verify_without_the_full_scans(monkeypatch):
         assert verify_axioms(ring).passed
 
 
+def _first_failure_by_brute_force(ring: FusionRing, s: int) -> tuple | None:
+    """The first (x, s, y) with (x s) y != x (s y), every product expanded
+    from the label-level tensor."""
+    table, pos, middle = ring.tensor, ring.index, ring.basis[s]
+
+    def mul(left, right):
+        out = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                for k, v in table.get((a, b), {}).items():
+                    out[k] = out.get(k, 0) + ca * cb * v
+        return {k: v for k, v in out.items() if v}
+
+    return next(((pos[x], s, pos[y]) for x in ring.basis for y in ring.basis
+                 if mul(mul({x: 1}, {middle: 1}), {y: 1})
+                 != mul({x: 1}, mul({middle: 1}, {y: 1}))), None)
+
+
+@pytest.mark.parametrize("case", sorted(RINGS) + sorted(MUTATIONS))
+def test_light_matches_brute_force_on_each_middle(case, monkeypatch):
+    # each middle alone, at the default block size and in small blocks.  The
+    # cases cover a multi-term x s meeting a multi-term s y (X2 X1, X1 X2 in
+    # extension-3-5; V V in s3-reps) and expensive-side cells that are
+    # multi-term themselves (V V under s = V in s3-reps, m m in ty-klein)
+    ring = RINGS[case]() if case in RINGS else MUTATIONS[case](RINGS[case[0]]())
+    expected = [_first_failure_by_brute_force(ring, s) for s in range(len(ring.basis))]
+    for cells in [fusionring._BLOCK_CELLS] + SMALL_BLOCKS:
+        monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
+        assert [_first_assoc_failure(ring, [s]) for s in range(len(ring.basis))] == expected
+
+
 @pytest.mark.parametrize("cells", SMALL_BLOCKS)
 def test_axioms_match_reference_in_small_blocks(cells, monkeypatch):
     monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
@@ -381,7 +412,9 @@ def test_dense_rows_independent_of_block_size(cells, monkeypatch):
     vv = ring.prod[2, 2]  # V V = 1 + s + V, a multi-term row
     r, t, c = np.array([0, 1, 1, 0]), np.array([vv, vv, 2, vv]), np.array([1, 2, 3, 4])
     monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
-    assert _dense(ring, 2, r, t, c).tolist() == [[5, 5, 5], [2, 2, 5]]
+    out = np.zeros((2, 3), dtype=np.int64)
+    _spread(ring, out, r, t, c, np.empty(len(t), dtype=np.int64))
+    assert out.tolist() == [[5, 5, 5], [2, 2, 5]]
 
 
 def _traced_peak_mb(f) -> float:
@@ -396,10 +429,15 @@ def _traced_peak_mb(f) -> float:
 
 
 def test_certificates_stay_in_bounded_memory():
-    # rank 531; the ring's own prod and coef take 0.85 MB
+    # rank 531; the ring's own prod and coef take 0.85 MB.  Light's test on
+    # the multi-term middle X1 holds a dense block, its gathered grid and
+    # the grid's flat indices, about _BLOCK_CELLS int64 cells each
     ring = build_extension_ring(3, 23)
-    assert _traced_peak_mb(lambda: verify_axioms(ring)) < 10
+    assert _traced_peak_mb(lambda: verify_axioms(ring)) < 2
     assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
+    g01, x1 = (_traced_peak_mb(lambda: _first_assoc_failure(ring, [ring.index[s]]))
+               for s in ("g0_1", "X1"))
+    assert x1 <= 1.5 * g01
 
 
 def test_build_stays_in_bounded_memory():

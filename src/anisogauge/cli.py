@@ -21,7 +21,7 @@ import time
 # commands that need them
 from . import gauging
 from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
-from .ffield import is_prime, ker_norm, make_field
+from .ffield import PRIME_TEST_LIMIT, is_prime, ker_norm, make_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,10 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime(text: str) -> int:
+    """A prime below PRIME_TEST_LIMIT, where `is_prime` runs in bounded time."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value >= PRIME_TEST_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{value} is too large: primes must be below {PRIME_TEST_LIMIT}")
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
@@ -120,7 +124,9 @@ def cmd_census(p: int, q: int, fmt: str) -> int:
     ]
     table += [f"  dim {e['dim']:>3} count {e['count']:>4}  {e['label']}" for e in entries]
     table.append(f"sum_dim_sq {census.global_dim} = p^2*q^2")
-    csv = ["label,dim,count"] + [f"{e['label']},{e['dim']},{e['count']}" for e in entries]
+    csv = ["label,dim,count"] + [
+        f"{e['label'].replace(',', ';')},{e['dim']},{e['count']}" for e in entries
+    ]
     _emit(payload, fmt, table, csv)
     return EXIT_OK
 

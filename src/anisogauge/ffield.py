@@ -10,28 +10,29 @@ the same field model, so downstream results are reproducible bit for bit.
 q = 2 is supported in restricted mode (no operation that divides by 2).
 """
 
+import math
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, NoSuchElement, NotPrime
 
 DEFAULT_PRIME_BOUND = 10_000
+PRIME_TEST_LIMIT = 3317044064679887385961981  # psi_13, the least strong pseudoprime
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # to all of these bases
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality: below PRIME_TEST_LIMIT, Miller-Rabin on the
+    prime bases 2..41, which no strong pseudoprime there passes (Sorenson &
+    Webster, Math. Comp. 86 (2017) 985-1003); at or above it, trial division."""
+    if n < 2 or math.gcd(n, math.prod(_MR_BASES)) > 1:
+        return n in _MR_BASES
+    if n >= PRIME_TEST_LIMIT:
+        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in _MR_BASES)
 
 
 def least_nonresidue(q: int) -> int:

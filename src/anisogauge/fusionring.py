@@ -1,17 +1,17 @@
 """Fusion rings, simple-object censuses, and group-rank oracles.
 
-Rings live on basis indices, with labels only at the boundary (constructor,
-accessors, reports, the `fusionring v1` text).  The product of basis
-elements i and j is coef[i, j] times basis element prod[i, j] or, where
-prod[i, j] < 0, times the multi-term row multi[-1 - prod[i, j]], stored
-primitive (gcd 1, first nonzero positive) and distinct.  verify_axioms
-certifies associativity and reciprocity on a generating set S certified by
-closure: Light's test on the |S| n^2 triples with a middle in S, then the
-anti-involution (x s)^* = s^* x^* on the |S| n cells (x, s).  When either
-fails, a full scan reports the first counterexample.  `_pack` is the one
-normaliser: the label constructor and `ring_from_text` hand it flat index
-entries (i, j, k, v), and it makes the multi-term rows primitive and
-distinct; build_extension_ring builds its arrays in that form already.  The
+A ring lives on basis indices: its one constructor takes integer arrays,
+and basis labels appear only at I/O, in reports and in the `fusionring v1`
+text.  The product of basis elements i and j is coef[i, j] times basis
+element prod[i, j] or, where prod[i, j] < 0, times the multi-term row
+multi[-1 - prod[i, j]], stored primitive (gcd 1, first nonzero positive)
+and distinct.  verify_axioms certifies associativity and reciprocity on a
+generating set S certified by closure: Light's test on the |S| n^2 triples
+with a middle in S, then the anti-involution (x s)^* = s^* x^* on the |S| n
+cells (x, s).  When either fails, a full scan reports the first
+counterexample.  `_pack` is the one normaliser: `ring_from_text` hands it
+flat index entries (i, j, k, v), and it makes the multi-term rows primitive
+and distinct; build_extension_ring builds its arrays in that form.  The
 ring itself is the only n x n storage, read-only, with prod and coef each
 in the smallest signed dtype that holds its values (prod in [-r, n - 1] for
 r multi-term rows): at most 3 bytes a cell for the extension ring while
@@ -61,74 +61,19 @@ RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod, coef and multi,
 
 class FusionRing:
     """prod, coef (n x n) and multi (r x n) as in the module docstring, plus
-    unit_index and dual_index, all read-only.  The label-level constructor
-    takes `tensor` mapping (i, j) to the row {k: N_ij^k}.  Axioms are not
-    validated here.
+    unit_index and dual_index, all read-only.  Axioms are not validated here.
     """
 
-    def __init__(self, basis, unit: str, dual: dict, tensor: dict):
-        basis = list(basis)
-        at = _label_index(basis)
-        try:
-            entries = [(at[i], at[j], at[k], v) for (i, j), row in tensor.items()
-                       for k, v in row.items()]
-            dual_index = [at[dual[label]] for label in basis]
-            unit_index = at[unit]
-        except KeyError as err:
-            raise BadParameter(f"label {err.args[0]!r} is unknown or has no dual") from None
-        self._setup(basis, unit_index, dual_index, *_pack(len(basis), entries))
-
-    @classmethod
-    def _from_arrays(cls, basis, unit: int, dual, prod, coef, multi) -> "FusionRing":
-        """A ring on arrays already in the form `_setup` requires."""
-        ring = cls.__new__(cls)
-        ring._setup(basis, unit, dual, prod, coef, multi)
-        return ring
-
-    def _setup(self, basis, unit, dual, prod, coef, multi):
+    def __init__(self, basis, unit: int, dual, prod, coef, multi):
         """Store the arrays as given and make them read-only, so that no
         in-place write can wrap silently in a narrow dtype.  They must be in
         the form `_pack` gives: prod and coef in the dtypes of `_ring_dtypes`,
         and the multi rows int64, primitive and distinct."""
-        self.basis, self.index = basis, _label_index(basis)
-        self.unit_index, self.dual_index = unit, np.asarray(dual, dtype=np.int64)
+        self.basis, self.unit_index = basis, unit
+        self.dual_index = np.asarray(dual, dtype=np.int64)
         self.prod, self.coef, self.multi = prod, coef, multi
         for a in (self.prod, self.coef, self.multi, self.dual_index):
             a.flags.writeable = False
-
-    @property
-    def unit(self) -> str:
-        return self.basis[self.unit_index]
-
-    @property
-    def dual(self) -> dict:
-        return {l: self.basis[d] for l, d in zip(self.basis, self.dual_index.tolist())}
-
-    @property
-    def tensor(self) -> dict:
-        """{(i, j): {k: N_ij^k}} on labels, nonzero entries only, derived on demand."""
-        out: dict = {}
-        for i, j, k, v in zip(*(a.tolist() for a in self._entries())):
-            out.setdefault((self.basis[i], self.basis[j]), {})[self.basis[k]] = v
-        return out
-
-    def product(self, i: str, j: str) -> dict:
-        i, j = self.index[i], self.index[j]
-        row = _cell_rows(self, np.empty(len(self.basis), dtype=np.int64), self.prod[i, j, None],
-                         self.coef[i, j, None])[0]
-        return {self.basis[k]: int(row[k]) for k in np.flatnonzero(row)}
-
-    def _entries(self):
-        """Every nonzero N_ij^k as index arrays (i, j, k, v), in lexicographic order.
-
-        Holds all of them at once and sorts them, so only `.tensor` and
-        `ring_to_text` call it; the certificates walk `_block_entries` a
-        block of rows at a time.
-        """
-        n = len(self.basis)
-        i, j, k, v = (np.concatenate(a) for a in zip(*_block_entries(self, slice(0, n))))
-        order = np.argsort((i * n + j) * n + k, kind="stable")
-        return i[order], j[order], k[order], v[order]
 
     def _coeffs(self, a, b, c) -> np.ndarray:
         """N(a, b; c) for broadcastable index arrays a, b, c."""
@@ -140,7 +85,7 @@ class FusionRing:
         return out
 
     def __repr__(self):
-        return f"FusionRing(rank={len(self.basis)}, unit={self.unit!r})"
+        return f"FusionRing(rank={len(self.basis)}, unit={self.basis[self.unit_index]!r})"
 
 
 def _row_blocks(rows: int, width: int):
@@ -177,16 +122,10 @@ def _block_entries(ring: FusionRing, rows: slice):
         yield ci[r] + rows.start, cj[r], k, scaled[r, k]
 
 
-def _label_index(basis) -> dict:
-    index = {l: t for t, l in enumerate(basis)}
-    if len(index) != len(basis):
-        raise BadParameter("basis labels are not distinct")
-    return index
-
-
 def _pack(n: int, entries):
     """prod, coef and multi from index entries (i, j, k, v), v an int: the
-    one place where a ring's arrays are normalised.  Sorted by cell (i, j)
+    one place where a ring's arrays are normalised, called by
+    `ring_from_text` on the entries of the text.  Sorted by cell (i, j)
     and k, a repeated (i, j, k) is refused before zero entries are dropped.
     Each cell's scale is the gcd of its |v|, signed like the entry of least
     k, and goes to coef; a multi-term cell's row divided by it is primitive,
@@ -254,7 +193,7 @@ def build_extension_ring(p: int, q: int) -> FusionRing:
     prod[q2:, q2:] = np.where(total == 0, -1, q2 + total - 1)
     coef[q2:, q2:] = np.where(total == 0, 1, q)
     multi = (np.arange(n) < q2).astype(np.int64)[None]  # X_i X_{p-i}: the sum of all invertibles
-    return FusionRing._from_arrays(basis, 0, dual, prod, coef, multi)
+    return FusionRing(basis, 0, dual, prod, coef, multi)
 
 
 def _require_ring_budget(p: int, q: int):
@@ -739,13 +678,18 @@ def drinfeld_double_rank(table: np.ndarray) -> int:
 
 def ring_to_text(ring: FusionRing) -> str:
     """Plain-text form: header, one dual line per basis label, then the
-    nonzero tensor entries as 0-based index quadruples in lexicographic order."""
-    lines = [f"fusionring v1 {len(ring.basis)}"]
-    for label, dlabel in ring.dual.items():
+    nonzero tensor entries as 0-based index quadruples in lexicographic order.
+    Holds every entry at once to sort them; the certificates walk
+    `_block_entries` a block of rows at a time."""
+    basis, n = ring.basis, len(ring.basis)
+    lines = [f"fusionring v1 {n}"]
+    for label, d in zip(basis, ring.dual_index.tolist()):
         if " " in label:
             raise BadParameter(f"label {label!r} contains a space")
-        lines.append(f"{label} {dlabel}")
-    entries = zip(*(a.tolist() for a in ring._entries()))
+        lines.append(f"{label} {basis[d]}")
+    i, j, k, v = (np.concatenate(a) for a in zip(*_block_entries(ring, slice(0, n))))
+    order = np.argsort((i * n + j) * n + k, kind="stable")
+    entries = zip(*(a[order].tolist() for a in (i, j, k, v)))
     lines.extend(f"{i} {j} {k} {v}" for i, j, k, v in entries)
     return "\n".join(lines) + "\n"
 
@@ -765,7 +709,9 @@ def ring_from_text(text: str) -> FusionRing:
             or any(len(l) != 2 for l in named):
         raise BadParameter("expected a 'fusionring v1 N' header and N lines 'label dual'")
     basis = [label for label, _ in named]
-    index = _label_index(basis)
+    index = {label: t for t, label in enumerate(basis)}
+    if len(index) != n:
+        raise BadParameter("basis labels are not distinct")
     if any(d not in index for _, d in named):
         raise BadParameter("a dual label is not a basis label")
 
@@ -788,5 +734,4 @@ def ring_from_text(text: str) -> FusionRing:
     unit = next((u for u in left if ((prod[:, u] == everyone) & (coef[:, u] == 1)).all()), None)
     if unit is None:
         raise BadParameter("no unit found in serialized ring")
-    return FusionRing._from_arrays(basis, int(unit), [index[d] for _, d in named],
-                                   prod, coef, multi)
+    return FusionRing(basis, int(unit), [index[d] for _, d in named], prod, coef, multi)

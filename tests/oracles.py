@@ -1,14 +1,44 @@
 """Reference constructions the tests compare the package against.
 
-None of these is on a CLI path: they are fixtures (a group ring, the
-semidirect product's full multiplication table) and small readings of
-package objects (orders, block products, coordinates) kept out of `src/`.
+None of these is on a CLI path: they are fixtures (rings written on labels,
+a group ring, the semidirect product's full multiplication table) and
+small readings of package objects (a ring's label-level tensor, orders,
+block products, coordinates) kept out of `src/`.
 """
 
 import numpy as np
 
-from anisogauge import ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius
+from anisogauge import (
+    ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ring_to_text,
+)
+from anisogauge import fusionring
 from anisogauge.fusionring import _code_permutation, _matrix_of_c
+
+
+def ring_of(basis, unit: str, dual: dict, tensor: dict) -> FusionRing:
+    """The ring on the labels `basis`, with `tensor` mapping (i, j) to the
+    row {k: N_ij^k} and `dual` mapping each label to its dual.  The entries
+    go through `fusionring._pack`, looked up when called so that a patch of
+    the module applies.  The unit is taken as named, with no check of the
+    unit law."""
+    basis = list(basis)
+    at = {label: t for t, label in enumerate(basis)}
+    entries = [(at[i], at[j], at[k], v) for (i, j), row in tensor.items() for k, v in row.items()]
+    return FusionRing(basis, at[unit], [at[dual[label]] for label in basis],
+                      *fusionring._pack(len(basis), entries))
+
+
+def tensor_of(ring: FusionRing) -> dict:
+    """{(i, j): {k: N_ij^k}} on labels, the nonzero entries, read from the
+    ring's `fusionring v1` text."""
+    lines = ring_to_text(ring).splitlines()
+    n = int(lines[0].split()[2])
+    basis = [line.split()[0] for line in lines[1:n + 1]]
+    out: dict = {}
+    for line in lines[n + 1:]:
+        i, j, k, v = map(int, line.split())
+        out.setdefault((basis[i], basis[j]), {})[basis[k]] = v
+    return out
 
 
 def cyclic_group_ring(n: int) -> FusionRing:
@@ -18,7 +48,7 @@ def cyclic_group_ring(n: int) -> FusionRing:
     tensor = {
         (f"g{a}", f"g{b}"): {f"g{(a + b) % n}": 1} for a in range(n) for b in range(n)
     }
-    return FusionRing(labels, "g0", dual, tensor)
+    return ring_of(labels, "g0", dual, tensor)
 
 
 def semidirect_group_table(p: int, q: int) -> np.ndarray:

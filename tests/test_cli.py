@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -260,6 +261,35 @@ def test_verify_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "name,status,detail"
     assert any(l.startswith("fusion-axioms,pass") for l in lines)
+
+
+def test_csv_rows_have_as_many_fields_as_the_header(capsys, tmp_path):
+    # a comma inside a field becomes ';', as in verify's detail column
+    path = tmp_path / "s3.txt"
+    path.write_text(_s3_table_text())
+    for argv in (["census", "3", "5"], ["verify", "3", "5"], ["verify", "3", "2"],
+                 ["sweep", "20"], ["double-rank", str(path)]):
+        _, out, _ = run(capsys, argv + ["--format", "csv"])
+        header, *rows = csv.reader(out.splitlines())
+        assert rows and all(len(row) == len(header) for row in rows), (argv, out)
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["census", "3", "1000000000000000003"], 2, "p=3 does not divide"),
+    (["census", "2", "1000000000000000003"], 3, "exceeds bound 10000"),
+    (["verify", "1000000016000000063", "5"], 64, "1000000016000000063 is not prime"),
+    (["census", "3", "3317044064679887385961981"], 64, "is too large: primes must be below"),
+])
+def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
+    # 10^18 + 3 is prime, (10^9 + 7)(10^9 + 9) is not, and the last value
+    # is the least strong pseudoprime to the prime bases up to 41
+    src = str(Path(anisogauge.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=20)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert done.returncode == code and done.stdout == ""
+    assert len(errors) == 1 and message in errors[0]
 
 
 def test_census_bound_exceeded(capsys):

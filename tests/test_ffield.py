@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from anisogauge import (
@@ -13,7 +15,7 @@ from anisogauge import (
     pick_order_p,
     sqrt_ext,
 )
-from anisogauge.ffield import _prime_factors
+from anisogauge.ffield import PRIME_TEST_LIMIT, _prime_factors
 
 SMALL_ODD = [3, 5, 7, 11, 13]
 
@@ -179,3 +181,39 @@ def test_prime_factors_match_trial_division():
     for n in range(1, 500):
         brute = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         assert _prime_factors(n) == brute
+
+
+def _trial_division(n: int) -> bool:
+    """The primality test by trial division by 2 and the odd numbers up to
+    the square root."""
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if _trial_division(n)]
+
+
+# strong pseudoprimes to the bases 2..5, 2..11, 2..13, 2..17 and 2..23, with
+# a factorization of each
+STRONG_PSEUDOPRIMES = {
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+@pytest.mark.parametrize("n", sorted(STRONG_PSEUDOPRIMES))
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert math.prod(STRONG_PSEUDOPRIMES[n]) == n and not is_prime(n)
+
+
+def test_is_prime_near_and_past_the_limit():
+    assert is_prime(10 ** 18 + 3) and is_prime(10 ** 18 + 9)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    # at and past the limit, trial division, which a factor 43 or 47 ends at once
+    assert not is_prime(43 * PRIME_TEST_LIMIT) and not is_prime(47 * PRIME_TEST_LIMIT)

@@ -36,23 +36,24 @@ from anisogauge.fusionring import (
     _require_ring_budget,
     _spread,
 )
-from oracles import cyclic_group_ring, dims_multiset, semidirect_group_table
+from oracles import cyclic_group_ring, dims_multiset, ring_of, semidirect_group_table, tensor_of
 from test_acceptance import ALL_VALID_PAIRS_2000
 
 
 def test_extension_ring_rules_3_5():
     ring = build_extension_ring(3, 5)
     assert len(ring.basis) == 25 + 2
+    tensor, dual = tensor_of(ring), _dual(ring)
     # invertibles multiply by vector addition
-    assert ring.product("g1_2", "g3_4") == {"g4_1": 1}
-    assert ring.product("g0_0", "X1") == {"X1": 1}
-    assert ring.product("X1", "g2_3") == {"X1": 1}
+    assert tensor.get(("g1_2", "g3_4"), {}) == {"g4_1": 1}
+    assert tensor.get(("g0_0", "X1"), {}) == {"X1": 1}
+    assert tensor.get(("X1", "g2_3"), {}) == {"X1": 1}
     # X1 X1 = q X2; X1 X2 = sum of all invertibles
-    assert ring.product("X1", "X1") == {"X2": 5}
-    row = ring.product("X1", "X2")
+    assert tensor.get(("X1", "X1"), {}) == {"X2": 5}
+    row = tensor.get(("X1", "X2"), {})
     assert len(row) == 25 and set(row.values()) == {1}
-    assert ring.dual["X1"] == "X2" and ring.dual["X2"] == "X1"
-    assert ring.dual["g1_2"] == "g4_3"
+    assert dual["X1"] == "X2" and dual["X2"] == "X1"
+    assert dual["g1_2"] == "g4_3"
 
 
 def test_extension_ring_existence():
@@ -82,10 +83,7 @@ def test_axioms_pass_even_prime_pairs():
 
 
 def test_axioms_mutation_detected():
-    ring = build_extension_ring(3, 5)
-    tensor = dict(ring.tensor)
-    tensor[("X1", "X1")] = {"X2": 6}  # q+1 instead of q
-    bad = FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+    bad = _with(build_extension_ring(3, 5), {("X1", "X1"): {"X2": 6}})  # q+1 instead of q
     report = verify_axioms(bad)
     assert not report.passed
     assert not report.assoc_ok
@@ -93,10 +91,7 @@ def test_axioms_mutation_detected():
 
 
 def test_axioms_unit_violation_detected():
-    ring = cyclic_group_ring(3)
-    tensor = dict(ring.tensor)
-    tensor[("g0", "g1")] = {"g2": 1}
-    bad = FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+    bad = _with(cyclic_group_ring(3), {("g0", "g1"): {"g2": 1}})
     report = verify_axioms(bad)
     assert not report.passed and not report.unit_ok
 
@@ -109,7 +104,7 @@ def _s3_rep_ring() -> FusionRing:
         ("V", "1"): {"V": 1}, ("V", "s"): {"V": 1},
         ("V", "V"): {"1": 1, "s": 1, "V": 1},
     }
-    return FusionRing(["1", "s", "V"], "1", {"1": "1", "s": "s", "V": "V"}, tensor)
+    return ring_of(["1", "s", "V"], "1", {"1": "1", "s": "s", "V": "V"}, tensor)
 
 
 def _commutative_ring(basis, products) -> FusionRing:
@@ -119,7 +114,7 @@ def _commutative_ring(basis, products) -> FusionRing:
     tensor = {(unit, x): {x: 1} for x in basis} | {(x, unit): {x: 1} for x in basis}
     for (x, y), row in products.items():
         tensor[x, y] = tensor[y, x] = row
-    return FusionRing(basis, unit, {x: x for x in basis}, tensor)
+    return ring_of(basis, unit, {x: x for x in basis}, tensor)
 
 
 def _s4_rep_ring() -> FusionRing:
@@ -168,18 +163,17 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     prod[multi] = -1 - at.reshape(-1)
     outer = rowsa[keys // width, :, None] * rowsb[keys % width, None, :]
     prod_t, coef_t = fusionring._ring_dtypes(na * nb, len(keys), coef.min(), coef.max())
-    return FusionRing._from_arrays([(x, y) for x in a.basis for y in b.basis],
-                                   a.unit_index * nb + b.unit_index,
-                                   (a.dual_index[:, None] * nb + b.dual_index).reshape(-1),
-                                   prod.astype(prod_t), coef.astype(coef_t),
-                                   outer.reshape(len(keys), -1))
+    return FusionRing([(x, y) for x in a.basis for y in b.basis],
+                      a.unit_index * nb + b.unit_index,
+                      (a.dual_index[:, None] * nb + b.dual_index).reshape(-1),
+                      prod.astype(prod_t), coef.astype(coef_t), outer.reshape(len(keys), -1))
 
 
 def _reference_report(ring: FusionRing) -> AxiomReport:
     """Brute-force oracle on the label-level tensor: every check, every triple."""
-    basis, unit, dual = ring.basis, ring.unit, ring.dual
-    pos = ring.index
-    table = ring.tensor
+    basis, unit, dual = ring.basis, ring.basis[ring.unit_index], _dual(ring)
+    pos = {label: t for t, label in enumerate(basis)}
+    table = tensor_of(ring)
 
     def row(i, j):
         return table.get((i, j), {})
@@ -226,16 +220,24 @@ def _reference_report(ring: FusionRing) -> AxiomReport:
                        problems[0] if problems else None)
 
 
+def _dual(ring: FusionRing) -> dict:
+    """{label: the label of its dual}."""
+    return {label: ring.basis[d] for label, d in zip(ring.basis, ring.dual_index.tolist())}
+
+
+def _retensor(ring: FusionRing, tensor: dict) -> FusionRing:
+    """The ring on the basis, unit and duals of `ring`, with the label-level `tensor`."""
+    return ring_of(ring.basis, ring.basis[ring.unit_index], _dual(ring), tensor)
+
+
 def _with(ring: FusionRing, changes: dict) -> FusionRing:
-    tensor = dict(ring.tensor)
-    tensor.update(changes)
-    return FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+    return _retensor(ring, tensor_of(ring) | changes)
 
 
 def _scale_orbit(ring: FusionRing, i: str, j: str, k: str, value: int) -> FusionRing:
     """Set N(i,j;k) to value on its whole reciprocity orbit, so that duality
     still holds and only associativity can break."""
-    dual = ring.dual
+    dual = _dual(ring)
     orbit, todo = set(), [(i, j, k)]
     while todo:
         t = todo.pop()
@@ -243,10 +245,10 @@ def _scale_orbit(ring: FusionRing, i: str, j: str, k: str, value: int) -> Fusion
             orbit.add(t)
             a, b, c = t
             todo += [(dual[a], c, b), (c, dual[b], a)]
-    tensor = {key: dict(row) for key, row in ring.tensor.items()}
+    tensor = tensor_of(ring)
     for a, b, c in orbit:
         tensor.setdefault((a, b), {})[c] = value
-    return FusionRing(ring.basis, ring.unit, ring.dual, tensor)
+    return _retensor(ring, tensor)
 
 
 RINGS = {
@@ -310,7 +312,7 @@ def _associative_non_reciprocal_ring() -> FusionRing:
     tensor = {("1", x): {x: 1} for x in "1ab"} | {(x, "1"): {x: 1} for x in "ab"}
     tensor |= {("a", "a"): {"b": 1}, ("a", "b"): {"1": 1, "a": 1}, ("b", "a"): {"1": 1, "a": 1},
                ("b", "b"): {"a": 1, "b": 1}}
-    return FusionRing(["1", "a", "b"], "1", {"1": "1", "a": "b", "b": "a"}, tensor)
+    return ring_of(["1", "a", "b"], "1", {"1": "1", "a": "b", "b": "a"}, tensor)
 
 
 def test_reciprocity_certificate_rejects_an_associative_ring():
@@ -347,7 +349,8 @@ def test_passing_rings_verify_without_the_full_scans(monkeypatch):
 def _first_failure_by_brute_force(ring: FusionRing, s: int) -> tuple | None:
     """The first (x, s, y) with (x s) y != x (s y), every product expanded
     from the label-level tensor."""
-    table, pos, middle = ring.tensor, ring.index, ring.basis[s]
+    table, middle = tensor_of(ring), ring.basis[s]
+    pos = {label: t for t, label in enumerate(ring.basis)}
 
     def mul(left, right):
         out = {}
@@ -389,8 +392,9 @@ def test_reciprocity_reports_the_first_failure_across_cell_kinds():
     # failures at N(X1,X2;g0_1) (multi-term cell) and at N(X2,g0_1;X2),
     # N(X2,g0_4;X2) (single-term cells), all in one row block by default
     bad = MUTATIONS[("extension-3-5", "reciprocity-multi-first")](RINGS["extension-3-5"]())
-    assert bad.prod[bad.index["X1"], bad.index["X2"]] < 0
-    assert bad.prod[bad.index["X2"], bad.index["g0_1"]] >= 0
+    at = bad.basis.index
+    assert bad.prod[at("X1"), at("X2")] < 0
+    assert bad.prod[at("X2"), at("g0_1")] >= 0
     assert verify_axioms(bad).counterexample == "reciprocity fails at N(X1,X2;g0_1)"
 
 
@@ -435,7 +439,7 @@ def test_certificates_stay_in_bounded_memory():
     ring = build_extension_ring(3, 23)
     assert _traced_peak_mb(lambda: verify_axioms(ring)) < 2
     assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
-    g01, x1 = (_traced_peak_mb(lambda: _first_assoc_failure(ring, [ring.index[s]]))
+    g01, x1 = (_traced_peak_mb(lambda: _first_assoc_failure(ring, [ring.basis.index(s)]))
                for s in ("g0_1", "X1"))
     assert x1 <= 1.5 * g01
 
@@ -513,17 +517,18 @@ def test_ring_from_text_finds_the_unit_in_bounded_memory():
 
 def test_pack_stores_each_primitive_row_once():
     # the cells 2 + 4 b and 1 + 2 b share the primitive row [1, 2]
-    ring = FusionRing(["a", "b"], "a", {"a": "a", "b": "b"},
-                      {("a", "a"): {"a": 2, "b": 4}, ("a", "b"): {"a": 1, "b": 2}})
+    ring = ring_of(["a", "b"], "a", {"a": "a", "b": "b"},
+                   {("a", "a"): {"a": 2, "b": 4}, ("a", "b"): {"a": 1, "b": 2}})
     assert ring.multi.tolist() == [[1, 2]]
     assert ring.prod[0].tolist() == [-1, -1] and ring.coef[0].tolist() == [2, 1]
-    assert ring.product("a", "a") == {"a": 2, "b": 4}
+    assert tensor_of(ring).get(("a", "a"), {}) == {"a": 2, "b": 4}
 
 
 @pytest.mark.parametrize("value", [fusionring.MAX_COEF + 1, 10 ** 20])
-def test_label_constructor_refuses_a_coefficient_past_max(value):
+def test_ring_from_text_refuses_a_coefficient_past_max(value):
+    # `_pack` refuses it on the int, before int64 could overflow
     with pytest.raises(BadParameter, match=r"N\(0,0;-\) exceeds"):
-        FusionRing(["1"], "1", {"1": "1"}, {("1", "1"): {"1": value}})
+        ring_from_text(f"fusionring v1 1\n1 1\n0 0 0 {value}\n")
 
 
 def test_stored_arrays_are_read_only():
@@ -554,9 +559,9 @@ def _fp_dims_or_refusal(ring):
 def _square_ring(c: int) -> FusionRing:
     """1 and X with X X = c X: associative, with the character d(X) = c for
     c > 0, but N(X, X; unit) = 0, so duality fails."""
-    return FusionRing(["1", "X"], "1", {"1": "1", "X": "X"},
-                      {("1", "1"): {"1": 1}, ("1", "X"): {"X": 1}, ("X", "1"): {"X": 1},
-                       ("X", "X"): {"X": c}})
+    return ring_of(["1", "X"], "1", {"1": "1", "X": "X"},
+                   {("1", "1"): {"1": 1}, ("1", "X"): {"X": 1}, ("X", "1"): {"X": 1},
+                    ("X", "X"): {"X": c}})
 
 
 def _wrapping_ring() -> FusionRing:
@@ -566,15 +571,15 @@ def _wrapping_ring() -> FusionRing:
     tensor = {("1", x): {x: 1} for x in basis} | {(x, "1"): {x: 1} for x in basis}
     tensor |= {("a", "b"): {"z": 127}, ("z", "c"): {"w": 2}, ("b", "c"): {"z": -1},
                ("a", "z"): {"w": 2}}
-    return FusionRing(basis, "1", {x: x for x in basis}, tensor)
+    return ring_of(basis, "1", {x: x for x in basis}, tensor)
 
 
 def _rescaled_ring() -> FusionRing:
     """1 and a with a a = 400 + 200 a: the primitive row [2, 1] at the
     scale 200, past int8."""
-    return FusionRing(["1", "a"], "1", {"1": "1", "a": "a"},
-                      {("1", "1"): {"1": 1}, ("1", "a"): {"a": 1}, ("a", "1"): {"a": 1},
-                       ("a", "a"): {"1": 400, "a": 200}})
+    return ring_of(["1", "a"], "1", {"1": "1", "a": "a"},
+                   {("1", "1"): {"1": 1}, ("1", "a"): {"a": 1}, ("a", "1"): {"a": 1},
+                    ("a", "a"): {"1": 400, "a": 200}})
 
 
 DTYPE_EDGES = {
@@ -607,7 +612,7 @@ def test_dtype_edges_give_the_expected_answers():
     assert verify_axioms(_square_ring(128)).assoc_ok
     assert not verify_axioms(_wrapping_ring()).assoc_ok
     ring = _rescaled_ring()
-    assert ring.product("a", "a") == {"1": 400, "a": 200}
+    assert tensor_of(ring).get(("a", "a"), {}) == {"1": 400, "a": 200}
     assert (ring.multi.tolist(), ring.coef[1, 1]) == ([[2, 1]], 200)
 
 
@@ -643,9 +648,9 @@ def test_full_scan_when_closure_reaches_nothing_more():
     ring = _s3_rep_ring()
     assert [ring.basis[g] for g in _generators(ring)] == ["s", "V"]
     assert verify_axioms(ring).passed
-    golden = FusionRing(["1", "t"], "1", {"1": "1", "t": "t"},
-                        {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
-                         ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}})
+    golden = ring_of(["1", "t"], "1", {"1": "1", "t": "t"},
+                     {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+                      ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}})
     assert [golden.basis[g] for g in _generators(golden)] == ["t"]
     assert verify_axioms(golden) == _reference_report(golden)
 
@@ -665,10 +670,10 @@ def test_fp_dims_group_ring():
 
 def test_fp_dims_detects_invertibles():
     ring = build_extension_ring(3, 5)
-    dims = fp_dims(ring)
+    dims, tensor, dual = fp_dims(ring), tensor_of(ring), _dual(ring)
     for label in ring.basis:
-        row = ring.product(label, ring.dual[label])
-        invertible = row == {ring.unit: 1}
+        row = tensor.get((label, dual[label]), {})
+        invertible = row == {ring.basis[ring.unit_index]: 1}
         assert (dims[label] == 1) == invertible
 
 
@@ -723,7 +728,7 @@ def test_fp_dims_rank_600_in_bounded_memory():
 
 def test_fp_dims_irrational_raises():
     # golden-ratio ring has no rational character
-    ring = FusionRing(
+    ring = ring_of(
         ["1", "t"],
         "1",
         {"1": "1", "t": "t"},
@@ -742,7 +747,7 @@ def test_grading():
     def degree(label):
         return 0 if label.startswith("g") else int(label[1:])
 
-    for (i, j), row in ring.tensor.items():
+    for (i, j), row in tensor_of(ring).items():
         for k in row:
             assert degree(k) == (degree(i) + degree(j)) % p
 
@@ -936,18 +941,21 @@ def test_drinfeld_double_rank_against_orbit_oracle():
 
 
 def test_serialization_round_trip():
-    for ring, rows in ((build_extension_ring(3, 5), 1), (cyclic_group_ring(6), 0)):
+    # every ring fixture and every mutation ring; the extension ring has one
+    # multi-term row and the group ring none
+    rings = {name: make() for name, make in RINGS.items()}
+    rings |= {case: mutate(RINGS[case[0]]()) for case, mutate in MUTATIONS.items()}
+    assert (len(rings["extension-3-5"].multi), len(rings["cyclic-6"].multi)) == (1, 0)
+    for name, ring in rings.items():
         text = ring_to_text(ring)
         back = ring_from_text(text)
-        assert len(back.multi) == rows
-        assert back.basis == ring.basis
-        assert back.unit == ring.unit
-        assert back.dual == ring.dual
-        assert back.tensor == ring.tensor
+        assert back.basis == ring.basis, name
+        assert back.unit_index == ring.unit_index, name
+        assert back.dual_index.tolist() == ring.dual_index.tolist(), name
         for attr in ("prod", "coef", "multi"):
-            assert getattr(back, attr).dtype == getattr(ring, attr).dtype
-            assert np.array_equal(getattr(back, attr), getattr(ring, attr))
-        assert ring_to_text(back) == text  # deterministic
+            assert getattr(back, attr).dtype == getattr(ring, attr).dtype, (name, attr)
+            assert np.array_equal(getattr(back, attr), getattr(ring, attr)), (name, attr)
+        assert ring_to_text(back) == text, name  # a fixed point
 
 
 def test_serialization_header():
@@ -1006,7 +1014,7 @@ def test_ring_from_text_fuzz(cut, edits):
         ring = ring_from_text(text)
     except BadParameter:
         return
-    assert ring_from_text(ring_to_text(ring)).tensor == ring.tensor
+    assert tensor_of(ring_from_text(ring_to_text(ring))) == tensor_of(ring)
     _fp_dims_certifies_or_refuses(ring)
 
 

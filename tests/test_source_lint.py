@@ -62,3 +62,33 @@ def test_no_line_in_package_longer_than_100_characters():
         if len(line) > 100
     ]
     assert found == []
+
+
+def test_one_construction_path_for_fusion_rings():
+    # `_pack` normalises entries for `ring_from_text` alone, and FusionRing
+    # is built only through __init__: no classmethod, staticmethod, __new__
+    # or call of __new__ makes a second constructor
+    calls, others = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                calls += [
+                    f"{path.name}:{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and "_pack" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                ]
+        if path.name == "fusionring.py":
+            ring = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "FusionRing")
+            others += [
+                node.name for node in ring.body if isinstance(node, ast.FunctionDef)
+                and (node.name == "__new__" or any(
+                    getattr(d, "id", None) in ("classmethod", "staticmethod")
+                    for d in node.decorator_list))
+            ]
+            others += [f"line {node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert calls == ["fusionring.py:ring_from_text"]
+    assert others == []

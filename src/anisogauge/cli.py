@@ -7,15 +7,23 @@ Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
 Only `verify` past its bound and existence gates, `sweep` and
 `double-rank` load numpy, so `census` and the gate exits start quickly.
+The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
 import time
+
+try:  # hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:  # a build without the built-in hashes, e.g. for FIPS
+        from hashlib import sha256
 
 # numpy-free modules only; the array layers are imported inside the
 # commands that need them
@@ -60,7 +68,7 @@ def _payload_json(payload: dict) -> str:
 
 
 def _emit(payload: dict, fmt: str, table_lines, csv_lines) -> None:
-    digest = hashlib.sha256(_payload_json(payload).encode()).hexdigest()
+    digest = sha256(_payload_json(payload).encode()).hexdigest()
     if fmt == "json":
         print(_payload_json({**payload, "sha256": digest}))
     elif fmt == "csv":

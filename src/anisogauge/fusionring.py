@@ -20,8 +20,9 @@ with int64 arrays, before doing arithmetic on it; comparisons and indexing
 may read the narrow values.  The certificates (unit, duality, Light's test,
 the full scans, the character check) walk the n x n arrays in
 `_row_blocks`, so that no int64 temporary holds more than about
-_BLOCK_CELLS cells; the generator closure reads only the generators' rows
-and columns.  Light's test compares single-term sides cell to cell and
+_BLOCK_CELLS cells, and Light's test, the duality scan and the character
+check reuse scratch allocated once a call; the generator closure reads
+only the generators' rows and columns.  Light's test compares single-term sides cell to cell and
 handles each multi-term x s (or s y) once over all y (or all x): one
 gathered grid over its support, summed by np.add.at on flat indices, less
 the other side, one cell a pair, so a multi-term middle costs a few
@@ -34,10 +35,10 @@ point.  Censuses are `gauging.Census` inventories (label, dimension, count)
 whose weighted square sum must reproduce the declared global dimension.
 The little-group census and the class count act on the same codes, by one
 permutation: v -> c*v for the order-p norm-one c, whose free orbits
-`_free_orbits` walks.  The class count conjugates by every group element
-from the group law, with no (p q^2)^2 table.  The equivariantization census
-lives in the numpy-free `gauging` module, which certifies its orbit count
-by argument; it is re-exported here.
+`_free_orbits` walks.  The class count is Burnside's count of commuting
+pairs, from the group law, with no (p q^2)^2 table.  The
+equivariantization census lives in the numpy-free `gauging` module, which
+certifies its orbit count by argument; it is re-exported here.
 """
 
 import itertools
@@ -358,8 +359,9 @@ def _duality_problem(ring: FusionRing) -> str | None:
     if len(bad):
         return f"dual not involutive at {basis[bad[0]]}"
     weigh = _weights(ring, (everyone == ring.unit_index).astype(np.int64))
+    space = np.empty(next(_row_blocks(n, n)).stop * n, dtype=np.int64)  # reused by every block
     for rows in _row_blocks(n, n):
-        off = weigh(rows)
+        off = weigh(rows, _scratch(space, (rows.stop - rows.start, n)))
         off[np.arange(len(off)), dual[rows]] -= 1
         if off.any():
             r, j = np.argwhere(off)[0]
@@ -496,16 +498,17 @@ def fp_dims(ring: FusionRing) -> dict:
 
 
 def _weights(ring: FusionRing, e: np.ndarray):
-    """The map cells -> sum_k N(i, j; k) e(k) on the cells (i, j) that `cells`
-    picks from prod and coef: one gather per cell from e and from e of each
-    multi-term row, computed once here and stored in reverse after e, so
-    that prod indexes it directly (t < 0 counts back from the end to row
-    -1 - t).  No arithmetic touches the narrow prod, and the narrow coef
-    only multiplies int64 values."""
+    """The map (cells, out) -> sum_k N(i, j; k) e(k) on the cells (i, j) that
+    `cells` picks from prod and coef, in `out` if given: one gather per cell
+    from e and from e of each multi-term row, computed once here and stored
+    in reverse after e, so that prod indexes it directly (take's mode "wrap"
+    counts t < 0 back from the end, to row -1 - t).  No arithmetic touches
+    the narrow prod, and the narrow coef only multiplies int64 values."""
     values = np.concatenate([e, (ring.multi @ e)[::-1]])
 
-    def weigh(cells):
-        return ring.coef[cells] * values[ring.prod[cells]]
+    def weigh(cells, out=None):
+        return np.multiply(ring.coef[cells], values.take(ring.prod[cells], out=out, mode="wrap"),
+                           out=out)
     return weigh
 
 
@@ -514,8 +517,13 @@ def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
     checked in `_row_blocks` of i."""
     if (d <= 0).any() or d[ring.unit_index] != 1:
         return False
-    weigh = _weights(ring, d)
-    return all((d[rows, None] * d == weigh(rows)).all() for rows in _row_blocks(len(d), len(d)))
+    n, weigh = len(d), _weights(ring, d)
+    space = np.empty((2, next(_row_blocks(n, n)).stop * n), dtype=np.int64)  # reused by every block
+    for rows in _row_blocks(n, n):
+        left, right = (_scratch(buf, (rows.stop - rows.start, n)) for buf in space)
+        if (np.multiply(d[rows, None], d, out=left) != weigh(rows, right)).any():
+            return False
+    return True
 
 
 def _matrix_of_c(p: int, q: int) -> Mat2:
@@ -610,7 +618,7 @@ def semidirect_irreps(p: int, q: int) -> Census:
     character lies in a free orbit of size p and induces one p-dimensional
     irrep.  Cross-validated, whenever the group order is at most
     CROSS_CHECK_BOUND, against the number of conjugacy classes counted by
-    `_class_count` from the group law, which conjugates by every element.
+    `_class_count` from the group law, as commuting pairs over the order.
     """
     m = _matrix_of_c(p, q)
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
@@ -630,29 +638,23 @@ def _class_count(perm: np.ndarray, p: int, q: int) -> int:
     (v, k), v in F_{q^2} and k in Z/p, with c acting on the codes by `perm`,
     without its multiplication table.
 
-    By the law (v, k)(w, l) = (v + c^k w, k + l), conjugation by (w, l) sends
-    (v, k) to (c^l v + w - c^k w, k).  Each element not yet reached starts a
-    class, and its conjugates by all p q^2 elements (w, l) are marked, on
-    codes: c^l v from the powers of `perm`, w - c^k w from one (p, q^2)
-    table of codes.
+    By Burnside's lemma it is the number of commuting pairs over p q^2.
+    By the law (v, k)(w, l) = (v + c^k w, k + l), (v, k) and (w, l) commute
+    exactly when v - c^l v = w - c^k w; so with N(x) the number of (v, j)
+    with v - c^j v = x, on codes from the powers of `perm`, there are
+    sum_x N(x)^2 of them.  ArithmeticError if that is not a multiple of p q^2.
     """
     q2 = q * q
     powers = np.empty((p, q2), dtype=np.int64)  # powers[l] = the codes of c^l
     powers[0] = np.arange(q2)
     for l in range(1, p):
         powers[l] = perm[powers[l - 1]]
-    (w0, w1), (c0, c1) = np.divmod(powers[0], q), np.divmod(powers, q)
-    moved = (w0 - c0) % q, (w1 - c1) % q  # the codes of w - c^k w, by k
-    reached = np.zeros(p * q2, dtype=bool)
-    count = 0
-    for g in range(p * q2):
-        if reached[g]:
-            continue
-        k, v = divmod(g, q2)
-        (v0, v1), (d0, d1) = np.divmod(powers[:, v, None], q), (moved[0][k], moved[1][k])
-        reached[k * q2 + (v0 + d0) % q * q + (v1 + d1) % q] = True
-        count += 1
-    return count
+    (v0, v1), (c0, c1) = np.divmod(powers[0], q), np.divmod(powers, q)
+    counts = np.bincount(((v0 - c0) % q * q + (v1 - c1) % q).ravel(), minlength=q2)
+    pairs = int(counts @ counts)
+    if pairs % (p * q2):
+        raise ArithmeticError(f"{pairs} commuting pairs is not a multiple of {p * q2}")
+    return pairs // (p * q2)
 
 
 def drinfeld_double_rank(table: np.ndarray) -> int:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import anisogauge
 from anisogauge import fusionring, gauging, gtcheck
-from anisogauge.cli import main
+from anisogauge.cli import main, sha256
 from anisogauge.errors import ExistenceViolated, NotACharacter
 
 
@@ -296,6 +296,19 @@ def test_census_bound_exceeded(capsys):
     code, _, err = run(capsys, ["census", "3", "10007"])
     assert code == 3
     assert "exceeds bound" in err
+
+
+@pytest.mark.parametrize("length", [0, 1, 55, 56, 63, 64, 65, 119, 120, 4096])
+def test_digest_matches_hashlib_at_padding_boundaries(length):
+    # SHA-256 pads to 64-byte blocks; the length field fits after 55 bytes
+    data = bytes(range(256)) * 16
+    assert sha256(data[:length]).hexdigest() == hashlib.sha256(data[:length]).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=1000))
+def test_digest_matches_hashlib(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def _payload_and_digest_agree(out: str) -> dict:

@@ -22,7 +22,7 @@ from anisogauge import (
 )
 from anisogauge import fusionring
 from anisogauge.errors import BoundExceeded
-from anisogauge.ffield import make_field, pick_order_p
+from anisogauge.ffield import is_prime, make_field, pick_order_p
 from anisogauge.fusionring import (
     AxiomReport,
     _anti_involution_holds,
@@ -37,7 +37,6 @@ from anisogauge.fusionring import (
     _spread,
 )
 from oracles import cyclic_group_ring, dims_multiset, ring_of, semidirect_group_table, tensor_of
-from test_acceptance import ALL_VALID_PAIRS_2000
 
 
 def test_extension_ring_rules_3_5():
@@ -858,10 +857,28 @@ def test_semidirect_irreps_3_2():
     assert len(conjugacy_classes(table)) == 4
 
 
-@pytest.mark.parametrize("p,q", sorted(set(ALL_VALID_PAIRS_2000) | {(3, 2), (2, 3), (2, 7)}))
+# every pair that `_require_pair` accepts with p q^2 <= 2000, even primes
+# included: p | q + 1 gives p <= q + 1, and p >= 2 gives q <= 31
+GATED_PAIRS_2000 = [
+    (p, q) for q in range(2, 32) for p in range(2, q + 2)
+    if is_prime(p) and is_prime(q) and (q + 1) % p == 0 and p * q * q <= 2000
+]
+
+
+@pytest.mark.parametrize("p,q", GATED_PAIRS_2000)
 def test_class_count_from_the_law_matches_the_table(p, q):
     perm = _code_permutation(_matrix_of_c(p, q))
     assert _class_count(perm, p, q) == len(conjugacy_classes(semidirect_group_table(p, q)))
+
+
+def test_class_count_refuses_a_pair_count_that_is_not_a_multiple_of_the_order():
+    # swapping two codes leaves a permutation that is not linear, so the
+    # pairs are not a group and Burnside's count does not divide
+    perm = _code_permutation(_matrix_of_c(3, 5))
+    perm[[1, 2]] = perm[[2, 1]]
+    with pytest.raises(ArithmeticError, match="835 commuting pairs is not a multiple of 75"):
+        _class_count(perm, 3, 5)
+    assert _class_count(np.arange(25), 3, 5) == 75  # c = 1: the abelian group Z/3 x F_25
 
 
 def test_semidirect_group_table_existence():

@@ -92,3 +92,35 @@ def test_one_construction_path_for_fusion_rings():
                        if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert calls == ["fusionring.py:ring_from_text"]
     assert others == []
+
+
+def _names_hashlib(node) -> bool:
+    """An import of hashlib, a use of the name, or the string "hashlib"
+    (as importlib.import_module would take it)."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "hashlib" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "hashlib"
+    return getattr(node, "id", None) == "hashlib" or getattr(node, "value", None) == "hashlib"
+
+
+def test_hashlib_only_as_the_last_resort_digest():
+    # hashlib imports _hashlib, which maps OpenSSL's libcrypto: the payload
+    # digest comes from the built-in _sha2 or _sha256, and from hashlib only
+    # on a build that has neither
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _names_hashlib(node)
+    ]
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    node, chain = next(node for node in tree.body if isinstance(node, ast.Try)), []
+    while isinstance(node, ast.Try):
+        (handler,) = node.handlers
+        assert getattr(handler.type, "id", None) == "ImportError"
+        chain.append(node.body[0].module)
+        node = handler.body[0]
+    chain.append(node.module)
+    assert chain == ["_sha2", "_sha256", "hashlib"]
+    assert found == [f"cli.py:{node.lineno}"]

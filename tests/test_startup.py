@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from anisogauge import _EXPORTS
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
 
 # Runs the CLI in a fresh interpreter, then reports its exit code and which
-# of numpy, numpy.ma and inspect were loaded.  inspect (with ast, dis and
-# tokenize) comes with dataclasses, and numpy imports it too.
+# of numpy, numpy.ma, inspect and _hashlib were loaded.  inspect (with ast,
+# dis and tokenize) comes with dataclasses, and numpy imports it too;
+# _hashlib is hashlib's binding to OpenSSL.
 PROBE = """
 import sys
 argv, code = sys.argv[1:], None
@@ -25,7 +27,8 @@ if argv:
         code = exit.code
 else:
     import anisogauge
-print(code, *(name for name in ("numpy", "numpy.ma", "inspect") if name in sys.modules))
+print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "_hashlib")
+              if name in sys.modules))
 """
 
 
@@ -39,14 +42,17 @@ def probe(argv, env=None) -> tuple[str, set]:
     return code, set(modules)
 
 
-@pytest.mark.parametrize("argv,env", [
+START_UP_PATHS = [
     ([], None),
     (["census", "3", "5"], None),
     (["verify", "3", "7"], None),
     (["verify", "3", "29"], None),
     (["verify", "3", "11"], {"ANISOGAUGE_BOUND": "100"}),
     (["verify", "1", "5"], None),
-])
+]
+
+
+@pytest.mark.parametrize("argv,env", START_UP_PATHS)
 def test_start_up_paths_skip_numpy(argv, env):
     assert probe(argv, env)[1].isdisjoint({"numpy", "inspect"})
 
@@ -66,6 +72,24 @@ def test_numpy_paths_skip_numpy_ma(argv, tmp_path):
     table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
     argv = [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
     assert probe(argv) == ("0", {"numpy", "inspect"})
+
+
+BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not BUILT_IN_SHA256, reason="no built-in SHA-256; the digest needs hashlib")
+@pytest.mark.parametrize("argv,env", START_UP_PATHS + [
+    (["verify", "3", "5"], None),
+    (["verify", "3", "2"], None),
+    (["double-rank", "Z3_TABLE"], None),
+    (["sweep", "2"], None),
+])
+def test_no_command_loads_openssl(argv, env, tmp_path):
+    # hashlib imports _hashlib, which maps OpenSSL's libcrypto (about 3.7 MB)
+    table = tmp_path / "z3.txt"
+    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    argv = [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
+    assert "_hashlib" not in probe(argv, env)[1]
 
 
 # The public surface, pinned so that a new export shows up in review.

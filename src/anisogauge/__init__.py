@@ -57,7 +57,6 @@ _EXPORTS = {
         "AxiomReport",
         "FusionRing",
         "build_extension_ring",
-        "conjugacy_classes",
         "drinfeld_double_rank",
         "fp_dims",
         "ring_from_text",

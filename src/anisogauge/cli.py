@@ -322,13 +322,20 @@ def cmd_double_rank(path: str, fmt: str) -> int:
 
     try:
         with open(path) as fh:
-            tokens = fh.read().split()
-        n = int(tokens[0])
-        if n < 1:
-            raise ValueError(f"group order {n} is not positive")
+            tokens = []
+            while not tokens and (line := fh.readline()):  # the header, past blank lines
+                tokens = line.split()
+            n = int(tokens[0])
+            if n < 1:
+                raise ValueError(f"group order {n} is not positive")
+            if n > fusionring.DOUBLE_RANK_BOUND:  # refused before the n^2 entries are read
+                raise BoundExceeded(f"group order {n} exceeds {fusionring.DOUBLE_RANK_BOUND}")
+            tokens += fh.read().split()
         if len(tokens) != 1 + n * n:
             raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
         table = np.array([int(t) for t in tokens[1:]], dtype=np.int32).reshape(n, n)
+    except BoundExceeded:  # a ValueError, but not a malformed table
+        raise
     except (OSError, ValueError, IndexError, OverflowError) as err:
         raise BadParameter(f"cannot read group table: {err}") from None
     rank = fusionring.drinfeld_double_rank(table)

@@ -35,11 +35,22 @@ def is_prime(n: int) -> bool:
                for b in _MR_BASES)
 
 
+@lru_cache(maxsize=None)
+def _square_roots(q: int) -> tuple[int | None, ...]:
+    """r -> the least a with a^2 = r mod q, or None where r is not a square:
+    the one table of square roots mod q, in O(q), since the squares of
+    0..q // 2 are all of them."""
+    roots: list[int | None] = [None] * q
+    for a in range(q // 2 + 1):
+        roots[a * a % q] = a
+    return tuple(roots)
+
+
 def least_nonresidue(q: int) -> int:
     """Smallest quadratic non-residue mod an odd prime q."""
-    squares = {pow(a, 2, q) for a in range(1, q)}
+    roots = _square_roots(q)
     for d in range(2, q):
-        if d not in squares:
+        if roots[d] is None:
             return d
     raise NoSuchElement(f"no quadratic non-residue mod {q}")
 
@@ -252,8 +263,8 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     """All norm-one elements, sorted by (a0, a1); a cyclic group of order q + 1.
 
     For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a1 the
-    members are the square roots a0 of 1 + d*a1^2, read from a table of
-    square roots mod q: O(q) instead of a scan of the q^2 elements.  For
+    members are the square roots +-a0 of 1 + d*a1^2, read from
+    `_square_roots`: O(q) instead of a scan of the q^2 elements.  For
     q = 2 the four elements are scanned.  The size q + 1 is checked, and
     cyclicity is certified by a generator g: g^(q+1) = norm(g) = 1, and
     g^((q+1)/r) != 1 for each prime r | q + 1, so g has order exactly q + 1.
@@ -262,14 +273,12 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     if q == 2:
         members = tuple(x for x in ctx.elements() if norm(x) == 1)
     else:
-        roots: dict[int, list[int]] = {}
-        for a in range(q):
-            roots.setdefault(a * a % q, []).append(a)
-        members = tuple(sorted(
-            (ExtElement(ctx, a0, a1) for a1 in range(q)
-             for a0 in roots.get((1 + ctx.d * a1 * a1) % q, ())),
-            key=ExtElement.key,
-        ))
+        roots, found = _square_roots(q), set()
+        for a1 in range(q):
+            a0 = roots[(1 + ctx.d * a1 * a1) % q]
+            if a0 is not None:
+                found |= {ExtElement(ctx, a0, a1), ExtElement(ctx, -a0, a1)}
+        members = tuple(sorted(found, key=ExtElement.key))
     n = q + 1
     if len(members) != n:
         raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {n}")
@@ -294,48 +303,39 @@ def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     raise NoSuchElement(f"no element of order {p} in the norm-one subgroup")
 
 
-@lru_cache(maxsize=None)
-def _non_square(ctx: FieldCtx) -> ExtElement:
-    """The first non-square of F_{q^2} in (a0, a1) order, for odd q."""
-    n = ctx.q * ctx.q - 1
-    return next(e for e in ctx.elements() if e and e ** (n // 2) == -ctx.one)
-
-
 def sqrt_ext(x: ExtElement) -> ExtElement | None:
     """A canonical square root of x in the extension, or None if x is not a square.
 
-    Every base-field element is a square up here.  The canonical choice is
-    the smaller of {y, -y} in (a0, a1) order.
+    For odd q, the roots come from `_square_roots` through the norm.  x is a
+    square exactly when N(x) = x^(q + 1) is a square mod q, as
+    x^((q^2 - 1) / 2) = N(x)^((q - 1) / 2).
+    For x = a + b*theta with b != 0 and n^2 = N(x), a root u + v*theta has
+    u^2 - d v^2 = +-n and u^2 + d v^2 = a, so u^2 is (a + n)/2 or (a - n)/2:
+    their product d b^2 / 4 is a non-residue, so exactly one is a square,
+    and it is nonzero; then v = b / 2u.  For b = 0 the root is sqrt(a), or
+    sqrt(a/d)*theta when a is a non-residue, so every base-field element is
+    a square up here.  For q = 2 the multiplicative group has odd order 3
+    and x^2 is the root.  The canonical choice is the smaller of {y, -y} in
+    (a0, a1) order.
     """
     ctx = x.ctx
+    q, a, b = ctx.q, x.a0, x.a1
     if not x:
         return ctx.zero
-    n = ctx.q * ctx.q - 1
-    if n % 2 == 1:  # q = 2: odd group order, everything is a square
-        y = x ** ((n + 1) // 2)
+    if q == 2:  # odd group order, everything is a square
+        y = x * x
     else:
-        if x ** (n // 2) != ctx.one:
-            return None
-        # Tonelli-Shanks in the multiplicative group of order n
-        s, m = n, 0
-        while s % 2 == 0:
-            s //= 2
-            m += 1
-        z = _non_square(ctx)
-        c = z ** s
-        y = x ** ((s + 1) // 2)
-        t = x ** s
-        while t != ctx.one:
-            t2 = t
-            i = 0
-            while t2 != ctx.one:
-                t2 = t2 * t2
-                i += 1
-            b = c ** (1 << (m - i - 1))
-            y = y * b
-            c = b * b
-            t = t * c
-            m = i
+        roots = _square_roots(q)
+        if b == 0:
+            u = roots[a]
+            y = ctx.elem(u) if u is not None else ctx.elem(0, roots[a * pow(ctx.d, -1, q) % q])
+        else:
+            n = roots[norm(x)]
+            if n is None:
+                return None
+            half = pow(2, -1, q)
+            u = roots[(a + n) * half % q] or roots[(a - n) * half % q]
+            y = ctx.elem(u, b * pow(2 * u, -1, q))
     if y * y != x:
         raise ArithmeticError("square-root extraction failed")
     return min(y, -y, key=ExtElement.key)

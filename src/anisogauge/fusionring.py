@@ -36,7 +36,11 @@ whose weighted square sum must reproduce the declared global dimension.
 The little-group census and the class count act on the same codes, by one
 permutation: v -> c*v for the order-p norm-one c, whose free orbits
 `_free_orbits` walks.  The class count is Burnside's count of commuting
-pairs, from the group law, with no (p q^2)^2 table.  The
+pairs, from the group law, with no (p q^2)^2 table.  drinfeld_double_rank
+certifies a multiplication table as a group by verify_axioms on its group
+ring (the table as prod, coef 1, the inverses as duals) and counts the
+rank of the double by Burnside's lemma applied twice: commuting triples
+over the group order.  The
 equivariantization census lives in the numpy-free `gauging` module, which
 certifies its orbit count by argument; it is re-exported here.
 """
@@ -560,56 +564,6 @@ def _free_orbits(perm: np.ndarray, p: int) -> np.ndarray:
     return codes[np.argsort(least, kind="stable")].reshape(-1, p)
 
 
-def group_identity(table: np.ndarray) -> int:
-    n = len(table)
-    hits = np.nonzero((table == np.arange(n, dtype=table.dtype)[None, :]).all(axis=1))[0]
-    if len(hits) != 1:
-        raise BadParameter("table has no unique identity")
-    return int(hits[0])
-
-
-def group_inverses(table: np.ndarray) -> np.ndarray:
-    e = group_identity(table)
-    inv = np.argmax(table == e, axis=1)
-    if not (table[np.arange(len(table)), inv] == e).all():
-        raise BadParameter("table has non-invertible elements")
-    return inv
-
-
-def conjugacy_classes(table: np.ndarray) -> list[np.ndarray]:
-    """Partition of the element set into conjugacy classes."""
-    n = len(table)
-    inv = group_inverses(table)
-    visited = np.zeros(n, dtype=bool)
-    classes = []
-    for g in range(n):
-        if visited[g]:
-            continue
-        mark = np.zeros(n, dtype=bool)  # np.unique would import numpy.ma
-        mark[table[table[:, g], inv]] = True
-        cls = np.flatnonzero(mark)
-        visited[cls] = True
-        classes.append(cls)
-    return classes
-
-
-def validate_group_table(table: np.ndarray) -> None:
-    """Identity, latin-square, inverse and associativity checks."""
-    n = len(table)
-    if table.shape != (n, n):
-        raise BadParameter("table is not square")
-    if table.min() < 0 or table.max() >= n:
-        raise BadParameter("table entries out of range")
-    ar = np.arange(n, dtype=table.dtype)
-    for axis in (0, 1):
-        if not (np.sort(table, axis=axis) == (ar[:, None] if axis == 0 else ar[None, :])).all():
-            raise BadParameter("table rows/columns are not permutations")
-    group_inverses(table)
-    for a in range(n):
-        if not np.array_equal(table[table[a]], table[a][table]):
-            raise BadParameter("table is not associative")
-
-
 def semidirect_irreps(p: int, q: int) -> Census:
     """Irreducible-representation census of the order-p*q^2 twisted product.
 
@@ -658,24 +612,43 @@ def _class_count(perm: np.ndarray, p: int, q: int) -> int:
 
 
 def drinfeld_double_rank(table: np.ndarray) -> int:
-    """Rank of the double: sum over class representatives of the number of
-    conjugacy classes of the centralizer."""
+    """Rank of the double of the group with multiplication table `table`.
+
+    The table is certified as a group by `verify_axioms` on its group ring:
+    one basis element per group element, prod the table, coef 1 and dual the
+    inverses read off the identity.  The unit law is the two-sided identity,
+    the duality checks are the two-sided inverses, and Light's test on a
+    generating set certifies associativity.  The rank is the sum over
+    classes of the number of classes of the centralizer; Burnside's lemma,
+    applied twice, makes that the number of pairwise commuting triples over
+    |G|.  BadParameter unless the table is square, its entries lie in
+    0..n - 1, exactly one row is x -> x and the ring passes; ArithmeticError
+    if the triples are not a multiple of |G|.
+    """
     table = np.asarray(table)
     n = len(table)
     if n > DOUBLE_RANK_BOUND:
         raise BoundExceeded(f"group order {n} exceeds {DOUBLE_RANK_BOUND}")
-    validate_group_table(table)
-    total = 0
-    for cls in conjugacy_classes(table):
-        g = int(cls[0])
-        cent = np.nonzero(table[:, g] == table[g, :])[0]
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[cent] = np.arange(len(cent))
-        sub = pos[table[np.ix_(cent, cent)]]
-        if sub.min() < 0:
-            raise ArithmeticError("centralizer is not closed")
-        total += len(conjugacy_classes(sub))
-    return total
+    if table.shape != (n, n):
+        raise BadParameter("table is not square")
+    if table.min() < 0 or table.max() >= n:
+        raise BadParameter("table entries out of range")
+    identity = np.flatnonzero((table == np.arange(n)).all(axis=1))
+    if len(identity) != 1:
+        raise BadParameter("table has no unique identity")
+    e = int(identity[0])
+    prod_t, coef_t = _ring_dtypes(n, 0, 1, 1)
+    ring = FusionRing([str(g) for g in range(n)], e, np.argmax(table == e, axis=1),
+                      table.astype(prod_t), np.ones((n, n), dtype=coef_t),
+                      np.zeros((0, n), dtype=np.int64))
+    report = verify_axioms(ring)
+    if not report.passed:
+        raise BadParameter(f"table is not a group: {report.counterexample}")
+    commute = (table == table.T).astype(np.int64)
+    triples = int((commute * (commute @ commute)).sum())
+    if triples % n:
+        raise ArithmeticError(f"{triples} commuting triples is not a multiple of {n}")
+    return triples // n
 
 
 def ring_to_text(ring: FusionRing) -> str:

@@ -1,9 +1,11 @@
 """Reference constructions the tests compare the package against.
 
 None of these is on a CLI path: they are fixtures (rings written on labels,
-a group ring, the semidirect product's full multiplication table) and
-small readings of package objects (a ring's label-level tensor, orders,
-block products, coordinates) kept out of `src/`.
+a group ring, the semidirect product's full multiplication table), small
+readings of package objects (a ring's label-level tensor, orders, block
+products, coordinates) kept out of `src/`, and brute-force counts on group
+tables (conjugacy classes, commuting pairs up to conjugation) that the
+package's Burnside counts are checked against.
 """
 
 import numpy as np
@@ -69,6 +71,47 @@ def semidirect_group_table(p: int, q: int) -> np.ndarray:
             table[k * q2:(k + 1) * q2, l * q2:(l + 1) * q2] = (k + l) % p * q2 + twisted
         power = perm[power]
     return table
+
+
+def _inverses(table: np.ndarray) -> np.ndarray:
+    """inv[g], read off the identity: the row that is x -> x."""
+    n = len(table)
+    e = int(np.nonzero((table == np.arange(n)[None, :]).all(axis=1))[0][0])
+    return np.argmax(table == e, axis=1)
+
+
+def conjugacy_classes(table: np.ndarray) -> list[np.ndarray]:
+    """Partition of the element set into conjugacy classes."""
+    n = len(table)
+    inv = _inverses(table)
+    visited = np.zeros(n, dtype=bool)
+    classes = []
+    for g in range(n):
+        if visited[g]:
+            continue
+        mark = np.zeros(n, dtype=bool)  # np.unique would import numpy.ma
+        mark[table[table[:, g], inv]] = True
+        cls = np.flatnonzero(mark)
+        visited[cls] = True
+        classes.append(cls)
+    return classes
+
+
+def commuting_pair_orbits(table: np.ndarray) -> int:
+    """Commuting pairs up to simultaneous conjugation, one orbit at a time:
+    the rank of the double, counted with no lemma."""
+    n = len(table)
+    inv = _inverses(table)
+    seen = set()
+    orbits = 0
+    for g in range(n):
+        for h in range(n):
+            if table[g, h] != table[h, g] or (g, h) in seen:
+                continue
+            orbits += 1
+            for x in range(n):
+                seen.add((int(table[table[x, g], inv[x]]), int(table[table[x, h], inv[x]])))
+    return orbits
 
 
 def order(m: Mat2) -> int:

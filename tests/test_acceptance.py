@@ -16,7 +16,6 @@ from anisogauge import (
     build_anisotropic,
     build_extension_ring,
     build_hyperbolic,
-    conjugacy_classes,
     dihedral_generators,
     drinfeld_double_rank,
     enumerate_orth,
@@ -35,7 +34,9 @@ from anisogauge import (
     verify_axioms,
 )
 from anisogauge.cli import main
-from oracles import dims_multiset, order, semidirect_group_table
+from oracles import (
+    commuting_pair_orbits, conjugacy_classes, dims_multiset, order, semidirect_group_table,
+)
 
 PRIMES_50 = [n for n in range(2, 51) if is_prime(n)]
 ODD_PRIMES_50 = [n for n in PRIMES_50 if n != 2]
@@ -170,22 +171,6 @@ def test_criterion_7_sum_of_squares():
     assert emitted >= 20
 
 
-def _oracle_commuting_pair_orbits(table: np.ndarray) -> int:
-    n = len(table)
-    e = int(np.nonzero((table == np.arange(n)[None, :]).all(axis=1))[0][0])
-    inv = np.argmax(table == e, axis=1)
-    seen = set()
-    orbits = 0
-    for g in range(n):
-        for h in range(n):
-            if table[g, h] != table[h, g] or (g, h) in seen:
-                continue
-            orbits += 1
-            for x in range(n):
-                seen.add((int(table[table[x, g], inv[x]]), int(table[table[x, h], inv[x]])))
-    return orbits
-
-
 @report(8, "double rank: S3 = 8, Z/n = n^2, order-21 group matches pair-count oracle")
 def test_criterion_8_double_rank():
     perms = list(itertools.permutations(range(3)))
@@ -195,18 +180,18 @@ def test_criterion_8_double_rank():
 
     s3 = np.array([[perms.index(compose(a, b)) for b in perms] for a in perms])
     assert drinfeld_double_rank(s3) == 8
-    assert _oracle_commuting_pair_orbits(s3) == 8
+    assert commuting_pair_orbits(s3) == 8
     for n in (2, 3, 6, 10):
         zn = np.array([[(a + b) % n for b in range(n)] for a in range(n)])
         assert drinfeld_double_rank(zn) == n * n
-        assert _oracle_commuting_pair_orbits(zn) == n * n
+        assert commuting_pair_orbits(zn) == n * n
     els = [(a, k) for k in range(3) for a in range(7)]
 
     def mul21(x, y):
         return ((x[0] + pow(2, x[1], 7) * y[0]) % 7, (x[1] + y[1]) % 3)
 
     t21 = np.array([[els.index(mul21(x, y)) for y in els] for x in els])
-    assert drinfeld_double_rank(t21) == _oracle_commuting_pair_orbits(t21) == 25
+    assert drinfeld_double_rank(t21) == commuting_pair_orbits(t21) == 25
 
 
 @report(9, "repeated runs of every command produce byte-identical payloads")

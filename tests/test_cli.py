@@ -227,6 +227,36 @@ def test_double_rank_rejects_non_group(capsys, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("rows", [
+    # the order-5 loop: identity 0 and two-sided inverses, but not associative
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    # row 0 is x -> x but column 0 is not: an identity on the left only
+    [[0, 1, 2], [2, 0, 1], [1, 2, 0]],
+])
+def test_double_rank_refuses_a_table_that_is_not_a_group(tmp_path, rows):
+    path = tmp_path / "table.txt"
+    path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    src = str(Path(anisogauge.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "anisogauge.cli", "double-rank", str(path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert done.returncode == 64 and done.stdout == ""
+    assert len(errors) == 1 and errors[0].startswith("error: table is not a group: ")
+
+
+@pytest.mark.parametrize("text", ["201", "201\nnot a table\n", "\n\n2000\n0 1\n"])
+def test_double_rank_refuses_an_order_over_the_bound_from_its_header(capsys, tmp_path, text):
+    # the entries after the header are not read, so whatever follows it is
+    # refused for the order alone
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["double-rank", str(path)])
+    n = text.split()[0]
+    assert code == 3 and out == ""
+    assert err == f"error: group order {n} exceeds {fusionring.DOUBLE_RANK_BOUND}\n"
+
+
 def test_double_rank_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["double-rank", str(tmp_path / "missing.txt")])
     assert code == 64

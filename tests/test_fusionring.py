@@ -11,7 +11,6 @@ from anisogauge import (
     FusionRing,
     NotACharacter,
     build_extension_ring,
-    conjugacy_classes,
     drinfeld_double_rank,
     equivariantization_census,
     fp_dims,
@@ -36,7 +35,10 @@ from anisogauge.fusionring import (
     _require_ring_budget,
     _spread,
 )
-from oracles import cyclic_group_ring, dims_multiset, ring_of, semidirect_group_table, tensor_of
+from oracles import (
+    commuting_pair_orbits, conjugacy_classes, cyclic_group_ring, dims_multiset, ring_of,
+    semidirect_group_table, tensor_of,
+)
 
 
 def test_extension_ring_rules_3_5():
@@ -918,23 +920,30 @@ def test_drinfeld_double_rank_bound():
         drinfeld_double_rank(table)
 
 
-def _simultaneous_conjugation_orbits(table: np.ndarray) -> int:
-    """Independent oracle: commuting pairs up to simultaneous conjugation."""
-    n = len(table)
-    e = int(np.nonzero((table == np.arange(n)[None, :]).all(axis=1))[0][0])
-    inv = np.argmax(table == e, axis=1)
-    seen = set()
-    orbits = 0
-    for g in range(n):
-        for h in range(n):
-            if table[g, h] != table[h, g] or (g, h) in seen:
-                continue
-            orbits += 1
-            for x in range(n):
-                cg = int(table[table[x, g], inv[x]])
-                ch = int(table[table[x, h], inv[x]])
-                seen.add((cg, ch))
-    return orbits
+# identity 0 and two-sided inverses, but (1 1) 2 = 2 while 1 (1 2) = 4
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1, 2]], "table is not square"),
+    ([[0, 1], [1, 2]], "table entries out of range"),
+    ([[0, 1], [0, 1]], "table has no unique identity"),
+    ([[0, 1], [1, 1]], "table is not a group: dual not involutive at 1"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "table is not a group: unit law fails at 1"),
+    (LOOP_5, "table is not a group: reciprocity fails at N(1,2;3)"),
+])
+def test_drinfeld_double_rank_refuses_a_table_that_is_not_a_group(rows, message):
+    with pytest.raises(BadParameter) as err:
+        drinfeld_double_rank(np.array(rows))
+    assert str(err.value) == message
+
+
+def test_drinfeld_double_rank_refuses_triples_that_are_not_a_multiple_of_the_order(monkeypatch):
+    # only a table that is not a group can get past a passing certificate
+    monkeypatch.setattr(fusionring, "verify_axioms",
+                        lambda ring: AxiomReport(True, True, True, True))
+    with pytest.raises(ArithmeticError, match="29 commuting triples is not a multiple of 5"):
+        drinfeld_double_rank(np.array(LOOP_5))
 
 
 def test_drinfeld_double_rank_against_orbit_oracle():
@@ -943,18 +952,18 @@ def test_drinfeld_double_rank_against_orbit_oracle():
     perms = list(itertools.permutations(range(3)))
     compose = lambda a, b: tuple(a[b[i]] for i in range(3))  # noqa: E731
     s3 = np.array([[perms.index(compose(a, b)) for b in perms] for a in perms])
-    assert drinfeld_double_rank(s3) == 8 == _simultaneous_conjugation_orbits(s3)
+    assert drinfeld_double_rank(s3) == 8 == commuting_pair_orbits(s3)
 
     els = [(a, k) for k in range(3) for a in range(7)]
     mul = lambda x, y: ((x[0] + pow(2, x[1], 7) * y[0]) % 7, (x[1] + y[1]) % 3)  # noqa: E731
     t21 = np.array([[els.index(mul(x, y)) for y in els] for x in els])
-    assert drinfeld_double_rank(t21) == _simultaneous_conjugation_orbits(t21) == 25
+    assert drinfeld_double_rank(t21) == commuting_pair_orbits(t21) == 25
 
     # the twisted product groups themselves, when small enough
     t12 = semidirect_group_table(3, 2)
-    assert drinfeld_double_rank(t12) == _simultaneous_conjugation_orbits(t12)
+    assert drinfeld_double_rank(t12) == commuting_pair_orbits(t12)
     t18 = semidirect_group_table(2, 3)
-    assert drinfeld_double_rank(t18) == _simultaneous_conjugation_orbits(t18)
+    assert drinfeld_double_rank(t18) == commuting_pair_orbits(t18)
 
 
 def test_serialization_round_trip():

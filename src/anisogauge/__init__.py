@@ -39,7 +39,6 @@ _EXPORTS = {
     "quadspace": (
         "AnisotropicSpace",
         "HyperbolicSpace",
-        "MetricGroup",
         "QuadSpace",
         "build_anisotropic",
         "build_hyperbolic",

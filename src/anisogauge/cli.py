@@ -5,8 +5,8 @@ Commands: census, verify, sweep, double-rank.  Exit codes: 0 success,
 certification), 2 existence violated, 3 bound exceeded, 64 usage.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
-Only `verify` past its bound and existence gates, `sweep` and
-`double-rank` load numpy, so `census` and the gate exits start quickly.
+Only `verify` past its gates, `sweep` and `double-rank` past reading its
+table load numpy, so `census` and the gate and file refusals start quickly.
 The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
@@ -316,10 +316,6 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
 
 
 def cmd_double_rank(path: str, fmt: str) -> int:
-    import numpy as np
-
-    from . import fusionring
-
     try:
         with open(path) as fh:
             tokens = []
@@ -328,16 +324,21 @@ def cmd_double_rank(path: str, fmt: str) -> int:
             n = int(tokens[0])
             if n < 1:
                 raise ValueError(f"group order {n} is not positive")
-            if n > fusionring.DOUBLE_RANK_BOUND:  # refused before the n^2 entries are read
-                raise BoundExceeded(f"group order {n} exceeds {fusionring.DOUBLE_RANK_BOUND}")
+            if n > gauging.DOUBLE_RANK_BOUND:  # refused before the n^2 entries are read
+                raise BoundExceeded(f"group order {n} exceeds {gauging.DOUBLE_RANK_BOUND}")
             tokens += fh.read().split()
         if len(tokens) != 1 + n * n:
             raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
-        table = np.array([int(t) for t in tokens[1:]], dtype=np.int32).reshape(n, n)
+        entries = [int(t) for t in tokens[1:]]
+        import numpy as np  # not before, so that the refusals above skip it
+
+        table = np.array(entries, dtype=np.int32).reshape(n, n)
     except BoundExceeded:  # a ValueError, but not a malformed table
         raise
     except (OSError, ValueError, IndexError, OverflowError) as err:
         raise BadParameter(f"cannot read group table: {err}") from None
+    from . import fusionring
+
     rank = fusionring.drinfeld_double_rank(table)
     payload = {"command": "double-rank", "order": int(n), "rank": rank}
     table_lines = [f"group order {n}", f"double rank {rank}"]

@@ -22,13 +22,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # to all of these 
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: below PRIME_TEST_LIMIT, Miller-Rabin on the
-    prime bases 2..41, which no strong pseudoprime there passes (Sorenson &
-    Webster, Math. Comp. 86 (2017) 985-1003); at or above it, trial division."""
+    """Deterministic primality: Miller-Rabin on the prime bases 2..41, which no
+    strong pseudoprime below PRIME_TEST_LIMIT passes (Sorenson & Webster, Math.
+    Comp. 86 (2017) 985-1003); BoundExceeded at or above that limit."""
+    if n >= PRIME_TEST_LIMIT:
+        raise BoundExceeded(f"{n} is not below the primality limit {PRIME_TEST_LIMIT}")
     if n < 2 or math.gcd(n, math.prod(_MR_BASES)) > 1:
         return n in _MR_BASES
-    if n >= PRIME_TEST_LIMIT:
-        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
     d = (n - 1) >> s
     return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
@@ -59,7 +59,9 @@ class FieldCtx:
     """The quadratic extension of F_q, fixed by its canonical defining polynomial.
 
     The polynomial is stored as (c0, c1) meaning x^2 + c1*x + c0, so the
-    generator theta satisfies theta^2 = -c1*theta - c0.
+    generator theta satisfies theta^2 = -c1*theta - c0.  It has no root, by
+    argument: d is read off `_square_roots`, which lists every square mod q,
+    and x^2 + x + 1 takes the value 1 at both 0 and 1 mod 2.
     """
 
     __slots__ = ("q", "poly", "d")
@@ -75,11 +77,6 @@ class FieldCtx:
             d = least_nonresidue(q)
             self.poly = ((-d) % q, 0)  # x^2 - d
             self.d = d
-        # irreducibility: no root in F_q, checked by exhaustive evaluation
-        c0, c1 = self.poly
-        for a in range(q):
-            if (a * a + c1 * a + c0) % q == 0:
-                raise ArithmeticError(f"defining polynomial reducible mod {q}")
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.q == other.q and self.poly == other.poly
@@ -217,15 +214,13 @@ class ExtElement:
         return f"{self.a0}+{self.a1}t"
 
 
-def make_field(q: int, bound: int = DEFAULT_PRIME_BOUND) -> FieldCtx:
+def make_field(q: int) -> FieldCtx:
     """Construct the canonical quadratic extension of F_q.
 
-    Deterministic for fixed q.  Raises NotPrime / BoundExceeded.
+    Deterministic for fixed q.  Raises BoundExceeded, then NotPrime.
     """
-    if not is_prime(q):
-        raise NotPrime(f"{q} is not prime")
-    if q > bound:
-        raise BoundExceeded(f"q={q} exceeds bound {bound}")
+    if q > DEFAULT_PRIME_BOUND:
+        raise BoundExceeded(f"q={q} exceeds bound {DEFAULT_PRIME_BOUND}")
     return FieldCtx(q)
 
 

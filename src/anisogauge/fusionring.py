@@ -40,9 +40,9 @@ pairs, from the group law, with no (p q^2)^2 table.  drinfeld_double_rank
 certifies a multiplication table as a group by verify_axioms on its group
 ring (the table as prod, coef 1, the inverses as duals) and counts the
 rank of the double by Burnside's lemma applied twice: commuting triples
-over the group order.  The
-equivariantization census lives in the numpy-free `gauging` module, which
-certifies its orbit count by argument; it is re-exported here.
+over the group order.  The equivariantization census and DOUBLE_RANK_BOUND
+live in the numpy-free `gauging` module, which certifies the census's orbit
+count by argument; both are re-exported here.
 """
 
 import itertools
@@ -54,10 +54,9 @@ import numpy as np
 
 from .errors import BadParameter, BoundExceeded, NotACharacter
 from .ffield import make_field, pick_order_p
-from .gauging import Census, _require_pair, equivariantization_census
+from .gauging import DOUBLE_RANK_BOUND, Census, _require_pair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
-DOUBLE_RANK_BOUND = 200
 CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
 _BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary, widened from the narrow ring
@@ -443,7 +442,7 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
       by symmetry of tau this equals tau(i^* k j^*) = N(i^*,k;j).
     If a premise fails, or the anti-involution does, the full scan over
     every nonzero entry reports the first failure.  The first failing check,
-    in the order unit, duality, associativity, gives the counterexample.
+    in the order unit, duality and reciprocity, associativity, names it.
     """
     basis, prod, coef, u = ring.basis, ring.prod, ring.coef, ring.unit_index
     n = len(basis)

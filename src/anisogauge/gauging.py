@@ -12,6 +12,8 @@ from collections import namedtuple
 from .errors import ExistenceViolated, NotPrime
 from .ffield import is_prime, make_field, pick_order_p
 
+DOUBLE_RANK_BOUND = 200  # the largest group order `double-rank` accepts
+
 
 class Census(namedtuple("Census", "entries global_dim")):
     """Simple-object inventory; weighted square sum must match global_dim.
@@ -52,10 +54,10 @@ def equivariantization_census(p: int, q: int) -> Census:
 
     The orbit count is certified by argument.  The c of `pick_order_p` has
     c != 1 and c^p = 1 with p prime, so it has order exactly p; this is
-    checked here, ArithmeticError otherwise.  `make_field` proves the
-    defining polynomial root-free, so F_{q^2} is a field and c^k v = v with
-    v != 0 forces c^k = 1, that is p | k.  So every nonzero orbit has
-    exactly p elements, and there are (q^2 - 1) / p of them.
+    checked here, ArithmeticError otherwise.  By the argument in `FieldCtx`,
+    F_{q^2} is a field, so c^k v = v with v != 0 forces c^k = 1, that is
+    p | k.  So every nonzero orbit has exactly p elements, and there are
+    (q^2 - 1) / p of them.
     """
     _require_pair(p, q)
     ctx = make_field(q)

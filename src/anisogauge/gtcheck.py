@@ -33,8 +33,8 @@ class GTVerdict:
 def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
     """Roots of x^2 - tr(m) x + det(m) in the extension, canonically ordered.
 
-    The discriminant is a base-field element, hence always a square up in
-    the extension, so both roots exist.
+    The discriminant a is a base-field element, so `sqrt_ext` returns
+    sqrt(a) or sqrt(a/d)*theta and both roots exist.
     """
     if ctx.q == 2:
         raise EvenCharacteristic("eigenvalue extraction needs odd characteristic")
@@ -42,8 +42,6 @@ def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
     tr, det = m.tr(), m.det()
     disc = ctx.elem((tr * tr - 4 * det) % q)
     root = sqrt_ext(disc)
-    if root is None:
-        raise ArithmeticError("base-field discriminant must be a square")
     inv2 = pow(2, -1, q)
     mu1 = (ctx.elem(tr) + root) * inv2
     mu2 = (ctx.elem(tr) - root) * inv2
@@ -61,8 +59,6 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     alpha + beta*delta*beta^-1 = I + g exactly.
     """
     ctx = m.ctx
-    if ctx.q == 2:
-        raise EvenCharacteristic("criterion needs odd characteristic")
     if m.beta.det() == 0:
         raise BetaSingular("beta block is singular")
     a = m.alpha + m.beta * m.delta * m.beta.inverse()

@@ -9,9 +9,9 @@ Each plane certifies its form once (`QuadSpace.certificate`): the q^2 table
 of the form equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2) mod q, where
 B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  The orthogonal-group
 solve, the metric group and the Gram matrix read its three values.  The
-metric group (F_q^2, t) stores t = Q mod q as exponents in Z/q
-(t(a) = exp(2*pi*i*k/q) with k the stored exponent), never as complex
-numbers.
+metric group (F_q^2, t) is the certificate itself: its table stores
+t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q) with k the stored
+exponent), never as complex numbers.
 """
 
 import functools
@@ -111,25 +111,13 @@ class HyperbolicSpace(QuadSpace):
         return (x % self.ctx.q, y % self.ctx.q)
 
 
-@dataclass(frozen=True, eq=False)
-class MetricGroup:
-    """The metric group (F_q^2, t) of a plane: t[x, y] is the exponent in
-    Z/modulus of t(x e1 + y e2)."""
-
-    modulus: int
-    t: np.ndarray
-
-    def __repr__(self):
-        return f"MetricGroup(|A|={self.t.size}, m={self.modulus})"
-
-
 def build_anisotropic(ctx: FieldCtx) -> AnisotropicSpace:
     """The norm form on the extension, anisotropic by argument.
 
     For the defining polynomial f = x^2 + c1*x + c0, norm(a0 + a1*theta) is
     a0^2 - c1*a0*a1 + c0*a1^2, which is a1^2 * f(-a0/a1) when a1 != 0 and
-    a0^2 when a1 = 0.  FieldCtx proves that f has no root in F_q, so the
-    norm vanishes only at 0.
+    a0^2 when a1 = 0.  f has no root in F_q, by the argument in `FieldCtx`,
+    so the norm vanishes only at 0.
     """
     return AnisotropicSpace(ctx)
 
@@ -138,8 +126,8 @@ def build_hyperbolic(ctx: FieldCtx) -> HyperbolicSpace:
     return HyperbolicSpace(ctx)
 
 
-def metric_group_of(space: QuadSpace) -> MetricGroup:
-    """The metric group (F_q^2, t) of a 2-dimensional space: t = form mod q.
+def metric_group_of(space: QuadSpace) -> FormCertificate:
+    """The metric group (F_q^2, t = form mod q) of a plane: its certificate.
 
     Complete by argument on `space.certificate`: the carrier is all of
     F_q^2, so it is closed under addition; t(-v) = t(v) for a quadratic
@@ -148,10 +136,9 @@ def metric_group_of(space: QuadSpace) -> MetricGroup:
     4 Q(e1) Q(e2) - B'(e1, e2)^2 is nonzero mod q (q = 2 included).
     """
     cert = space.certificate
-    q = space.ctx.q
-    if (4 * cert.q1 * cert.q2 - cert.polar ** 2) % q == 0:
+    if (4 * cert.q1 * cert.q2 - cert.polar ** 2) % space.ctx.q == 0:
         raise ArithmeticError("bicharacter is degenerate")
-    return MetricGroup(q, cert.table)
+    return cert
 
 
 def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -151,10 +151,12 @@ def coords(v) -> tuple[int, int]:
 
 
 def bicharacter(mg, a, c) -> int:
-    """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/m, on coordinate pairs."""
-    m = mg.modulus
-    s = ((a[0] + c[0]) % m, (a[1] + c[1]) % m)
-    return int(mg.t[s] - mg.t[a] - mg.t[c]) % m
+    """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/q, on coordinate
+    pairs, for a metric group whose q x q `table` holds t."""
+    t = mg.table
+    q = len(t)
+    s = ((a[0] + c[0]) % q, (a[1] + c[1]) % q)
+    return int(t[s] - t[a] - t[c]) % q
 
 
 def dims_multiset(census) -> dict[int, int]:

@@ -33,7 +33,16 @@ def test_make_field_rejects_composites_and_bound():
     with pytest.raises(NotPrime):
         make_field(1)
     with pytest.raises(BoundExceeded):
-        make_field(10007, bound=10_000)
+        make_field(10007)
+    with pytest.raises(BoundExceeded):  # refused before any primality test
+        make_field(10 ** 30)
+
+
+def test_defining_polynomial_has_no_root_by_scan():
+    # the exhaustive root scan, kept here as the oracle for the argument in FieldCtx
+    for q in [n for n in range(2000) if is_prime(n)]:
+        c0, c1 = make_field(q).poly
+        assert all((a * a + c1 * a + c0) % q for a in range(q)), q
 
 
 def test_make_field_deterministic():
@@ -215,5 +224,7 @@ def test_is_prime_refuses_strong_pseudoprimes(n):
 def test_is_prime_near_and_past_the_limit():
     assert is_prime(10 ** 18 + 3) and is_prime(10 ** 18 + 9)
     assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
-    # at and past the limit, trial division, which a factor 43 or 47 ends at once
-    assert not is_prime(43 * PRIME_TEST_LIMIT) and not is_prime(47 * PRIME_TEST_LIMIT)
+    # at and past the limit no test ends in bounded time, so none is run
+    for n in (PRIME_TEST_LIMIT, 43 * PRIME_TEST_LIMIT):
+        with pytest.raises(BoundExceeded, match="primality limit"):
+            is_prime(n)

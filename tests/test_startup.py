@@ -74,6 +74,20 @@ def test_numpy_paths_skip_numpy_ma(argv, tmp_path):
     assert probe(argv) == ("0", {"numpy", "inspect"})
 
 
+@pytest.mark.parametrize("text,code", [
+    (None, "64"),  # no such file
+    ("three\n0 1 2\n", "64"),  # a header that is not an integer
+    ("2\n0 1\n1 x\n", "64"),  # an entry that is not an integer
+    ("201\n", "3"),  # past DOUBLE_RANK_BOUND, refused on the header alone
+], ids=["missing-file", "header", "entry", "order-201"])
+def test_double_rank_refusals_skip_numpy(text, code, tmp_path):
+    table = tmp_path / "group.txt"
+    if text is not None:
+        table.write_text(text)
+    exit_code, modules = probe(["double-rank", str(table)])
+    assert exit_code == code and "numpy" not in modules
+
+
 BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
@@ -97,7 +111,7 @@ PUBLIC = [
     "AnisogaugeError", "AnisotropicSpace", "AxiomReport", "BadParameter",
     "BetaSingular", "BoundExceeded", "Census", "EvenCharacteristic", "ExistenceViolated",
     "ExtElement", "FieldCtx", "FusionRing", "GTVerdict", "HyperbolicSpace", "Mat2",
-    "MetricGroup", "NoSuchElement", "NotACharacter", "NotNormOne", "NotPrime", "QuadSpace",
+    "NoSuchElement", "NotACharacter", "NotNormOne", "NotPrime", "QuadSpace",
     "SplitOrthMap", "ZeroEigenvalue", "build_anisotropic", "build_extension_ring",
     "build_hyperbolic", "dihedral_generators", "drinfeld_double_rank",
     "eigenvalues_2x2", "enumerate_orth", "equivariantization_census", "existence_gate",

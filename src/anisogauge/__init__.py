@@ -35,7 +35,7 @@ _EXPORTS = {
         "pick_order_p",
         "sqrt_ext",
     ),
-    "gauging": ("Census", "equivariantization_census"),
+    "gauging": ("Census", "certify_pair", "equivariantization_census"),
     "quadspace": (
         "AnisotropicSpace",
         "HyperbolicSpace",

@@ -67,13 +67,22 @@ def _payload_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _emit(payload: dict, fmt: str, table_lines, csv_lines) -> None:
+def _csv_cell(value) -> str:
+    """None as empty, a bool in lower case, and `;` for every `,`."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value).replace(",", ";")
+
+
+def _emit(payload: dict, fmt: str, table_lines, csv_fields: tuple, csv_rows) -> None:
+    """Print the payload as json, the table lines, or CSV: `csv_fields` of the `csv_rows` dicts."""
     digest = sha256(_payload_json(payload).encode()).hexdigest()
     if fmt == "json":
         print(_payload_json({**payload, "sha256": digest}))
     elif fmt == "csv":
-        for line in csv_lines:
-            print(line)
+        print(",".join(csv_fields))
+        for row in csv_rows:
+            print(",".join(_csv_cell(row[field]) for field in csv_fields))
     else:
         for line in table_lines:
             print(line)
@@ -110,7 +119,7 @@ def _bound(flag: int | None, default: int) -> int:
 
 
 def cmd_census(p: int, q: int, fmt: str) -> int:
-    census = gauging.equivariantization_census(p, q)
+    census = gauging.equivariantization_census(gauging.certify_pair(p, q))
     ctx = make_field(q)
     entries = [
         {"label": label, "dim": dim, "count": count}
@@ -132,10 +141,7 @@ def cmd_census(p: int, q: int, fmt: str) -> int:
     ]
     table += [f"  dim {e['dim']:>3} count {e['count']:>4}  {e['label']}" for e in entries]
     table.append(f"sum_dim_sq {census.global_dim} = p^2*q^2")
-    csv = ["label,dim,count"] + [
-        f"{e['label'].replace(',', ';')},{e['dim']},{e['count']}" for e in entries
-    ]
-    _emit(payload, fmt, table, csv)
+    _emit(payload, fmt, table, ("label", "dim", "count"), entries)
     return EXIT_OK
 
 
@@ -147,9 +153,9 @@ def _verify_checks(p: int, q: int) -> list[dict]:
     sizes and orders by raising, so an AnisogaugeError or ArithmeticError
     raised inside a check becomes a fail row carrying the error and the
     other checks still run; any other exception is a bug and propagates.
-    The field, the anisotropic plane, the ring and the census are built
-    at most once per pair, and a check whose input failed to build fails
-    with that error.
+    The field, the certified pair (`gauging.certify_pair`), the anisotropic
+    plane, the ring and the census are built at most once per pair, and a
+    check whose input failed to build fails with that error.
     """
     from . import fusionring, gtcheck, orthogroup, quadspace
 
@@ -169,9 +175,10 @@ def _verify_checks(p: int, q: int) -> list[dict]:
         return get
 
     field = once(lambda: make_field(q))
+    pair = once(lambda: gauging.certify_pair(p, q))
     aniso = once(lambda: quadspace.build_anisotropic(field()))
     ring = once(lambda: fusionring.build_extension_ring(p, q))
-    census = once(lambda: fusionring.equivariantization_census(p, q))
+    census = once(lambda: fusionring.equivariantization_census(pair()))
 
     def orthogonal_order(space):
         return True, f"order {len(orthogroup.enumerate_orth(space))}"
@@ -192,7 +199,7 @@ def _verify_checks(p: int, q: int) -> list[dict]:
         return ok, f"dims {values}, global {global_dim}"
 
     def semidirect_cross_check():
-        irreps = fusionring.semidirect_irreps(p, q)
+        irreps = fusionring.semidirect_irreps(pair())
         degree0 = {(dim, count) for label, dim, count in census().entries[:2]}
         semis = {(dim, count) for label, dim, count in irreps.entries}
         detail = f"irreps rank {irreps.rank}"
@@ -204,7 +211,7 @@ def _verify_checks(p: int, q: int) -> list[dict]:
         if q == 2 or p == 2:
             reason = "q=2" if q == 2 else "p=2"
             return None, f"even prime ({reason}); needs odd characteristic"
-        suite = gtcheck.non_group_theoretical_suite(p, q)
+        suite = gtcheck.non_group_theoretical_suite(pair())
         return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite]
 
     def hyperbolic_controls():
@@ -212,7 +219,7 @@ def _verify_checks(p: int, q: int) -> list[dict]:
             return None, "q=2; needs odd characteristic"
         bad = [
             a for a in range(2, q - 1)  # skips 0, 1, and q-1 = -1
-            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(q, a)).group_theoretical
+            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(field(), a)).group_theoretical
         ]
         return not bad, f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}"
 
@@ -263,11 +270,7 @@ def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     table = [f"verify p={p} q={q}"]
     table += [f"  {c['status'].upper():<4} {c['name']}: {c['detail']}" for c in checks]
     table.append(f"result {'PASS' if not failed else 'FAIL'}")
-    csv = ["name,status,detail"] + [
-        "{name},{status},{detail}".format(**{**c, "detail": c["detail"].replace(",", ";")})
-        for c in checks
-    ]
-    _emit(payload, fmt, table, csv)
+    _emit(payload, fmt, table, ("name", "status", "detail"), checks)
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -304,14 +307,7 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
         rank = "" if r["rank"] is None else f" rank={r['rank']}"
         verify = f" verify={r['verify']}" if r["verify"] else ""
         table.append(f"  p={r['p']} q={r['q']} gate={str(r['gate']).lower()}{rank}{verify}")
-    csv = ["p,q,gate,rank,verify"] + [
-        "{p},{q},{gate},{rank},{verify}".format(
-            p=r["p"], q=r["q"], gate=str(r["gate"]).lower(),
-            rank="" if r["rank"] is None else r["rank"], verify=r["verify"],
-        )
-        for r in rows
-    ]
-    _emit(payload, fmt, table, csv)
+    _emit(payload, fmt, table, ("p", "q", "gate", "rank", "verify"), rows)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -342,8 +338,7 @@ def cmd_double_rank(path: str, fmt: str) -> int:
     rank = fusionring.drinfeld_double_rank(table)
     payload = {"command": "double-rank", "order": int(n), "rank": rank}
     table_lines = [f"group order {n}", f"double rank {rank}"]
-    csv = ["order,rank", f"{n},{rank}"]
-    _emit(payload, fmt, table_lines, csv)
+    _emit(payload, fmt, table_lines, ("order", "rank"), [payload])
     return EXIT_OK
 
 

@@ -225,20 +225,14 @@ def make_field(q: int) -> FieldCtx:
 
 
 def frobenius(x: ExtElement) -> ExtElement:
-    """The involution x -> x^q; fixes exactly the base field."""
-    q = x.ctx.q
-    if q == 2:
-        return ExtElement(x.ctx, x.a0 + x.a1, x.a1)
-    # theta^q = -theta since theta^2 is a non-residue
-    return ExtElement(x.ctx, x.a0, -x.a1)
+    """The involution x -> x^q, fixing exactly the base field: theta^q = -c1 - theta."""
+    return ExtElement(x.ctx, x.a0 - x.ctx.poly[1] * x.a1, -x.a1)
 
 
 def norm(x: ExtElement) -> int:
-    """Multiplicative norm x * x^q, landing in the base field."""
-    q = x.ctx.q
-    if q == 2:
-        return (x.a0 * x.a0 + x.a0 * x.a1 + x.a1 * x.a1) % 2
-    return (x.a0 * x.a0 - x.ctx.d * x.a1 * x.a1) % q
+    """Multiplicative norm x * x^q = a0^2 - c1*a0*a1 + c0*a1^2, in the base field."""
+    c0, c1 = x.ctx.poly
+    return (x.a0 * x.a0 - c1 * x.a0 * x.a1 + c0 * x.a1 * x.a1) % x.ctx.q
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -34,8 +34,8 @@ on the n cells (i, i^*) before the character check; there is no floating
 point.  Censuses are `gauging.Census` inventories (label, dimension, count)
 whose weighted square sum must reproduce the declared global dimension.
 The little-group census and the class count act on the same codes, by one
-permutation: v -> c*v for the order-p norm-one c, whose free orbits
-`_free_orbits` walks.  The class count is Burnside's count of commuting
+permutation: v -> c*v for the c of a `gauging.CertifiedPair`, whose free
+orbits `_free_orbits` walks.  The class count is Burnside's count of commuting
 pairs, from the group law, with no (p q^2)^2 table.  drinfeld_double_rank
 certifies a multiplication table as a group by verify_axioms on its group
 ring (the table as prod, coef 1, the inverses as duals) and counts the
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BoundExceeded, NotACharacter
-from .ffield import make_field, pick_order_p
-from .gauging import DOUBLE_RANK_BOUND, Census, _require_pair, equivariantization_census
+from .gauging import (DOUBLE_RANK_BOUND, Census, CertifiedPair, _require_pair,
+                      equivariantization_census)
 from .orthogroup import Mat2, rotation
 
 CROSS_CHECK_BOUND = 2000
@@ -529,14 +529,6 @@ def _certify_character(ring: FusionRing, d: np.ndarray) -> bool:
     return True
 
 
-def _matrix_of_c(p: int, q: int) -> Mat2:
-    """The rotation matrix of v -> c*v in the basis (1, theta), for the
-    order-p norm-one c of `pick_order_p`."""
-    _require_pair(p, q)
-    ctx = make_field(q)
-    return rotation(ctx, pick_order_p(ctx, p))
-
-
 def _code_permutation(m: Mat2) -> np.ndarray:
     """perm[a0*q + a1] is the code of m applied to (a0, a1), on the same
     codes as the invertibles of `build_extension_ring`."""
@@ -563,7 +555,7 @@ def _free_orbits(perm: np.ndarray, p: int) -> np.ndarray:
     return codes[np.argsort(least, kind="stable")].reshape(-1, p)
 
 
-def semidirect_irreps(p: int, q: int) -> Census:
+def semidirect_irreps(pair: CertifiedPair) -> Census:
     """Irreducible-representation census of the order-p*q^2 twisted product.
 
     Little-group method on the characters of the translation part: the
@@ -573,7 +565,8 @@ def semidirect_irreps(p: int, q: int) -> Census:
     CROSS_CHECK_BOUND, against the number of conjugacy classes counted by
     `_class_count` from the group law, as commuting pairs over the order.
     """
-    m = _matrix_of_c(p, q)
+    p, q = pair.p, pair.q
+    m = rotation(pair.ctx, pair.c)
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
     orbits = len(_free_orbits(_code_permutation(m.transpose()), p))
     census = Census((("linear", 1, p), ("induced", p, orbits)), p * q * q)

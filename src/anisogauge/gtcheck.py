@@ -16,8 +16,8 @@ from .errors import (
     ExistenceViolated,
     ZeroEigenvalue,
 )
-from .ffield import ExtElement, FieldCtx, frobenius, is_prime, make_field, pick_order_p, sqrt_ext
-from .gauging import _exists, _require_pair
+from .ffield import ExtElement, FieldCtx, frobenius, is_prime, sqrt_ext
+from .gauging import CertifiedPair, _exists
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
 from .quadspace import build_anisotropic, build_hyperbolic
 
@@ -78,19 +78,19 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     )
 
 
-def hyperbolic_control(q: int, a: int) -> SplitOrthMap:
-    """Split embedding of the hyperbolic rotation diag(a, a^-1).
+def hyperbolic_control(ctx: FieldCtx, a: int) -> SplitOrthMap:
+    """Split embedding of the hyperbolic rotation diag(a, a^-1) over ctx.
 
-    Requires odd prime q and a outside {0, 1} (so that I - g is
-    invertible).  For a != -1 the criterion on the result comes out
-    group-theoretical with base-field eigenvalues 1+a and 1+a^-1.
+    Requires odd q and a outside {0, 1} (so that I - g is invertible).
+    For a != -1 the criterion on the result comes out group-theoretical
+    with base-field eigenvalues 1+a and 1+a^-1.
     """
-    if not is_prime(q) or q == 2:
+    q = ctx.q
+    if q == 2:
         raise BadParameter(f"q={q} must be an odd prime")
     a %= q
     if a in (0, 1):
         raise BadParameter(f"a={a} must avoid 0 and 1 mod q")
-    ctx = make_field(q)
     g = Mat2(q, a, 0, 0, pow(a, -1, q))
     return split_embedding(build_hyperbolic(ctx), g)
 
@@ -113,20 +113,18 @@ def quartic_identity_check(q: int) -> bool:
     return [c % q for c in prod] == [c % q for c in target]
 
 
-def non_group_theoretical_suite(p: int, q: int) -> list[tuple[str, bool, str]]:
+def non_group_theoretical_suite(pair: CertifiedPair) -> list[tuple[str, bool, str]]:
     """The four-step pipeline certifying the anisotropic rotation gauge fails
     the group-theoreticality test, as (name, passed, detail) entries.
 
-    For c the canonical order-p norm-one element: (a) the rotation matrix
-    has eigenvalues {c, c^-1} exchanged by Frobenius; (b) the ratio
+    For the pair's order-p norm-one c: (a) the rotation matrix has
+    eigenvalues {c, c^-1} exchanged by Frobenius; (b) the ratio
     (1+c)/(1+c^-1) equals c; (c) that ratio is not Galois-fixed; (d) the
     criterion on the embedded rotation returns non-group-theoretical.
     """
-    if not (is_prime(p) and is_prime(q)) or p == 2 or q == 2:
+    p, q, ctx, c = pair
+    if p == 2 or q == 2:
         raise ExistenceViolated(f"({p}, {q}) must be odd primes")
-    _require_pair(p, q)
-    ctx = make_field(q)
-    c = pick_order_p(ctx, p)
     rho = rotation(ctx, c)
     entries = []
 

@@ -8,7 +8,8 @@ split form on base + dual lives with its isometries, in
 Each plane certifies its form once (`QuadSpace.certificate`): the q^2 table
 of the form equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2) mod q, where
 B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  The orthogonal-group
-solve, the metric group and the Gram matrix read its three values.  The
+solve and the metric group read its three values; the Gram matrix
+recomputes them with `_polar_values`, so it never builds the q^2 table.  The
 metric group (F_q^2, t) is the certificate itself: its table stores
 t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q) with k the stored
 exponent), never as complex numbers.

@@ -14,7 +14,9 @@ from anisogauge import (
     ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ring_to_text,
 )
 from anisogauge import fusionring
-from anisogauge.fusionring import _code_permutation, _matrix_of_c
+from anisogauge.fusionring import _code_permutation
+from anisogauge.gauging import certify_pair
+from anisogauge.orthogroup import rotation
 
 
 def ring_of(basis, unit: str, dual: dict, tensor: dict) -> FusionRing:
@@ -53,13 +55,19 @@ def cyclic_group_ring(n: int) -> FusionRing:
     return ring_of(labels, "g0", dual, tensor)
 
 
+def perm_of_c(p: int, q: int) -> np.ndarray:
+    """The code permutation of v -> c*v for the certified pair (p, q)."""
+    pair = certify_pair(p, q)
+    return _code_permutation(rotation(pair.ctx, pair.c))
+
+
 def semidirect_group_table(p: int, q: int) -> np.ndarray:
     """Multiplication table of the extension field (additively) twisted by c.
 
     Element (v, k) has index k*q^2 + (a0*q + a1); the product is
     (v + c^k w, k + l).  ExistenceViolated unless p | q + 1.
     """
-    perm = _code_permutation(_matrix_of_c(p, q))
+    perm = perm_of_c(p, q)
     q2 = q * q
     xs, ys = np.divmod(np.arange(q2, dtype=np.int64), q)
     vadd = ((xs[:, None] + xs[None, :]) % q) * q + (ys[:, None] + ys[None, :]) % q

@@ -16,6 +16,7 @@ from anisogauge import (
     build_anisotropic,
     build_extension_ring,
     build_hyperbolic,
+    certify_pair,
     dihedral_generators,
     drinfeld_double_rank,
     enumerate_orth,
@@ -77,7 +78,7 @@ def report(number: int, description: str):
 @report(1, "census 3 5 reports rank 17, dims (1x3, 3x8, 5x6), sum 225, < 1 s")
 def test_criterion_1_rank_17():
     start = time.perf_counter()
-    census = equivariantization_census(3, 5)
+    census = equivariantization_census(certify_pair(3, 5))
     elapsed = time.perf_counter() - start
     assert census.rank == 17
     assert dims_multiset(census) == {1: 3, 3: 8, 5: 6}
@@ -122,10 +123,11 @@ def test_criterion_3_fusion_axioms():
 def test_criterion_4_verdicts():
     assert CRITERION_PAIRS_50, "no pairs found"
     for p, q in CRITERION_PAIRS_50:
-        assert all(ok for _, ok, _ in non_group_theoretical_suite(p, q)), (p, q)
+        assert all(ok for _, ok, _ in non_group_theoretical_suite(certify_pair(p, q))), (p, q)
     for q in ODD_PRIMES_50:
+        ctx = make_field(q)
         for a in range(2, q - 1):  # F_q minus {0, 1, -1}
-            verdict = gt_criterion(hyperbolic_control(q, a))
+            verdict = gt_criterion(hyperbolic_control(ctx, a))
             assert verdict.group_theoretical, (q, a)
 
 
@@ -147,8 +149,9 @@ def test_criterion_5_analytic_identities():
 @report(6, "semidirect irreps match census degree-0 part and brute-force classes")
 def test_criterion_6_census_cross_validation():
     for p, q in ALL_VALID_PAIRS_2000:
-        eq = equivariantization_census(p, q)
-        sd = semidirect_irreps(p, q)  # internally cross-checks class counts
+        pair = certify_pair(p, q)
+        eq = equivariantization_census(pair)
+        sd = semidirect_irreps(pair)  # internally cross-checks class counts
         degree0 = {(dim, count) for _, dim, count in eq.entries[:2]}
         assert degree0 == {(dim, count) for _, dim, count in sd.entries}, (p, q)
         classes = conjugacy_classes(semidirect_group_table(p, q))
@@ -163,7 +166,7 @@ def test_criterion_7_sum_of_squares():
         for p in PRIMES_50:
             if p == q or (q + 1) % p != 0:
                 continue
-            census = equivariantization_census(p, q)
+            census = equivariantization_census(certify_pair(p, q))
             total = sum(count * dim * dim for _, dim, count in census.entries)
             assert total == p * p * q * q == census.global_dim, (p, q)
             assert census.rank == p * p + (q * q - 1) // p, (p, q)

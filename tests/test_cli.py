@@ -382,7 +382,7 @@ def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
 
 
 def test_verify_criterion_suite_raise_is_one_row(capsys, monkeypatch):
-    def broken(p, q):
+    def broken(pair):
         raise ExistenceViolated("suite broke")
 
     monkeypatch.setattr(gtcheck, "non_group_theoretical_suite", broken)
@@ -436,6 +436,37 @@ def test_census_certification_failure_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, ["census", "3", "5"])
     assert code == 1 and out == ""
     assert err == "error: ArithmeticError: c = 1 does not have order 3\n"
+
+
+def test_verify_reads_one_certified_pair(capsys, monkeypatch):
+    # a c of the wrong order fails the three rows that read the pair, with
+    # the one error of `certify_pair`; the rows on the field alone pass
+    monkeypatch.setattr(gauging, "pick_order_p", lambda ctx, p: ctx.theta)
+    code, out, _ = run(capsys, ["verify", "3", "5", "--format", "json"])
+    assert code == 1
+    rows = {c["name"]: c for c in _payload_and_digest_agree(out)["checks"]}
+    failed = {name for name, c in rows.items() if c["status"] == "fail"}
+    assert failed == {"census", "semidirect-cross-check", "criterion-suite"}
+    assert {rows[name]["detail"] for name in failed} == {
+        "ArithmeticError: c = 0+1t does not have order 3"}
+    assert all(c["status"] == "pass" for name, c in rows.items() if name not in failed)
+
+
+@pytest.mark.parametrize("argv,fields,picks", [
+    (["verify", "3", "23"], 2, 1),
+    (["sweep", "20"], 10, 5),  # five pairs verified, each as verify does
+])
+def test_verify_builds_the_field_and_the_pair_once(capsys, monkeypatch, argv, fields, picks):
+    # the cli's own field and the certified pair's: no stage rebuilds either
+    from anisogauge.ffield import FieldCtx
+
+    built, picked = [], []
+    init, pick = FieldCtx.__init__, gauging.pick_order_p
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, q: built.append(q) or init(self, q))
+    monkeypatch.setattr(gauging, "pick_order_p", lambda ctx, p: picked.append(p) or pick(ctx, p))
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len(built) <= fields and len(picked) == picks
 
 
 def test_semidirect_detail_says_when_brute_force_is_skipped(capsys):

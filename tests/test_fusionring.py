@@ -11,6 +11,7 @@ from anisogauge import (
     FusionRing,
     NotACharacter,
     build_extension_ring,
+    certify_pair,
     drinfeld_double_rank,
     equivariantization_census,
     fp_dims,
@@ -27,17 +28,15 @@ from anisogauge.fusionring import (
     _anti_involution_holds,
     _certify_character,
     _class_count,
-    _code_permutation,
     _first_assoc_failure,
     _free_orbits,
     _generators,
-    _matrix_of_c,
     _require_ring_budget,
     _spread,
 )
 from oracles import (
-    commuting_pair_orbits, conjugacy_classes, cyclic_group_ring, dims_multiset, ring_of,
-    semidirect_group_table, tensor_of,
+    commuting_pair_orbits, conjugacy_classes, cyclic_group_ring, dims_multiset, perm_of_c,
+    ring_of, semidirect_group_table, tensor_of,
 )
 
 
@@ -764,7 +763,7 @@ def test_orbit_census(p, q, orbits):
 
 def _orbit_codes(p, q):
     """The free orbits of v -> c*v on the nonzero codes a0*q + a1, one per row."""
-    return _free_orbits(_code_permutation(_matrix_of_c(p, q)), p)
+    return _free_orbits(perm_of_c(p, q), p)
 
 
 def _orbit_walk(p, q):
@@ -804,25 +803,25 @@ def test_free_orbits_rejects_a_short_orbit():
 
 def test_orbit_census_existence():
     with pytest.raises(ExistenceViolated):
-        _matrix_of_c(5, 7)
+        certify_pair(5, 7)
 
 
 def test_equivariantization_census_3_5():
-    census = equivariantization_census(3, 5)
+    census = equivariantization_census(certify_pair(3, 5))
     assert census.rank == 17
     assert dims_multiset(census) == {1: 3, 3: 8, 5: 6}
     assert census.global_dim == 225
 
 
 def test_equivariantization_census_3_2():
-    census = equivariantization_census(3, 2)
+    census = equivariantization_census(certify_pair(3, 2))
     assert census.rank == 10
     assert dims_multiset(census) == {1: 3, 3: 1, 2: 6}
     assert census.global_dim == 36
 
 
 def test_equivariantization_census_5_19():
-    census = equivariantization_census(5, 19)
+    census = equivariantization_census(certify_pair(5, 19))
     assert census.rank == 97 == 25 + 72
     assert census.global_dim == 9025
 
@@ -836,7 +835,7 @@ CENSUS_PAIRS = [(p, q) for q in ODD_PRIMES_TO_50 for p in ODD_PRIMES_TO_50
 def test_census_orbit_count_matches_free_orbit_walk(p, q):
     # the census certifies (q^2 - 1) / p by the order of c; the walk counts
     walked = len(_orbit_codes(p, q))
-    assert equivariantization_census(p, q).entries[1] == ("orbit-sum", p, walked)
+    assert equivariantization_census(certify_pair(p, q)).entries[1] == ("orbit-sum", p, walked)
 
 
 def test_rank_formula_consistency():
@@ -844,14 +843,14 @@ def test_rank_formula_consistency():
         for p in (2, 3, 5, 7, 11, 13):
             if p == q or (q + 1) % p != 0:
                 continue
-            census = equivariantization_census(p, q)
+            census = equivariantization_census(certify_pair(p, q))
             assert census.rank == p + (q * q - 1) // p + p * (p - 1)
             assert census.rank == p * p + (q * q - 1) // p
             assert census.global_dim == p * p * q * q
 
 
 def test_semidirect_irreps_3_2():
-    census = semidirect_irreps(3, 2)
+    census = semidirect_irreps(certify_pair(3, 2))
     assert dims_multiset(census) == {1: 3, 3: 1}
     assert census.global_dim == 12
     table = semidirect_group_table(3, 2)
@@ -869,14 +868,14 @@ GATED_PAIRS_2000 = [
 
 @pytest.mark.parametrize("p,q", GATED_PAIRS_2000)
 def test_class_count_from_the_law_matches_the_table(p, q):
-    perm = _code_permutation(_matrix_of_c(p, q))
+    perm = perm_of_c(p, q)
     assert _class_count(perm, p, q) == len(conjugacy_classes(semidirect_group_table(p, q)))
 
 
 def test_class_count_refuses_a_pair_count_that_is_not_a_multiple_of_the_order():
     # swapping two codes leaves a permutation that is not linear, so the
     # pairs are not a group and Burnside's count does not divide
-    perm = _code_permutation(_matrix_of_c(3, 5))
+    perm = perm_of_c(3, 5)
     perm[[1, 2]] = perm[[2, 1]]
     with pytest.raises(ArithmeticError, match="835 commuting pairs is not a multiple of 75"):
         _class_count(perm, 3, 5)
@@ -889,20 +888,21 @@ def test_semidirect_group_table_existence():
 
 
 def test_semidirect_irreps_3_5():
-    census = semidirect_irreps(3, 5)
+    census = semidirect_irreps(certify_pair(3, 5))
     assert dims_multiset(census) == {1: 3, 3: 8}
     assert census.global_dim == 75
 
 
 def test_semidirect_irreps_5_19():
-    census = semidirect_irreps(5, 19)
+    census = semidirect_irreps(certify_pair(5, 19))
     assert dims_multiset(census) == {1: 5, 5: 72}
 
 
 def test_semidirect_matches_census_degree_zero():
     for p, q in [(3, 5), (3, 2), (2, 3), (2, 7), (7, 13)]:
-        eq = equivariantization_census(p, q)
-        sd = semidirect_irreps(p, q)
+        pair = certify_pair(p, q)
+        eq = equivariantization_census(pair)
+        sd = semidirect_irreps(pair)
         degree0 = {(dim, count) for _, dim, count in eq.entries[:2]}
         assert degree0 == {(dim, count) for _, dim, count in sd.entries}
 

@@ -6,9 +6,11 @@ from anisogauge import (
     BetaSingular,
     ExistenceViolated,
     Mat2,
+    NotPrime,
     SplitOrthMap,
     ZeroEigenvalue,
     build_anisotropic,
+    certify_pair,
     eigenvalues_2x2,
     existence_gate,
     frobenius,
@@ -97,29 +99,31 @@ def test_gt_criterion_rejects_wrong_source():
 
 
 def test_hyperbolic_control_q5_a2():
-    verdict = gt_criterion(hyperbolic_control(5, 2))
+    verdict = gt_criterion(hyperbolic_control(make_field(5), 2))
     assert verdict.group_theoretical
     assert verdict.ratio.key() == (2, 0)  # (1+2)/(1+3) = 2 mod 5
 
 
 def test_hyperbolic_control_q7_a3():
-    verdict = gt_criterion(hyperbolic_control(7, 3))
+    verdict = gt_criterion(hyperbolic_control(make_field(7), 3))
     assert verdict.group_theoretical
     assert verdict.ratio.key() == (3, 0)  # (1+3)/(1+5) = 4/6 = 3 mod 7
 
 
 def test_hyperbolic_control_bad_parameters():
     with pytest.raises(BadParameter):
-        hyperbolic_control(5, 1)
+        hyperbolic_control(make_field(5), 1)
     with pytest.raises(BadParameter):
-        hyperbolic_control(5, 0)
+        hyperbolic_control(make_field(5), 0)
     with pytest.raises(BadParameter):
-        hyperbolic_control(9, 2)
+        hyperbolic_control(make_field(2), 3)
+    with pytest.raises(NotPrime):  # a field is certified before any control
+        hyperbolic_control(make_field(9), 2)
 
 
 def test_hyperbolic_control_minus_one_has_zero_eigenvalue():
     with pytest.raises(ZeroEigenvalue):
-        gt_criterion(hyperbolic_control(5, -1))
+        gt_criterion(hyperbolic_control(make_field(5), -1))
 
 
 def test_quartic_identity_small():
@@ -149,7 +153,7 @@ def test_quartic_root_multiset_q5():
 
 def test_suite_3_5_and_5_19():
     for p, q in [(3, 5), (5, 19)]:
-        report = non_group_theoretical_suite(p, q)
+        report = non_group_theoretical_suite(certify_pair(p, q))
         assert all(ok for _, ok, _ in report)
         assert [name for name, _, _ in report] == [
             "eigenvalues-swap",
@@ -161,9 +165,9 @@ def test_suite_3_5_and_5_19():
 
 def test_suite_existence_violated():
     with pytest.raises(ExistenceViolated):
-        non_group_theoretical_suite(3, 7)
+        certify_pair(3, 7)
     with pytest.raises(ExistenceViolated):
-        non_group_theoretical_suite(2, 7)
+        non_group_theoretical_suite(certify_pair(2, 7))
 
 
 def test_existence_gate():
@@ -182,13 +186,14 @@ def test_suite_all_valid_pairs_up_to_50():
     pairs = valid_pairs(50)
     assert (3, 5) in pairs and (19, 37) in pairs
     for p, q in pairs:
-        assert all(ok for _, ok, _ in non_group_theoretical_suite(p, q)), (p, q)
+        assert all(ok for _, ok, _ in non_group_theoretical_suite(certify_pair(p, q))), (p, q)
 
 
 def test_hyperbolic_controls_all_q_up_to_50():
     for q in ODD_PRIMES_50:
+        ctx = make_field(q)
         for a in range(2, q - 1):
-            verdict = gt_criterion(hyperbolic_control(q, a))
+            verdict = gt_criterion(hyperbolic_control(ctx, a))
             assert verdict.group_theoretical, (q, a)
 
 

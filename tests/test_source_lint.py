@@ -94,6 +94,21 @@ def test_one_construction_path_for_fusion_rings():
     assert others == []
 
 
+def test_one_place_picks_the_order_p_element():
+    # `gauging.certify_pair` turns (p, q) into the field and c, and checks
+    # the order of c; every other stage reads its record
+    calls = [
+        f"{path.name}:{function.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "pick_order_p" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == ["gauging.py:certify_pair"]
+
+
 def _names_hashlib(node) -> bool:
     """An import of hashlib, a use of the name, or the string "hashlib"
     (as importlib.import_module would take it)."""

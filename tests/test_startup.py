@@ -113,7 +113,7 @@ PUBLIC = [
     "ExtElement", "FieldCtx", "FusionRing", "GTVerdict", "HyperbolicSpace", "Mat2",
     "NoSuchElement", "NotACharacter", "NotNormOne", "NotPrime", "QuadSpace",
     "SplitOrthMap", "ZeroEigenvalue", "build_anisotropic", "build_extension_ring",
-    "build_hyperbolic", "dihedral_generators", "drinfeld_double_rank",
+    "build_hyperbolic", "certify_pair", "dihedral_generators", "drinfeld_double_rank",
     "eigenvalues_2x2", "enumerate_orth", "equivariantization_census", "existence_gate",
     "fp_dims", "frobenius", "gt_criterion", "hyperbolic_control", "is_prime", "ker_norm",
     "make_field", "metric_group_of", "non_group_theoretical_suite", "norm", "pick_order_p",

@@ -286,8 +286,9 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
 
     rows = []
     failures = 0
-    for q in _odd_primes_upto(qmax):
-        for p in _odd_primes_upto(q - 1):
+    primes = _odd_primes_upto(qmax)
+    for i, q in enumerate(primes):
+        for p in primes[:i]:
             gate = gtcheck.existence_gate(p, q)
             row = {"p": p, "q": q, "gate": gate, "rank": None, "verify": ""}
             if gate:

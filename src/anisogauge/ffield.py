@@ -254,9 +254,8 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a1 the
     members are the square roots +-a0 of 1 + d*a1^2, read from
     `_square_roots`: O(q) instead of a scan of the q^2 elements.  For
-    q = 2 the four elements are scanned.  The size q + 1 is checked, and
-    cyclicity is certified by a generator g: g^(q+1) = norm(g) = 1, and
-    g^((q+1)/r) != 1 for each prime r | q + 1, so g has order exactly q + 1.
+    q = 2 the four elements are scanned.  The size q + 1 is checked here,
+    and cyclicity where a generator is used, in `orthogroup.enumerate_orth`.
     """
     q = ctx.q
     if q == 2:
@@ -268,12 +267,8 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
             if a0 is not None:
                 found |= {ExtElement(ctx, a0, a1), ExtElement(ctx, -a0, a1)}
         members = tuple(sorted(found, key=ExtElement.key))
-    n = q + 1
-    if len(members) != n:
-        raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {n}")
-    cofactors = [n // r for r in _prime_factors(n)]
-    if not any(all(g ** k != ctx.one for k in cofactors) for g in members):
-        raise ArithmeticError("norm-one subgroup is not cyclic")
+    if len(members) != q + 1:
+        raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {q + 1}")
     return members
 
 

@@ -13,7 +13,6 @@ from .errors import (
     BadParameter,
     BetaSingular,
     EvenCharacteristic,
-    ExistenceViolated,
     ZeroEigenvalue,
 )
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, sqrt_ext
@@ -124,7 +123,7 @@ def non_group_theoretical_suite(pair: CertifiedPair) -> list[tuple[str, bool, st
     """
     p, q, ctx, c = pair
     if p == 2 or q == 2:
-        raise ExistenceViolated(f"({p}, {q}) must be odd primes")
+        raise BadParameter(f"({p}, {q}) must be odd primes")
     rho = rotation(ctx, c)
     entries = []
 

@@ -2,9 +2,9 @@
 
 Every plane isometry is a `Mat2` in the canonical basis, (1, theta) on the
 anisotropic plane.  Enumeration solves for the two columns of each isometry
-from the level sets of the form (complete by polarization), cross-checks the
-solved set against the structured rotations and reflections of each plane,
-and certifies the dihedral presentation.
+from the level sets of the form (complete by polarization) and compares
+that set with each plane's group built from its dihedral presentation: an
+exhibited rotation r of order n (a generator, by the cofactor test) and s.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .errors import EvenCharacteristic, NotNormOne
-from .ffield import ExtElement, FieldCtx, frobenius, ker_norm, norm
+from .ffield import ExtElement, FieldCtx, _prime_factors, frobenius, ker_norm, norm
 from .quadspace import ANISOTROPIC, QuadSpace, gram_matrix
 
 
@@ -204,26 +204,38 @@ def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))
 
 
+def _generator(ctx: FieldCtx, candidates, n: int) -> ExtElement:
+    """The first candidate g of order n, for candidates with g^n = 1 by argument
+    (norm-one, or in F_q^*): g^(n/l) != 1 for each prime l | n makes n its order."""
+    cofactors = [n // ell for ell in _prime_factors(n)]
+    g = next((g for g in candidates if all(g ** k != ctx.one for k in cofactors)), None)
+    if g is None:
+        raise ArithmeticError(f"no element of order {n}: the group is not cyclic")
+    return g
+
+
 def enumerate_orth(space: QuadSpace) -> list[Mat2]:
     """All form-preserving invertible linear maps of a plane, as canonical-basis matrices.
 
-    Anisotropic: the q+1 rotations v -> c*v by norm-one c, then each rotation
-    times the matrix of Frobenius.  Hyperbolic: the q-1 maps diag(a, 1/a),
-    then the q-1 maps antidiag(1/a; a).  In both cases the structured set
-    must equal the set solved from the level sets of the form, and the
-    dihedral presentation is certified.
+    The maps are r^0 .. r^(n-1), then each r^i s.  Anisotropic (n = q + 1): r
+    rotates by a generator of `ker_norm` and s is the matrix of Frobenius.
+    Hyperbolic (n = q - 1): r = diag(a, 1/a) for a of order q - 1, and
+    s = antidiag(1, 1).  The maps must equal the set solved from the level
+    sets of the form, and `dihedral_generators` checks the presentation.
     """
     ctx = space.ctx
     q = ctx.q
     found = _solve_form_preserving(space)
+    n = q + 1 if space.kind == ANISOTROPIC else q - 1
     if space.kind == ANISOTROPIC:
-        rotations = [rotation(ctx, c) for c in ker_norm(ctx)]
-        sigma = _matrix_of_map(ctx, frobenius)
-        maps = rotations + [r * sigma for r in rotations]
+        r = rotation(ctx, _generator(ctx, ker_norm(ctx), n))
+        s = _matrix_of_map(ctx, frobenius)
     else:
-        inverses = [(a, pow(a, -1, q)) for a in range(1, q)]
-        maps = [Mat2(q, a, 0, 0, ainv) for a, ainv in inverses]
-        maps += [Mat2(q, 0, ainv, a, 0) for a, ainv in inverses]
+        a = _generator(ctx, map(ctx.elem, range(1, q)), n).a0
+        r = Mat2(q, a, 0, 0, pow(a, -1, q))
+        s = Mat2(q, 0, 1, 1, 0)
+    rotations = list(itertools.accumulate([r] * (n - 1), Mat2.__mul__, initial=Mat2.identity(q)))
+    maps = rotations + [m * s for m in rotations]
     if {m.entries() for m in maps} != found:
         raise ArithmeticError(f"{space.kind} orthogonal group: solved set != structured set")
     dihedral_generators(maps)
@@ -231,34 +243,26 @@ def enumerate_orth(space: QuadSpace) -> list[Mat2]:
 
 
 def dihedral_generators(maps: list[Mat2]) -> tuple[Mat2, Mat2]:
-    """Exhibit (r, s) with r^n = s^2 = 1, s r s = r^-1, n = |maps| / 2.
-
-    Also checks that the 2n products r^i s^j exhaust the group.  Raises if
-    the collection of matrices is not dihedral of order 2n.
-    """
-    identity = Mat2.identity(maps[0].q)
+    """Read (r, s) off the layout r^0 .. r^(n-1), r^0 s .. r^(n-1) s, n = |maps| / 2,
+    and check r^n = s^2 = 1, s r s = r^-1 and that the 2n maps are distinct:
+    then they are dihedral of order 2n.  O(n) products, no search."""
     n = len(maps) // 2
-    r = None
-    for m in maps:
-        acc, order = m, 1
-        while acc != identity:
-            acc = acc * m
-            order += 1
-        if order == n:
-            r = m
-            break
-    if r is None:
-        raise ArithmeticError("no rotation of maximal order found")
-    powers = [identity]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * r)
-    s = next(m for m in maps if m not in set(powers))
+    if len(maps) % 2 or not maps:
+        raise ArithmeticError(f"{len(maps)} maps are not r^i s^j for i < n, j < 2")
+    identity = Mat2.identity(maps[0].q)
+    rotations, reflections = maps[:n], maps[n:]
+    if rotations[0] != identity:
+        raise ArithmeticError("maps[0] is not the identity")
+    r, s = rotations[1] if n > 1 else identity, reflections[0]
+    for i, (prev, m) in enumerate(zip(rotations, rotations[1:] + [identity]), 1):
+        if prev * r != m:
+            raise ArithmeticError(f"maps[{i}] is not r^{i}" if i < n else "r^n != 1")
+    if any(m * s != t for m, t in zip(rotations, reflections)):
+        raise ArithmeticError("the second half is not the first half times s")
     if s * s != identity:
-        raise ArithmeticError("chosen reflection is not an involution")
-    rinv = powers[-1]  # r^(n-1) = r^-1
-    if s * r * s != rinv:
+        raise ArithmeticError("s^2 != 1")
+    if s * r * s != rotations[-1]:  # r^(n-1) = r^-1
         raise ArithmeticError("s r s != r^-1")
-    elements = set(powers) | {p * s for p in powers}
-    if len(elements) != 2 * n or elements != set(maps):
-        raise ArithmeticError("products r^i s^j do not exhaust the group")
+    if len(set(maps)) != 2 * n:
+        raise ArithmeticError("the maps r^i s^j are not distinct")
     return r, s

@@ -130,6 +130,27 @@ def order(m: Mat2) -> int:
     return n
 
 
+def dihedral_search(maps: list[Mat2]) -> tuple[Mat2, Mat2]:
+    """The generic search for a dihedral presentation of a list of 2n
+    matrices, in any order: r is the first map of order n, s the first map
+    outside <r>; raises unless s^2 = 1, s r s = r^-1 and the r^i s^j are the
+    2n maps."""
+    n = len(maps) // 2
+    r = next((m for m in maps if order(m) == n), None)
+    if r is None:
+        raise ArithmeticError("no rotation of maximal order found")
+    powers = [Mat2.identity(r.q)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * r)
+    rotations = set(powers)
+    s = next(m for m in maps if m not in rotations)
+    if s * s != powers[0] or s * r * s != powers[-1]:
+        raise ArithmeticError("s is not an involution inverting r")
+    if rotations | {m * s for m in powers} != set(maps) or len(set(maps)) != 2 * n:
+        raise ArithmeticError("products r^i s^j do not exhaust the group")
+    return r, s
+
+
 def frobenius_matrix(ctx: FieldCtx) -> Mat2:
     """The Galois reflection: the matrix of frobenius in the basis (1, theta)."""
     f1, ft = frobenius(ctx.one), frobenius(ctx.theta)

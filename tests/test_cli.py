@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anisogauge
-from anisogauge import fusionring, gauging, gtcheck
+from anisogauge import cli, fusionring, gauging, gtcheck
 from anisogauge.cli import main, sha256
 from anisogauge.errors import ExistenceViolated, NotACharacter
 
@@ -171,6 +171,18 @@ def test_sweep_small(capsys):
     assert code == 0
     rows = out.splitlines()[1:]
     assert rows == ["3,5,true,17,pass"]
+
+
+def test_sweep_lists_the_primes_once(capsys, monkeypatch):
+    # each p is taken from the prefix of the one list of odd primes up to
+    # qmax: one primality test per odd k <= qmax, not one pass per q
+    tested = []
+    is_prime = cli.is_prime
+    monkeypatch.setattr(cli, "is_prime", lambda k: tested.append(k) or is_prime(k))
+    monkeypatch.setattr(cli, "_verify_checks", lambda p, q: [])
+    code, _, _ = run(capsys, ["sweep", "200", "--bound", "200"])
+    assert code == 0
+    assert tested == list(range(3, 201, 2))
 
 
 def test_sweep_bound(capsys):

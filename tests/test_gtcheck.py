@@ -166,7 +166,7 @@ def test_suite_3_5_and_5_19():
 def test_suite_existence_violated():
     with pytest.raises(ExistenceViolated):
         certify_pair(3, 7)
-    with pytest.raises(ExistenceViolated):
+    with pytest.raises(BadParameter, match=r"\(2, 7\) must be odd primes"):
         non_group_theoretical_suite(certify_pair(2, 7))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from anisogauge import (
     split_embedding,
 )
 from anisogauge.orthogroup import _solve_form_preserving
-from oracles import blocks, compose, coords, frobenius_matrix, order
+from oracles import blocks, compose, coords, dihedral_search, frobenius_matrix, order
 
 
 @pytest.mark.parametrize("q,count", [(2, 6), (3, 8), (5, 12), (7, 16)])
@@ -44,15 +46,54 @@ def test_anisotropic_group_is_rotations_and_reflections(q):
     assert maps == expected
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def _products(r, s, n):
+    """The set {r^i s^j : i < n, j < 2}."""
+    powers = [Mat2.identity(r.q)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * r)
+    return set(powers) | {m * s for m in powers}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_dihedral_presentation(q):
+    # the exhibited (r, s) against the generic search, which needs no layout;
+    # q = 2 includes the hyperbolic n = 1, where r is the identity
     ctx = make_field(q)
-    maps = enumerate_orth(build_anisotropic(ctx))
-    r, s = dihedral_generators(maps)
-    assert order(r) == q + 1
-    assert (s * s) == Mat2.identity(q)
-    hmaps = enumerate_orth(build_hyperbolic(ctx))
-    dihedral_generators(hmaps)
+    for space, n in ((build_anisotropic(ctx), q + 1), (build_hyperbolic(ctx), q - 1)):
+        maps = enumerate_orth(space)
+        r, s = dihedral_generators(maps)
+        r0, s0 = dihedral_search(maps[::-1])
+        assert order(r) == order(r0) == n
+        assert s * s == Mat2.identity(q)
+        assert _products(r, s, n) == _products(r0, s0, n) == set(maps)
+
+
+def _broken_layouts():
+    """(maps, message): each list breaks one clause of the layout r^0 .. r^(n-1),
+    r^0 s .. r^(n-1) s that `dihedral_generators` checks."""
+    maps = enumerate_orth(build_anisotropic(make_field(5)))  # n = 6
+    rot, ref = maps[:6], maps[6:]
+    minus = [Mat2.identity(5), Mat2(5, -1, 0, 0, -1)]  # -1 has order 2
+    return [
+        ([], "0 maps are not"),
+        (maps[:-1], "11 maps are not"),
+        (rot[1:] + rot[:1] + ref, "maps[0] is not the identity"),
+        (rot[:2] + rot[3:4] + rot[3:] + ref, "maps[2] is not r^2"),
+        (rot[:4] + ref[:4], "r^n != 1"),
+        (rot + [ref[0], ref[2], ref[1]] + ref[3:], "the second half is not the first half times s"),
+        (rot + [m * rot[1] for m in rot], "s^2 != 1"),
+        (rot + [m * rot[3] for m in rot], "s r s != r^-1"),  # r^3 is central
+        (minus + [m * minus[1] for m in minus], "are not distinct"),
+    ]
+
+
+BROKEN_LAYOUTS = _broken_layouts()
+
+
+@pytest.mark.parametrize("maps, message", BROKEN_LAYOUTS, ids=[m for _, m in BROKEN_LAYOUTS])
+def test_dihedral_generators_rejects_each_broken_layout(maps, message):
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        dihedral_generators(maps)
 
 
 def test_q2_group_is_symmetric_group_on_three_letters():
@@ -243,3 +284,21 @@ def test_structured_cross_check_catches_mutation_the_solver_accepts(where):
     assert solved == _scan_form_preserving(space) and len(solved) != 6
     with pytest.raises(ArithmeticError, match="structured set"):
         enumerate_orth(space)
+
+
+@pytest.mark.parametrize("build, n", [(build_anisotropic, 1014), (build_hyperbolic, 1012)])
+def test_enumerate_orth_does_linear_matrix_work(monkeypatch, build, n):
+    # the group is built from the exhibited (r, s) and its layout checked
+    # once: O(q) products and hashes, with no order search over the maps
+    # and no set rebuilt per candidate
+    q = 1013
+    space = build(make_field(q))
+    space.certificate  # the q^2 form table, not counted
+    counts = dict.fromkeys(("__mul__", "__hash__"), 0)
+    for name in counts:
+        def counted(self, *args, name=name, method=getattr(Mat2, name)):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(Mat2, name, counted)
+    assert len(enumerate_orth(space)) == 2 * n
+    assert all(0 < count <= 10 * (q + 1) for count in counts.values()), counts

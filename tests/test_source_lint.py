@@ -94,19 +94,29 @@ def test_one_construction_path_for_fusion_rings():
     assert others == []
 
 
-def test_one_place_picks_the_order_p_element():
-    # `gauging.certify_pair` turns (p, q) into the field and c, and checks
-    # the order of c; every other stage reads its record
-    calls = [
+def _callers(name: str) -> list[str]:
+    """file:function for each call of `name` in the package, by name or attribute."""
+    return [
         f"{path.name}:{function.name}"
         for path in sorted(SOURCE.glob("*.py"))
         for function in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(function, ast.FunctionDef)
         for node in ast.walk(function)
         if isinstance(node, ast.Call)
-        and "pick_order_p" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert calls == ["gauging.py:certify_pair"]
+
+
+def test_one_place_picks_the_order_p_element():
+    # `gauging.certify_pair` turns (p, q) into the field and c, and checks
+    # the order of c; every other stage reads its record
+    assert _callers("pick_order_p") == ["gauging.py:certify_pair"]
+
+
+def test_one_place_factors_a_group_order():
+    # `orthogroup._generator` certifies the cyclic part of each plane's
+    # group by the cofactor test; `ker_norm` checks only its size
+    assert _callers("_prime_factors") == ["orthogroup.py:_generator"]
 
 
 def _names_hashlib(node) -> bool:

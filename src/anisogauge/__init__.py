@@ -4,8 +4,8 @@ and the group-theoreticality eigenvalue test.
 
 The public names below are exported lazily: each is imported from its home
 module on first access (PEP 562), so `import anisogauge` loads no numpy.
-Only `quadspace`, `orthogroup`, `fusionring` and `gtcheck` need it;
-`errors`, `ffield` and `gauging` do not.
+Only `quadspace`, `orthogroup`, `fusionring`, `gtcheck` and `suite` need
+it; `errors`, `ffield` and `gauging` do not.
 """
 
 import importlib

@@ -3,6 +3,9 @@
 Commands: census, verify, sweep, double-rank.  Exit codes: 0 success,
 1 check failure (a failed verify row, or an ArithmeticError raised by a
 certification), 2 existence violated, 3 bound exceeded, 64 usage.
+This module parses the arguments, applies the gates and formats the
+payload; the verify rows, and the rule that turns an error into a fail
+row, come from `suite.verify_rows`.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
 Only `verify` past its gates, `sweep` and `double-rank` past reading its
@@ -11,7 +14,6 @@ The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -29,7 +31,9 @@ except ImportError:
 # commands that need them
 from . import gauging
 from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
-from .ffield import PRIME_TEST_LIMIT, is_prime, ker_norm, make_field
+# `ker_norm` is unused here: it is imported by name only because the
+# traced benchmark patches it on this module
+from .ffield import PRIME_TEST_LIMIT, is_prime, ker_norm, make_field  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -145,119 +149,14 @@ def cmd_census(p: int, q: int, fmt: str) -> int:
     return EXIT_OK
 
 
-def _verify_checks(p: int, q: int) -> list[dict]:
-    """The verify rows for (p, q), in payload order.
-
-    Each check returns (ok, detail) for its own row, ok None meaning
-    skipped, or a list of (name, ok, detail) rows.  The library certifies
-    sizes and orders by raising, so an AnisogaugeError or ArithmeticError
-    raised inside a check becomes a fail row carrying the error and the
-    other checks still run; any other exception is a bug and propagates.
-    The field, the certified pair (`gauging.certify_pair`), the anisotropic
-    plane, the ring and the census are built at most once per pair, and a
-    check whose input failed to build fails with that error.
-    """
-    from . import fusionring, gtcheck, orthogroup, quadspace
-
-    def once(build):
-        @functools.cache
-        def outcome():
-            try:
-                return build(), None
-            except (AnisogaugeError, ArithmeticError) as err:
-                return None, err
-
-        def get():
-            value, err = outcome()
-            if err is not None:
-                raise err
-            return value
-        return get
-
-    field = once(lambda: make_field(q))
-    pair = once(lambda: gauging.certify_pair(p, q))
-    aniso = once(lambda: quadspace.build_anisotropic(field()))
-    ring = once(lambda: fusionring.build_extension_ring(p, q))
-    census = once(lambda: fusionring.equivariantization_census(pair()))
-
-    def orthogonal_order(space):
-        return True, f"order {len(orthogroup.enumerate_orth(space))}"
-
-    def metric_group():
-        quadspace.metric_group_of(aniso())
-        return True, "non-degenerate"
-
-    def fusion_axioms():
-        report = fusionring.verify_axioms(ring())
-        return report.passed, report.counterexample or f"{len(ring().basis)} basis elements"
-
-    def fp_dims():
-        dims = fusionring.fp_dims(ring())
-        values = sorted(set(dims.values()))
-        global_dim = sum(v * v for v in dims.values())
-        ok = values == sorted({1, q}) and global_dim == p * q * q
-        return ok, f"dims {values}, global {global_dim}"
-
-    def semidirect_cross_check():
-        irreps = fusionring.semidirect_irreps(pair())
-        degree0 = {(dim, count) for label, dim, count in census().entries[:2]}
-        semis = {(dim, count) for label, dim, count in irreps.entries}
-        detail = f"irreps rank {irreps.rank}"
-        if p * q * q > fusionring.CROSS_CHECK_BOUND:
-            detail += f"; brute-force class count skipped (p*q^2 > {fusionring.CROSS_CHECK_BOUND})"
-        return degree0 == semis, detail
-
-    def criterion_suite():
-        if q == 2 or p == 2:
-            reason = "q=2" if q == 2 else "p=2"
-            return None, f"even prime ({reason}); needs odd characteristic"
-        suite = gtcheck.non_group_theoretical_suite(pair())
-        return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite]
-
-    def hyperbolic_controls():
-        if q == 2:
-            return None, "q=2; needs odd characteristic"
-        bad = [
-            a for a in range(2, q - 1)  # skips 0, 1, and q-1 = -1
-            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(field(), a)).group_theoretical
-        ]
-        return not bad, f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}"
-
-    checks = (
-        ("norm-one-subgroup", lambda: (True, f"size {len(ker_norm(field()))}")),
-        ("anisotropic-orthogonal", lambda: orthogonal_order(aniso())),
-        ("hyperbolic-orthogonal", lambda: orthogonal_order(quadspace.build_hyperbolic(field()))),
-        ("metric-group", metric_group),
-        ("fusion-axioms", fusion_axioms),
-        ("fp-dims", fp_dims),
-        ("census", lambda: (True, f"rank {census().rank}")),
-        ("semidirect-cross-check", semidirect_cross_check),
-        ("quartic-identity", lambda: (gtcheck.quartic_identity_check(q), "(x+1)^3(x-1) expansion")),
-        ("criterion-suite", criterion_suite),
-        ("hyperbolic-controls", hyperbolic_controls),
-    )
-    rows = []
-    for name, check in checks:
-        try:
-            result = check()
-        except (AnisogaugeError, ArithmeticError) as err:
-            result = False, f"{type(err).__name__}: {err}"
-        rows += result if isinstance(result, list) else [(name, *result)]
-    return [
-        {"name": name, "status": "skip" if ok is None else "pass" if ok else "fail",
-         "detail": detail}
-        for name, ok, detail in rows
-    ]
-
-
 def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
         raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
     gauging._require_pair(p, q)
-    from . import fusionring
+    from . import fusionring, suite
 
     fusionring._require_ring_budget(p, q)
-    checks = _verify_checks(p, q)
+    checks = suite.verify_rows(p, q)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
         "command": "verify",
@@ -282,7 +181,7 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
     cap = min(SWEEP_HARD_CAP, bound)
     if qmax > cap:
         raise BoundExceeded(f"qmax={qmax} exceeds bound {cap}")
-    from . import gtcheck
+    from . import gtcheck, suite
 
     rows = []
     failures = 0
@@ -294,7 +193,7 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
             if gate:
                 row["rank"] = p * p + (q * q - 1) // p
                 if p * q * q <= VERIFY_DEFAULT_BOUND:
-                    checks = _verify_checks(p, q)
+                    checks = suite.verify_rows(p, q)
                     ok = all(c["status"] != "fail" for c in checks)
                     row["verify"] = "pass" if ok else "fail"
                     if not ok:
@@ -318,6 +217,8 @@ def cmd_double_rank(path: str, fmt: str) -> int:
             tokens = []
             while not tokens and (line := fh.readline()):  # the header, past blank lines
                 tokens = line.split()
+            if not tokens:
+                raise ValueError("no group order in a blank file")
             n = int(tokens[0])
             if n < 1:
                 raise ValueError(f"group order {n} is not positive")
@@ -332,7 +233,7 @@ def cmd_double_rank(path: str, fmt: str) -> int:
         table = np.array(entries, dtype=np.int32).reshape(n, n)
     except BoundExceeded:  # a ValueError, but not a malformed table
         raise
-    except (OSError, ValueError, IndexError, OverflowError) as err:
+    except (OSError, ValueError, OverflowError) as err:
         raise BadParameter(f"cannot read group table: {err}") from None
     from . import fusionring
 

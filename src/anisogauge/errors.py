@@ -3,7 +3,8 @@
 The CLI maps ExistenceViolated to exit code 2, BoundExceeded to exit
 code 3, every other AnisogaugeError to exit code 64 and an ArithmeticError
 (a failed certification) to exit code 1.  Inside a verify check, an
-AnisogaugeError or ArithmeticError becomes a fail row instead.
+AnisogaugeError or ArithmeticError becomes a fail row instead
+(`suite.verify_rows`).
 """
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anisogauge
-from anisogauge import cli, fusionring, gauging, gtcheck
+from anisogauge import cli, fusionring, gauging, gtcheck, suite
 from anisogauge.cli import main, sha256
 from anisogauge.errors import ExistenceViolated, NotACharacter
 
@@ -179,7 +179,7 @@ def test_sweep_lists_the_primes_once(capsys, monkeypatch):
     tested = []
     is_prime = cli.is_prime
     monkeypatch.setattr(cli, "is_prime", lambda k: tested.append(k) or is_prime(k))
-    monkeypatch.setattr(cli, "_verify_checks", lambda p, q: [])
+    monkeypatch.setattr(suite, "verify_rows", lambda p, q: [])
     code, _, _ = run(capsys, ["sweep", "200", "--bound", "200"])
     assert code == 0
     assert tested == list(range(3, 201, 2))
@@ -506,6 +506,8 @@ def test_timing_prints_after_error(capsys):
         ("1\n99999999999999999999\n", "error: cannot read group table: "),
         ("0\n", "error: cannot read group table: group order 0 is not positive\n"),
         ("-1\n0\n", "error: cannot read group table: group order -1 is not positive\n"),
+        ("", "error: cannot read group table: no group order in a blank file\n"),
+        ("  \n\n", "error: cannot read group table: no group order in a blank file\n"),
     ],
 )
 def test_double_rank_rejects_bad_entries(capsys, tmp_path, text, message):

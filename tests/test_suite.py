@@ -1,0 +1,75 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import anisogauge
+from anisogauge import fusionring, suite
+
+SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
+
+ROWS = [
+    "norm-one-subgroup",
+    "anisotropic-orthogonal",
+    "hyperbolic-orthogonal",
+    "metric-group",
+    "fusion-axioms",
+    "fp-dims",
+    "census",
+    "semidirect-cross-check",
+    "quartic-identity",
+    "criterion-eigenvalues-swap",
+    "criterion-lambda-equals-c",
+    "criterion-lambda-not-in-base",
+    "criterion-non-gt-verdict",
+    "hyperbolic-controls",
+]
+
+
+def test_rows_pass_in_payload_order():
+    rows = suite.verify_rows(3, 5)
+    assert [row["name"] for row in rows] == ROWS
+    assert all(row["status"] == "pass" for row in rows)
+
+
+def test_even_prime_rows_skip():
+    skipped = [row for row in suite.verify_rows(3, 2) if row["status"] != "pass"]
+    assert skipped == [
+        {"name": "criterion-suite", "status": "skip",
+         "detail": "even prime (q=2); needs odd characteristic"},
+        {"name": "hyperbolic-controls", "status": "skip",
+         "detail": "q=2; needs odd characteristic"},
+    ]
+
+
+def test_an_ungated_pair_fails_the_rows_that_read_it():
+    # 3 does not divide 7 + 1: no gate runs here, so the rows that read the
+    # pair or the ring fail with the error, and the rows on the field pass
+    rows = {row["name"]: row for row in suite.verify_rows(3, 7)}
+    failed = {"fusion-axioms", "fp-dims", "census", "semidirect-cross-check", "criterion-suite"}
+    assert {name for name, row in rows.items() if row["status"] == "fail"} == failed
+    assert all(rows[name]["detail"].startswith("ExistenceViolated: ") for name in failed)
+    assert all(row["status"] == "pass" for name, row in rows.items() if name not in failed)
+
+
+def test_skip_clause_matches_the_class_count(monkeypatch):
+    # `semidirect_irreps` decides whether the brute-force class count runs,
+    # and the row detail says whether it did: the two must agree
+    counted = []
+    class_count = fusionring._class_count
+    monkeypatch.setattr(
+        fusionring, "_class_count", lambda *args: counted.append(args[1:]) or class_count(*args))
+    for (p, q), runs in [((5, 19), True), ((3, 29), False)]:
+        counted.clear()
+        (row,) = [row for row in suite.verify_rows(p, q) if row["name"] == "semidirect-cross-check"]
+        assert row["status"] == "pass"
+        assert counted == ([(p, q)] if runs else [])
+        assert ("brute-force class count skipped" in row["detail"]) is not runs
+
+
+def test_import_loads_no_cli():
+    probe = "import sys, anisogauge.suite; print('anisogauge.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -31,8 +31,8 @@ except ImportError:
 # commands that need them
 from . import gauging
 from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
-# `ker_norm` is unused here: it is imported by name only because the
-# traced benchmark patches it on this module
+# `ker_norm` and `make_field` are unused here: they are imported by name
+# only because the traced benchmark patches them on this module
 from .ffield import PRIME_TEST_LIMIT, is_prime, ker_norm, make_field  # noqa: F401
 
 EXIT_OK = 0
@@ -123,8 +123,8 @@ def _bound(flag: int | None, default: int) -> int:
 
 
 def cmd_census(p: int, q: int, fmt: str) -> int:
-    census = gauging.equivariantization_census(gauging.certify_pair(p, q))
-    ctx = make_field(q)
+    pair = gauging.certify_pair(p, q)
+    census, ctx = gauging.equivariantization_census(pair), pair.ctx
     entries = [
         {"label": label, "dim": dim, "count": count}
         for label, dim, count in census.entries

@@ -189,8 +189,7 @@ class ExtElement:
         return frobenius(self) * pow(n, -1, self.ctx.q)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = ExtElement(self.ctx, other, 0)
+        # never equal to an int, which would break the hash contract
         return (
             isinstance(other, ExtElement)
             and self.ctx == other.ctx

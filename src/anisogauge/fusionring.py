@@ -649,11 +649,10 @@ def ring_to_text(ring: FusionRing) -> str:
     Holds every entry at once to sort them; the certificates walk
     `_block_entries` a block of rows at a time."""
     basis, n = ring.basis, len(ring.basis)
+    if any(label.split() != [label] for label in basis) or len(set(basis)) != n:
+        raise BadParameter("basis labels must be distinct, non-empty and free of whitespace")
     lines = [f"fusionring v1 {n}"]
-    for label, d in zip(basis, ring.dual_index.tolist()):
-        if " " in label:
-            raise BadParameter(f"label {label!r} contains a space")
-        lines.append(f"{label} {basis[d]}")
+    lines += [f"{label} {basis[d]}" for label, d in zip(basis, ring.dual_index.tolist())]
     i, j, k, v = (np.concatenate(a) for a in zip(*_block_entries(ring, slice(0, n))))
     order = np.argsort((i * n + j) * n + k, kind="stable")
     entries = zip(*(a[order].tolist() for a in (i, j, k, v)))

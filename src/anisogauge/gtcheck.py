@@ -18,7 +18,7 @@ from .errors import (
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, sqrt_ext
 from .gauging import CertifiedPair, _exists
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
-from .quadspace import build_anisotropic, build_hyperbolic
+from .quadspace import QuadSpace, build_anisotropic
 
 @dataclass(frozen=True)
 class GTVerdict:
@@ -77,21 +77,21 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     )
 
 
-def hyperbolic_control(ctx: FieldCtx, a: int) -> SplitOrthMap:
-    """Split embedding of the hyperbolic rotation diag(a, a^-1) over ctx.
+def hyperbolic_control(space: QuadSpace, a: int) -> SplitOrthMap:
+    """Split embedding of the rotation diag(a, a^-1) of the hyperbolic plane `space`.
 
     Requires odd q and a outside {0, 1} (so that I - g is invertible).
     For a != -1 the criterion on the result comes out group-theoretical
     with base-field eigenvalues 1+a and 1+a^-1.
     """
-    q = ctx.q
+    q = space.ctx.q
     if q == 2:
         raise BadParameter(f"q={q} must be an odd prime")
     a %= q
     if a in (0, 1):
         raise BadParameter(f"a={a} must avoid 0 and 1 mod q")
     g = Mat2(q, a, 0, 0, pow(a, -1, q))
-    return split_embedding(build_hyperbolic(ctx), g)
+    return split_embedding(space, g)
 
 
 def quartic_identity_check(q: int) -> bool:

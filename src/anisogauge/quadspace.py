@@ -7,9 +7,10 @@ split form on base + dual lives with its isometries, in
 
 Each plane certifies its form once (`QuadSpace.certificate`): the q^2 table
 of the form equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2) mod q, where
-B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  The orthogonal-group
-solve and the metric group read its three values; the Gram matrix
-recomputes them with `_polar_values`, so it never builds the q^2 table.  The
+B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  Each plane derives
+the three values once (`QuadSpace.polar_values`): the certificate reads
+them, the orthogonal-group solve and the metric group read them through
+it, and the Gram matrix reads them without building the q^2 table.  The
 metric group (F_q^2, t) is the certificate itself: its table stores
 t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q) with k the stored
 exponent), never as complex numbers.
@@ -41,13 +42,6 @@ class FormCertificate:
     table: np.ndarray
 
 
-def _polar_values(space: "QuadSpace") -> tuple[int, int, int]:
-    """Q(e1), Q(e2) and B'(e1, e2) = Q(e1 + e2) - Q(e1) - Q(e2), mod q."""
-    q = space.ctx.q
-    q1, q2, q12 = (space.form(space.vector(x, y)) % q for x, y in ((1, 0), (0, 1), (1, 1)))
-    return q1, q2, (q12 - q1 - q2) % q
-
-
 class QuadSpace:
     """Base class; concrete spaces provide form and vector."""
 
@@ -69,6 +63,13 @@ class QuadSpace:
         return (self.vector(x, y) for x in range(q) for y in range(q))
 
     @functools.cached_property
+    def polar_values(self) -> tuple[int, int, int]:
+        """Q(e1), Q(e2) and B'(e1, e2) = Q(e1 + e2) - Q(e1) - Q(e2), mod q."""
+        q = self.ctx.q
+        q1, q2, q12 = (self.form(self.vector(x, y)) % q for x, y in ((1, 0), (0, 1), (1, 1)))
+        return q1, q2, (q12 - q1 - q2) % q
+
+    @functools.cached_property
     def certificate(self) -> FormCertificate:
         """The form table, built once and certified by polarization.
 
@@ -76,7 +77,7 @@ class QuadSpace:
         by Q(e1), Q(e2) and Q(e1 + e2).
         """
         q = self.ctx.q
-        q1, q2, polar = _polar_values(self)
+        q1, q2, polar = self.polar_values
         table = np.array([self.form(v) for v in self.vectors()], dtype=np.int64).reshape(q, q) % q
         x, y = np.ogrid[:q, :q]
         if ((x * x * q1 + y * y * q2 + x * y * polar - table) % q).any():
@@ -147,6 +148,6 @@ def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:
     q = space.ctx.q
     if q == 2:
         raise EvenCharacteristic("bilinear form needs odd characteristic")
-    q1, q2, polar = _polar_values(space)
+    q1, q2, polar = space.polar_values
     half = polar * pow(2, -1, q) % q
     return ((q1, half), (half, q2))

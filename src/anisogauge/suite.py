@@ -23,8 +23,8 @@ def verify_rows(p: int, q: int) -> list[dict]:
     sizes and orders by raising, so an AnisogaugeError or ArithmeticError
     raised inside a check becomes a fail row carrying the error and the
     other checks still run; any other exception is a bug and propagates.
-    The field, the certified pair (`gauging.certify_pair`), the anisotropic
-    plane, the ring and the census are built at most once per pair, and a
+    The field, the certified pair (`gauging.certify_pair`), the two planes,
+    the ring and the census are built at most once per pair, and a
     check whose input failed to build fails with that error.  The field is
     built apart from the pair, so the rows on the field alone do not fail
     with it.
@@ -48,6 +48,7 @@ def verify_rows(p: int, q: int) -> list[dict]:
     field = once(lambda: ffield.make_field(q))
     pair = once(lambda: gauging.certify_pair(p, q))
     aniso = once(lambda: quadspace.build_anisotropic(field()))
+    hyper = once(lambda: quadspace.build_hyperbolic(field()))
     ring = once(lambda: fusionring.build_extension_ring(p, q))
     census = once(lambda: fusionring.equivariantization_census(pair()))
 
@@ -90,14 +91,14 @@ def verify_rows(p: int, q: int) -> list[dict]:
             return None, "q=2; needs odd characteristic"
         bad = [
             a for a in range(2, q - 1)  # skips 0, 1, and q-1 = -1
-            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(field(), a)).group_theoretical
+            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(hyper(), a)).group_theoretical
         ]
         return not bad, f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}"
 
     checks = (
         ("norm-one-subgroup", lambda: (True, f"size {len(ffield.ker_norm(field()))}")),
         ("anisotropic-orthogonal", lambda: orthogonal_order(aniso())),
-        ("hyperbolic-orthogonal", lambda: orthogonal_order(quadspace.build_hyperbolic(field()))),
+        ("hyperbolic-orthogonal", lambda: orthogonal_order(hyper())),
         ("metric-group", metric_group),
         ("fusion-axioms", fusion_axioms),
         ("fp-dims", fp_dims),

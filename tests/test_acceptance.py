@@ -125,9 +125,9 @@ def test_criterion_4_verdicts():
     for p, q in CRITERION_PAIRS_50:
         assert all(ok for _, ok, _ in non_group_theoretical_suite(certify_pair(p, q))), (p, q)
     for q in ODD_PRIMES_50:
-        ctx = make_field(q)
+        plane = build_hyperbolic(make_field(q))
         for a in range(2, q - 1):  # F_q minus {0, 1, -1}
-            verdict = gt_criterion(hyperbolic_control(ctx, a))
+            verdict = gt_criterion(hyperbolic_control(plane, a))
             assert verdict.group_theoretical, (q, a)
 
 

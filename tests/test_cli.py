@@ -467,6 +467,7 @@ def test_verify_reads_one_certified_pair(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,fields,picks", [
     (["verify", "3", "23"], 2, 1),
     (["sweep", "20"], 10, 5),  # five pairs verified, each as verify does
+    (["census", "3", "23"], 1, 1),  # the census reads the pair's field
 ])
 def test_verify_builds_the_field_and_the_pair_once(capsys, monkeypatch, argv, fields, picks):
     # the cli's own field and the certified pair's: no stage rebuilds either

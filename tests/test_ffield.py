@@ -50,6 +50,16 @@ def test_make_field_deterministic():
     assert hash(make_field(13)) == hash(make_field(13))
 
 
+def test_elements_never_equal_ints():
+    # ExtElement hashes as (a0, a1, q), so equal to an int it would break
+    # the hash contract: 3 and 8 would both equal the element 3 at q = 5
+    ctx = make_field(5)
+    assert ctx.one != 1 and 1 != ctx.one
+    assert len({ctx.one, 1}) == 2
+    assert ctx.elem(3) != 8 and ctx.elem(3) != 3
+    assert ctx.one + 1 == ctx.elem(2)  # int arithmetic still coerces
+
+
 def test_arithmetic_field_axioms_exhaustive():
     ctx = make_field(3)
     elems = list(ctx.elements())

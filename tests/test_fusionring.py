@@ -992,6 +992,19 @@ def test_serialization_header():
     assert lines[2] == "g1 g2"
 
 
+@pytest.mark.parametrize("basis", [
+    ["", "g1"], ["a\tb", "g1"], ["a\nb", "g1"], ["a b", "g1"], [" g0", "g1"], ["g0", "g0"],
+])
+def test_ring_to_text_refuses_labels_its_reader_refuses(basis):
+    # an empty label, whitespace inside a label or a repeated label would be
+    # written, then refused by `ring_from_text`
+    ring = cyclic_group_ring(2)
+    relabelled = FusionRing(basis, ring.unit_index, ring.dual_index, ring.prod, ring.coef,
+                            ring.multi)
+    with pytest.raises(BadParameter):
+        ring_to_text(relabelled)
+
+
 @pytest.mark.parametrize(
     "text",
     [

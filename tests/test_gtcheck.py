@@ -10,6 +10,7 @@ from anisogauge import (
     SplitOrthMap,
     ZeroEigenvalue,
     build_anisotropic,
+    build_hyperbolic,
     certify_pair,
     eigenvalues_2x2,
     existence_gate,
@@ -99,31 +100,37 @@ def test_gt_criterion_rejects_wrong_source():
 
 
 def test_hyperbolic_control_q5_a2():
-    verdict = gt_criterion(hyperbolic_control(make_field(5), 2))
+    verdict = gt_criterion(hyperbolic_control(build_hyperbolic(make_field(5)), 2))
     assert verdict.group_theoretical
     assert verdict.ratio.key() == (2, 0)  # (1+2)/(1+3) = 2 mod 5
 
 
 def test_hyperbolic_control_q7_a3():
-    verdict = gt_criterion(hyperbolic_control(make_field(7), 3))
+    verdict = gt_criterion(hyperbolic_control(build_hyperbolic(make_field(7)), 3))
     assert verdict.group_theoretical
     assert verdict.ratio.key() == (3, 0)  # (1+3)/(1+5) = 4/6 = 3 mod 7
 
 
 def test_hyperbolic_control_bad_parameters():
     with pytest.raises(BadParameter):
-        hyperbolic_control(make_field(5), 1)
+        hyperbolic_control(build_hyperbolic(make_field(5)), 1)
     with pytest.raises(BadParameter):
-        hyperbolic_control(make_field(5), 0)
+        hyperbolic_control(build_hyperbolic(make_field(5)), 0)
     with pytest.raises(BadParameter):
-        hyperbolic_control(make_field(2), 3)
+        hyperbolic_control(build_hyperbolic(make_field(2)), 3)
     with pytest.raises(NotPrime):  # a field is certified before any control
-        hyperbolic_control(make_field(9), 2)
+        hyperbolic_control(build_hyperbolic(make_field(9)), 2)
+
+
+def test_hyperbolic_control_rejects_the_anisotropic_plane():
+    # diag(a, 1/a) preserves x*y, not the norm form: the embedding refuses it
+    with pytest.raises(ArithmeticError, match="^block map does not preserve the split form$"):
+        hyperbolic_control(build_anisotropic(make_field(5)), 2)
 
 
 def test_hyperbolic_control_minus_one_has_zero_eigenvalue():
     with pytest.raises(ZeroEigenvalue):
-        gt_criterion(hyperbolic_control(make_field(5), -1))
+        gt_criterion(hyperbolic_control(build_hyperbolic(make_field(5)), -1))
 
 
 def test_quartic_identity_small():
@@ -191,9 +198,9 @@ def test_suite_all_valid_pairs_up_to_50():
 
 def test_hyperbolic_controls_all_q_up_to_50():
     for q in ODD_PRIMES_50:
-        ctx = make_field(q)
+        plane = build_hyperbolic(make_field(q))
         for a in range(2, q - 1):
-            verdict = gt_criterion(hyperbolic_control(ctx, a))
+            verdict = gt_criterion(hyperbolic_control(plane, a))
             assert verdict.group_theoretical, (q, a)
 
 

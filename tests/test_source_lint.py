@@ -145,6 +145,12 @@ def test_one_place_picks_the_order_p_element():
     assert _callers("pick_order_p") == ["gauging.py:certify_pair"]
 
 
+def test_one_place_builds_the_hyperbolic_plane():
+    # `suite.verify_rows` builds the plane once for its orthogonal row and
+    # every control; `gtcheck.hyperbolic_control` takes the plane
+    assert _callers("build_hyperbolic") == ["suite.py:verify_rows"]
+
+
 def test_one_place_factors_a_group_order():
     # `orthogroup._generator` certifies the cyclic part of each plane's
     # group by the cofactor test; `ker_norm` checks only its size

@@ -1,10 +1,14 @@
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import anisogauge
-from anisogauge import fusionring, suite
+from anisogauge import cli, fusionring, suite
+from anisogauge.quadspace import HyperbolicSpace, QuadSpace
 
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
 
@@ -65,6 +69,27 @@ def test_skip_clause_matches_the_class_count(monkeypatch):
         assert row["status"] == "pass"
         assert counted == ([(p, q)] if runs else [])
         assert ("brute-force class count skipped" in row["detail"]) is not runs
+
+
+@pytest.mark.parametrize("run,planes,derived", [
+    (lambda: suite.verify_rows(3, 23), 1, 3),
+    (lambda: cli.main(["sweep", "20", "--format", "json"]), 5, 15),  # five pairs verified
+], ids=["verify-3-23", "sweep-20"])
+def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatch, run, planes,
+                                                               derived):
+    # per pair: one hyperbolic plane for its row and every control, and three
+    # derivations of Q(e1), Q(e2), B'(e1, e2), by verify's two planes and
+    # the criterion suite's own anisotropic plane
+    built, derivations = [], []
+    init, values = HyperbolicSpace.__init__, QuadSpace.__dict__["polar_values"].func
+    monkeypatch.setattr(HyperbolicSpace, "__init__",
+                        lambda self, ctx: built.append(ctx.q) or init(self, ctx))
+    counted = functools.cached_property(lambda self: derivations.append(self) or values(self))
+    counted.__set_name__(QuadSpace, "polar_values")
+    monkeypatch.setattr(QuadSpace, "polar_values", counted)
+    run()
+    capsys.readouterr()
+    assert (len(built), len(derivations)) == (planes, derived)
 
 
 def test_import_loads_no_cli():

@@ -1,15 +1,15 @@
 """Command-line driver emitting deterministic machine-readable reports.
 
-Commands: census, verify, sweep, double-rank.  Exit codes: 0 success,
-1 check failure (a failed verify row, or an ArithmeticError raised by a
-certification), 2 existence violated, 3 bound exceeded, 64 usage.
+Commands: census, verify, sweep, double-rank.  Exit codes: 0 success, 1 check
+failure (a failed verify row, or an ArithmeticError raised by a certification),
+2 existence violated, 3 bound exceeded, 64 usage, 74 stdout closed.
 This module parses the arguments, applies the gates and formats the
 payload; the verify rows, and the rule that turns an error into a fail
 row, come from `suite.verify_rows`.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
-Only `verify` past its gates, `sweep` and `double-rank` past reading its
-table load numpy, so `census` and the gate and file refusals start quickly.
+Only `verify` past its gates, `sweep` past its cap and `double-rank` past
+reading its table load numpy, so `census` and the refusals start quickly.
 The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
@@ -40,9 +40,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_EXISTENCE = 2
 EXIT_BOUND = 3
 EXIT_USAGE = 64
+EXIT_IO = 74
 
 VERIFY_DEFAULT_BOUND = 2000
-SWEEP_DEFAULT_BOUND = 50
 SWEEP_HARD_CAP = 200
 
 
@@ -105,16 +105,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _bound(flag: int | None, default: int) -> int:
-    """The --bound flag, else ANISOGAUGE_BOUND, else the default.
-
-    Either source must parse with `_non_negative`; otherwise it is a usage error.
-    """
+def _bound(flag: int | None) -> int:
+    """verify's cap on p*q^2: --bound, else ANISOGAUGE_BOUND, else VERIFY_DEFAULT_BOUND.
+    Either must parse with `_non_negative`; otherwise it is a usage error."""
     if flag is not None:
         return flag
     raw = os.environ.get("ANISOGAUGE_BOUND")
     if raw is None:
-        return default
+        return VERIFY_DEFAULT_BOUND
     try:
         return _non_negative(raw)
     except argparse.ArgumentTypeError as err:
@@ -173,19 +171,13 @@ def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def _odd_primes_upto(n: int) -> list[int]:
-    return [k for k in range(3, n + 1, 2) if is_prime(k)]
-
-
-def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
-    cap = min(SWEEP_HARD_CAP, bound)
-    if qmax > cap:
-        raise BoundExceeded(f"qmax={qmax} exceeds bound {cap}")
+def cmd_sweep(qmax: int, fmt: str) -> int:
+    if qmax > SWEEP_HARD_CAP:
+        raise BoundExceeded(f"qmax={qmax} exceeds bound {SWEEP_HARD_CAP}")
     from . import gtcheck, suite
 
     rows = []
-    failures = 0
-    primes = _odd_primes_upto(qmax)
+    primes = [k for k in range(3, qmax + 1, 2) if is_prime(k)]
     for i, q in enumerate(primes):
         for p in primes[:i]:
             gate = gtcheck.existence_gate(p, q)
@@ -193,11 +185,8 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
             if gate:
                 row["rank"] = p * p + (q * q - 1) // p
                 if p * q * q <= VERIFY_DEFAULT_BOUND:
-                    checks = suite.verify_rows(p, q)
-                    ok = all(c["status"] != "fail" for c in checks)
+                    ok = all(c["status"] != "fail" for c in suite.verify_rows(p, q))
                     row["verify"] = "pass" if ok else "fail"
-                    if not ok:
-                        failures += 1
                 else:
                     row["verify"] = "skipped-bound"
             rows.append(row)
@@ -208,7 +197,7 @@ def cmd_sweep(qmax: int, bound: int, fmt: str) -> int:
         verify = f" verify={r['verify']}" if r["verify"] else ""
         table.append(f"  p={r['p']} q={r['q']} gate={str(r['gate']).lower()}{rank}{verify}")
     _emit(payload, fmt, table, ("p", "q", "gate", "rank", "verify"), rows)
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if any(r["verify"] == "fail" for r in rows) else EXIT_OK
 
 
 def cmd_double_rank(path: str, fmt: str) -> int:
@@ -261,8 +250,7 @@ def build_parser() -> _Parser:
     v.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     s = sub.add_parser("sweep", help="existence sweep over odd prime pairs")
-    s.add_argument("qmax", type=_non_negative)
-    s.add_argument("--bound", type=_non_negative, default=None, help="cap on swept q")
+    s.add_argument("qmax", type=_non_negative, help=f"largest swept q, at most {SWEEP_HARD_CAP}")
     s.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     d = sub.add_parser("double-rank", help="rank of the double from a multiplication table")
@@ -279,9 +267,9 @@ def main(argv=None) -> int:
         if args.command == "census":
             code = cmd_census(args.p, args.q, args.format)
         elif args.command == "verify":
-            code = cmd_verify(args.p, args.q, _bound(args.bound, VERIFY_DEFAULT_BOUND), args.format)
+            code = cmd_verify(args.p, args.q, _bound(args.bound), args.format)
         elif args.command == "sweep":
-            code = cmd_sweep(args.qmax, _bound(args.bound, SWEEP_DEFAULT_BOUND), args.format)
+            code = cmd_sweep(args.qmax, args.format)
         else:
             code = cmd_double_rank(args.group_file, args.format)
     except (AnisogaugeError, ArithmeticError) as err:
@@ -305,7 +293,14 @@ def run() -> None:
     # a short run wall time whenever the cores are shared, so the program
     # keeps BLAS to one thread unless the caller sets it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as err:  # devnull keeps the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+        code = EXIT_IO
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

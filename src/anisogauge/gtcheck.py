@@ -18,7 +18,7 @@ from .errors import (
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, sqrt_ext
 from .gauging import CertifiedPair, _exists
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
-from .quadspace import QuadSpace, build_anisotropic
+from .quadspace import ANISOTROPIC, QuadSpace
 
 @dataclass(frozen=True)
 class GTVerdict:
@@ -112,18 +112,21 @@ def quartic_identity_check(q: int) -> bool:
     return [c % q for c in prod] == [c % q for c in target]
 
 
-def non_group_theoretical_suite(pair: CertifiedPair) -> list[tuple[str, bool, str]]:
+def non_group_theoretical_suite(pair: CertifiedPair,
+                                space: QuadSpace) -> list[tuple[str, bool, str]]:
     """The four-step pipeline certifying the anisotropic rotation gauge fails
     the group-theoreticality test, as (name, passed, detail) entries.
 
     For the pair's order-p norm-one c: (a) the rotation matrix has
     eigenvalues {c, c^-1} exchanged by Frobenius; (b) the ratio
     (1+c)/(1+c^-1) equals c; (c) that ratio is not Galois-fixed; (d) the
-    criterion on the embedded rotation returns non-group-theoretical.
+    criterion on the rotation of the plane `space` returns non-group-theoretical.
     """
     p, q, ctx, c = pair
     if p == 2 or q == 2:
         raise BadParameter(f"({p}, {q}) must be odd primes")
+    if space.kind != ANISOTROPIC or space.ctx != ctx:
+        raise BadParameter(f"{space!r} is not the anisotropic plane over {ctx!r}")
     rho = rotation(ctx, c)
     entries = []
 
@@ -138,8 +141,7 @@ def non_group_theoretical_suite(pair: CertifiedPair) -> list[tuple[str, bool, st
     ok_c = frobenius(lam) != lam
     entries.append(("lambda-not-in-base", ok_c, f"frobenius moves {lam!r}"))
 
-    aniso = build_anisotropic(ctx)
-    verdict = gt_criterion(split_embedding(aniso, rho))
+    verdict = gt_criterion(split_embedding(space, rho))
     ok_d = not verdict.group_theoretical and verdict.ratio in (c, c.inverse())
     entries.append(("non-gt-verdict", ok_d, verdict.witness))
 

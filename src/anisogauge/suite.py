@@ -83,7 +83,7 @@ def verify_rows(p: int, q: int) -> list[dict]:
         if q == 2 or p == 2:
             reason = "q=2" if q == 2 else "p=2"
             return None, f"even prime ({reason}); needs odd characteristic"
-        suite = gtcheck.non_group_theoretical_suite(pair())
+        suite = gtcheck.non_group_theoretical_suite(pair(), aniso())
         return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite]
 
     def hyperbolic_controls():

@@ -123,7 +123,9 @@ def test_criterion_3_fusion_axioms():
 def test_criterion_4_verdicts():
     assert CRITERION_PAIRS_50, "no pairs found"
     for p, q in CRITERION_PAIRS_50:
-        assert all(ok for _, ok, _ in non_group_theoretical_suite(certify_pair(p, q))), (p, q)
+        pair = certify_pair(p, q)
+        report = non_group_theoretical_suite(pair, build_anisotropic(pair.ctx))
+        assert all(ok for _, ok, _ in report), (p, q)
     for q in ODD_PRIMES_50:
         plane = build_hyperbolic(make_field(q))
         for a in range(2, q - 1):  # F_q minus {0, 1, -1}

@@ -112,19 +112,16 @@ def test_verify_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("ANISOGAUGE_BOUND", "0")  # zero is a bound, not "unset"
     code, out, err = run(capsys, ["verify", "3", "5"])
     assert code == 3 and "exceeds bound 0" in err
-    code, _, _ = run(capsys, ["sweep", "3"])
-    assert code == 3
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
 def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
     monkeypatch.setenv("ANISOGAUGE_BOUND", raw)
-    for argv in (["verify", "3", "5"], ["sweep", "6"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 64
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ANISOGAUGE_BOUND")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "5"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ANISOGAUGE_BOUND")
     # an explicit --bound wins and the variable is not read
     code, _, _ = run(capsys, ["verify", "3", "5", "--bound", "100"])
     assert code == 0
@@ -132,13 +129,12 @@ def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
 
 @pytest.mark.parametrize("raw", ["-1", "abc"])
 def test_bound_flag_rejects_bad_values(capsys, raw):
-    for argv in (["verify", "3", "5"], ["sweep", "20"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--bound", raw])
-        assert exc.value.code == 64
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: argument --bound: {raw!r} is not a non-negative integer" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "5", "--bound", raw])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --bound: {raw!r} is not a non-negative integer" in captured.err
 
 
 @pytest.mark.parametrize("raw", ["-5", "abc"])
@@ -180,16 +176,34 @@ def test_sweep_lists_the_primes_once(capsys, monkeypatch):
     is_prime = cli.is_prime
     monkeypatch.setattr(cli, "is_prime", lambda k: tested.append(k) or is_prime(k))
     monkeypatch.setattr(suite, "verify_rows", lambda p, q: [])
-    code, _, _ = run(capsys, ["sweep", "200", "--bound", "200"])
+    code, _, _ = run(capsys, ["sweep", "200"])
     assert code == 0
     assert tested == list(range(3, 201, 2))
 
 
 def test_sweep_bound(capsys):
-    code, _, err = run(capsys, ["sweep", "500"])
-    assert code == 3
-    code, _, err = run(capsys, ["sweep", "60"])  # default bound 50
-    assert code == 3
+    # qmax is the range, refused only past the hard cap; each pair is
+    # verified only under verify's default cap on p*q^2
+    code, _, _ = run(capsys, ["sweep", "60"])
+    assert code == 0
+    code, out, err = run(capsys, ["sweep", "201"])
+    assert code == 3 and out == "" and err == "error: qmax=201 exceeds bound 200\n"
+
+
+def test_sweep_takes_no_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "20", "--bound", "20"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --bound 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_sweep_ignores_the_env_bound(capsys, monkeypatch, raw):
+    # ANISOGAUGE_BOUND is verify's cap on p*q^2 alone
+    monkeypatch.delenv("ANISOGAUGE_BOUND", raising=False)
+    expected = run(capsys, ["sweep", "20"])
+    monkeypatch.setenv("ANISOGAUGE_BOUND", raw)
+    assert run(capsys, ["sweep", "20"]) == expected
 
 
 def test_usage_errors_exit_64(capsys):
@@ -334,6 +348,24 @@ def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("argv", [["census", "3", "5"], ["verify", "3", "5", "--format", "json"]])
+def test_a_closed_stdout_exits_74(argv):
+    # the reader has closed the pipe before the payload is written
+    src = str(Path(anisogauge.__file__).resolve().parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              text=True)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_IO == 74
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")
+
+
 def test_census_bound_exceeded(capsys):
     code, _, err = run(capsys, ["census", "3", "10007"])
     assert code == 3
@@ -394,7 +426,7 @@ def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
 
 
 def test_verify_criterion_suite_raise_is_one_row(capsys, monkeypatch):
-    def broken(pair):
+    def broken(pair, space):
         raise ExistenceViolated("suite broke")
 
     monkeypatch.setattr(gtcheck, "non_group_theoretical_suite", broken)

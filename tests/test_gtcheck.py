@@ -158,9 +158,14 @@ def test_quartic_root_multiset_q5():
     assert sorted(roots) == sorted([(1, 0), (4, 0), (4, 0), (4, 0)])
 
 
+def _suite(p, q):
+    pair = certify_pair(p, q)
+    return non_group_theoretical_suite(pair, build_anisotropic(pair.ctx))
+
+
 def test_suite_3_5_and_5_19():
     for p, q in [(3, 5), (5, 19)]:
-        report = non_group_theoretical_suite(certify_pair(p, q))
+        report = _suite(p, q)
         assert all(ok for _, ok, _ in report)
         assert [name for name, _, _ in report] == [
             "eigenvalues-swap",
@@ -174,7 +179,15 @@ def test_suite_existence_violated():
     with pytest.raises(ExistenceViolated):
         certify_pair(3, 7)
     with pytest.raises(BadParameter, match=r"\(2, 7\) must be odd primes"):
-        non_group_theoretical_suite(certify_pair(2, 7))
+        _suite(2, 7)
+
+
+def test_suite_refuses_any_other_plane():
+    # the suite embeds its rotation in the anisotropic plane over the pair's field
+    pair = certify_pair(3, 5)
+    for plane in (build_hyperbolic(pair.ctx), build_anisotropic(make_field(11))):
+        with pytest.raises(BadParameter, match=r"is not the anisotropic plane over FieldCtx\(q=5"):
+            non_group_theoretical_suite(pair, plane)
 
 
 def test_existence_gate():
@@ -193,7 +206,7 @@ def test_suite_all_valid_pairs_up_to_50():
     pairs = valid_pairs(50)
     assert (3, 5) in pairs and (19, 37) in pairs
     for p, q in pairs:
-        assert all(ok for _, ok, _ in non_group_theoretical_suite(certify_pair(p, q))), (p, q)
+        assert all(ok for _, ok, _ in _suite(p, q)), (p, q)
 
 
 def test_hyperbolic_controls_all_q_up_to_50():

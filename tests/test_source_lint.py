@@ -1,8 +1,10 @@
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import anisogauge
+from anisogauge import cli
 
 SOURCE = Path(anisogauge.__file__).parent
 
@@ -146,9 +148,11 @@ def test_one_place_picks_the_order_p_element():
 
 
 def test_one_place_builds_the_hyperbolic_plane():
-    # `suite.verify_rows` builds the plane once for its orthogonal row and
-    # every control; `gtcheck.hyperbolic_control` takes the plane
+    # `suite.verify_rows` builds each plane once: the hyperbolic one for its
+    # orthogonal row and every control, the anisotropic one for its rows and
+    # the criterion suite; `gtcheck` takes the planes
     assert _callers("build_hyperbolic") == ["suite.py:verify_rows"]
+    assert _callers("build_anisotropic") == ["suite.py:verify_rows"]
 
 
 def test_one_place_factors_a_group_order():
@@ -187,3 +191,18 @@ def test_hashlib_only_as_the_last_resort_digest():
     chain.append(node.module)
     assert chain == ["_sha2", "_sha256", "hashlib"]
     assert found == [f"cli.py:{node.lineno}"]
+
+
+def _exit_codes_sentence(text: str) -> str:
+    """The sentence that starts with "Exit codes:", up to its full stop."""
+    return re.search(r"Exit codes:(.*?)\.(\s|$)", text, re.DOTALL).group(1)
+
+
+def test_every_exit_code_is_documented():
+    # each exit code is listed in the cli docstring and in README's
+    # "Exit codes" sentence
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docstring, listed = _exit_codes_sentence(cli.__doc__), _exit_codes_sentence(readme)
+    assert [code for code in codes if not re.search(rf"\b{code}\b", docstring)] == []
+    assert [code for code in codes if f"`{code}`" not in listed] == []

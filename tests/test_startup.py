@@ -49,6 +49,7 @@ START_UP_PATHS = [
     (["verify", "3", "29"], None),
     (["verify", "3", "11"], {"ANISOGAUGE_BOUND": "100"}),
     (["verify", "1", "5"], None),
+    (["sweep", "201"], None),  # past the hard cap
 ]
 
 

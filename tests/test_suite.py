@@ -8,7 +8,7 @@ import pytest
 
 import anisogauge
 from anisogauge import cli, fusionring, suite
-from anisogauge.quadspace import HyperbolicSpace, QuadSpace
+from anisogauge.quadspace import ANISOTROPIC, HYPERBOLIC, QuadSpace
 
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
 
@@ -72,24 +72,25 @@ def test_skip_clause_matches_the_class_count(monkeypatch):
 
 
 @pytest.mark.parametrize("run,planes,derived", [
-    (lambda: suite.verify_rows(3, 23), 1, 3),
-    (lambda: cli.main(["sweep", "20", "--format", "json"]), 5, 15),  # five pairs verified
+    (lambda: suite.verify_rows(3, 23), 1, 2),
+    (lambda: cli.main(["sweep", "20", "--format", "json"]), 5, 10),  # five pairs verified
 ], ids=["verify-3-23", "sweep-20"])
 def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatch, run, planes,
                                                                derived):
-    # per pair: one hyperbolic plane for its row and every control, and three
-    # derivations of Q(e1), Q(e2), B'(e1, e2), by verify's two planes and
-    # the criterion suite's own anisotropic plane
+    # per pair: one anisotropic plane for its rows and the criterion suite,
+    # one hyperbolic plane for its row and every control, and one derivation
+    # of Q(e1), Q(e2), B'(e1, e2) by each
     built, derivations = [], []
-    init, values = HyperbolicSpace.__init__, QuadSpace.__dict__["polar_values"].func
-    monkeypatch.setattr(HyperbolicSpace, "__init__",
-                        lambda self, ctx: built.append(ctx.q) or init(self, ctx))
+    init, values = QuadSpace.__init__, QuadSpace.__dict__["polar_values"].func
+    monkeypatch.setattr(QuadSpace, "__init__",
+                        lambda self, ctx: built.append(self.kind) or init(self, ctx))
     counted = functools.cached_property(lambda self: derivations.append(self) or values(self))
     counted.__set_name__(QuadSpace, "polar_values")
     monkeypatch.setattr(QuadSpace, "polar_values", counted)
     run()
     capsys.readouterr()
-    assert (len(built), len(derivations)) == (planes, derived)
+    assert (built.count(ANISOTROPIC), built.count(HYPERBOLIC), len(derivations)) == (
+        planes, planes, derived)
 
 
 def test_import_loads_no_cli():

@@ -3,9 +3,10 @@
 Commands: census, verify, sweep, double-rank.  Exit codes: 0 success, 1 check
 failure (a failed verify row, or an ArithmeticError raised by a certification),
 2 existence violated, 3 bound exceeded, 64 usage, 74 stdout closed.
-This module parses the arguments, applies the gates and formats the
-payload; the verify rows, and the rule that turns an error into a fail
-row, come from `suite.verify_rows`.
+This module parses the arguments, applies the gates and formats the payload;
+the verify rows, and the rule that turns an error into a fail row, come from
+`suite.verify_rows`.  `gauging.COMPLETE_BOUND`, the largest p*q^2 at which
+every verify check runs, is verify's default bound and sweep's verify cutoff.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
 Only `verify` past its gates, `sweep` past its cap and `double-rank` past
@@ -42,7 +43,6 @@ EXIT_BOUND = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-VERIFY_DEFAULT_BOUND = 2000
 SWEEP_HARD_CAP = 200
 
 
@@ -106,13 +106,13 @@ def _non_negative(text: str) -> int:
 
 
 def _bound(flag: int | None) -> int:
-    """verify's cap on p*q^2: --bound, else ANISOGAUGE_BOUND, else VERIFY_DEFAULT_BOUND.
+    """verify's cap on p*q^2: --bound, else ANISOGAUGE_BOUND, else gauging.COMPLETE_BOUND.
     Either must parse with `_non_negative`; otherwise it is a usage error."""
     if flag is not None:
         return flag
     raw = os.environ.get("ANISOGAUGE_BOUND")
     if raw is None:
-        return VERIFY_DEFAULT_BOUND
+        return gauging.COMPLETE_BOUND
     try:
         return _non_negative(raw)
     except argparse.ArgumentTypeError as err:
@@ -174,17 +174,16 @@ def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
 def cmd_sweep(qmax: int, fmt: str) -> int:
     if qmax > SWEEP_HARD_CAP:
         raise BoundExceeded(f"qmax={qmax} exceeds bound {SWEEP_HARD_CAP}")
-    from . import gtcheck, suite
+    from . import suite
 
     rows = []
     primes = [k for k in range(3, qmax + 1, 2) if is_prime(k)]
     for i, q in enumerate(primes):
-        for p in primes[:i]:
-            gate = gtcheck.existence_gate(p, q)
-            row = {"p": p, "q": q, "gate": gate, "rank": None, "verify": ""}
-            if gate:
+        for p in primes[:i]:  # odd primes p < q, so the gate is p | q + 1 alone
+            row = {"p": p, "q": q, "gate": gauging._exists(p, q), "rank": None, "verify": ""}
+            if row["gate"]:
                 row["rank"] = p * p + (q * q - 1) // p
-                if p * q * q <= VERIFY_DEFAULT_BOUND:
+                if p * q * q <= gauging.COMPLETE_BOUND:
                     ok = all(c["status"] != "fail" for c in suite.verify_rows(p, q))
                     row["verify"] = "pass" if ok else "fail"
                 else:

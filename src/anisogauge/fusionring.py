@@ -36,13 +36,13 @@ whose weighted square sum must reproduce the declared global dimension.
 The little-group census and the class count act on the same codes, by one
 permutation: v -> c*v for the c of a `gauging.CertifiedPair`, whose free
 orbits `_free_orbits` walks.  The class count is Burnside's count of commuting
-pairs, from the group law, with no (p q^2)^2 table.  drinfeld_double_rank
-certifies a multiplication table as a group by verify_axioms on its group
-ring (the table as prod, coef 1, the inverses as duals) and counts the
-rank of the double by Burnside's lemma applied twice: commuting triples
-over the group order.  The equivariantization census and DOUBLE_RANK_BOUND
-live in the numpy-free `gauging` module, which certifies the census's orbit
-count by argument; both are re-exported here.
+pairs, from the group law, with no (p q^2)^2 table, and runs only while p*q^2
+is at most `gauging.COMPLETE_BOUND`.  drinfeld_double_rank certifies a
+multiplication table as a group by verify_axioms on its group ring (the table
+as prod, coef 1, the inverses as duals) and counts the rank of the double by
+Burnside's lemma applied twice: commuting triples over the group order.  The
+equivariantization census and DOUBLE_RANK_BOUND, re-exported here, live in
+the numpy-free `gauging` module, which certifies the orbit count by argument.
 """
 
 import itertools
@@ -52,12 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gauging
 from .errors import BadParameter, BoundExceeded, NotACharacter
 from .gauging import (DOUBLE_RANK_BOUND, Census, CertifiedPair, _require_pair,
                       equivariantization_census)
 from .orthogroup import Mat2, rotation
 
-CROSS_CHECK_BOUND = 2000
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
 _BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary, widened from the narrow ring
 RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod, coef and multi, as stored
@@ -558,19 +558,18 @@ def _free_orbits(perm: np.ndarray, p: int) -> np.ndarray:
 def semidirect_irreps(pair: CertifiedPair) -> Census:
     """Irreducible-representation census of the order-p*q^2 twisted product.
 
-    Little-group method on the characters of the translation part: the
-    trivial character is fixed and contributes p linear irreps; every other
-    character lies in a free orbit of size p and induces one p-dimensional
-    irrep.  Cross-validated, whenever the group order is at most
-    CROSS_CHECK_BOUND, against the number of conjugacy classes counted by
-    `_class_count` from the group law, as commuting pairs over the order.
+    Little-group method on the characters of the translation part: the trivial
+    character is fixed and contributes p linear irreps; every other character
+    lies in a free orbit of size p and induces one p-dimensional irrep.  While
+    p*q^2 <= `gauging.COMPLETE_BOUND`, the census is cross-checked against the
+    conjugacy classes counted by `_class_count` from the group law.
     """
     p, q = pair.p, pair.q
     m = rotation(pair.ctx, pair.c)
     # dual action on characters chi_w: w -> M^T w for M the matrix of v -> c*v
     orbits = len(_free_orbits(_code_permutation(m.transpose()), p))
     census = Census((("linear", 1, p), ("induced", p, orbits)), p * q * q)
-    if p * q * q <= CROSS_CHECK_BOUND:
+    if p * q * q <= gauging.COMPLETE_BOUND:
         classes = _class_count(_code_permutation(m), p, q)
         if classes != census.rank:
             raise ArithmeticError(

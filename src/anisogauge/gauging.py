@@ -15,6 +15,7 @@ from .errors import ExistenceViolated, NotPrime
 from .ffield import is_prime, make_field, pick_order_p
 
 DOUBLE_RANK_BOUND = 200  # the largest group order `double-rank` accepts
+COMPLETE_BOUND = 2000  # the largest p*q^2 at which every verify check runs
 
 
 class Census(namedtuple("Census", "entries global_dim")):

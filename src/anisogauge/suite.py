@@ -1,12 +1,13 @@
 """The verify rows for one pair (p, q): the paper's claims, checked.
 
-`verify_rows(p, q)` returns the rows that `verify` prints, in payload
-order, as {"name", "status", "detail"} dicts with status pass, fail or
-skip.  It applies no gate of its own: the CLI refuses a pair over its
-bound, a pair with p not dividing q + 1 and a ring over its byte budget
-before it gets here, and a pair it does not refuse fails the rows whose
-inputs cannot be built.  Each stage is called through its module, so
-that a caller can wrap or replace it there.  Imports numpy.
+`verify_rows(p, q)` returns the rows that `verify` prints, in payload order,
+as {"name", "status", "detail"} dicts with status pass, fail or skip.  It
+applies no gate of its own: the CLI refuses a pair over its bound, a pair with
+p not dividing q + 1 and a ring over its byte budget before it gets here, and
+a pair it does not refuse fails the rows whose inputs cannot be built.  Every
+check runs in full while p*q^2 <= `gauging.COMPLETE_BOUND`; above it the
+semidirect row skips its class count and says so.  Each stage is called
+through its module, so a caller can wrap or replace it there.  Imports numpy.
 """
 
 import functools
@@ -75,8 +76,8 @@ def verify_rows(p: int, q: int) -> list[dict]:
         degree0 = {(dim, count) for label, dim, count in census().entries[:2]}
         semis = {(dim, count) for label, dim, count in irreps.entries}
         detail = f"irreps rank {irreps.rank}"
-        if p * q * q > fusionring.CROSS_CHECK_BOUND:
-            detail += f"; brute-force class count skipped (p*q^2 > {fusionring.CROSS_CHECK_BOUND})"
+        if p * q * q > gauging.COMPLETE_BOUND:
+            detail += f"; brute-force class count skipped (p*q^2 > {gauging.COMPLETE_BOUND})"
         return degree0 == semis, detail
 
     def criterion_suite():

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anisogauge
-from anisogauge import cli, fusionring, gauging, gtcheck, suite
+from anisogauge import cli, ffield, fusionring, gauging, gtcheck, suite
 from anisogauge.cli import main, sha256
 from anisogauge.errors import ExistenceViolated, NotACharacter
 
@@ -179,6 +179,39 @@ def test_sweep_lists_the_primes_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["sweep", "200"])
     assert code == 0
     assert tested == list(range(3, 201, 2))
+
+
+def test_sweep_tests_each_prime_once(capsys, monkeypatch):
+    # the gate of a swept pair is p | q + 1 alone: p and q come from the
+    # sweep's list of odd primes, so no stage re-tests them pair by pair
+    tested, gated = [], []
+    for module in (cli, ffield, gauging, gtcheck):
+        monkeypatch.setattr(
+            module, "is_prime", lambda k, f=module.is_prime: tested.append(k) or f(k))
+    gate = gtcheck.existence_gate
+    monkeypatch.setattr(
+        gtcheck, "existence_gate", lambda p, q: gated.append((p, q)) or gate(p, q))
+    code, _, _ = run(capsys, ["sweep", "200", "--format", "json"])
+    assert code == 0
+    assert len(tested) <= 150 and gated == []
+
+
+def test_raising_the_complete_bound_moves_every_reader(capsys, monkeypatch):
+    # verify's default bound, the class count, the row's "skipped" clause
+    # and the sweep's verify cutoff all read gauging.COMPLETE_BOUND
+    monkeypatch.delenv("ANISOGAUGE_BOUND", raising=False)
+    monkeypatch.setattr(gauging, "COMPLETE_BOUND", 2600)
+    counted = []
+    class_count = fusionring._class_count
+    monkeypatch.setattr(fusionring, "_class_count",
+                        lambda perm, p, q: counted.append((p, q)) or class_count(perm, p, q))
+    code, out, _ = run(capsys, ["verify", "3", "29", "--format", "csv"])
+    assert code == 0 and counted == [(3, 29)]
+    assert "semidirect-cross-check,pass,irreps rank 283" in out.splitlines()
+    code, out, _ = run(capsys, ["sweep", "30", "--format", "csv"])
+    assert code == 0
+    rows = out.splitlines()
+    assert "3,29,true,289,pass" in rows and "5,29,true,193,skipped-bound" in rows
 
 
 def test_sweep_bound(capsys):

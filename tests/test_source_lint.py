@@ -61,8 +61,7 @@ def _spelled(node) -> list:
 
 def test_cli_builds_no_verify_row():
     # the rows come from `suite.verify_rows`; `cli` parses, gates and formats
-    banned = VERIFY_ROW_NAMES | {"quadspace", "orthogroup", "CROSS_CHECK_BOUND",
-                                 "hyperbolic_control"}
+    banned = VERIFY_ROW_NAMES | {"quadspace", "orthogroup", "hyperbolic_control"}
     found = [
         f"cli.py:{node.lineno} {name}"
         for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
@@ -70,6 +69,18 @@ def test_cli_builds_no_verify_row():
         if isinstance(name, str) and name in banned
     ]
     assert found == []
+
+
+def test_one_cap_for_complete_verification():
+    # gauging.COMPLETE_BOUND is the one cap on p*q^2; every reader looks it
+    # up there, so no other module spells its value
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 2000
+    ]
+    assert len(found) == 1 and found[0].startswith("gauging.py:")
 
 
 FLOATING = {"float", "float16", "float32", "float64", "linalg", "rint", "sqrt", "floor", "ceil"}

@@ -3,9 +3,11 @@
 Commands: census, verify, sweep, double-rank.  Exit codes: 0 success, 1 check
 failure (a failed verify row, or an ArithmeticError raised by a certification),
 2 existence violated, 3 bound exceeded, 64 usage, 74 stdout closed.
-This module parses the arguments, applies the gates and formats the payload;
-the verify rows, and the rule that turns an error into a fail row, come from
-`suite.verify_rows`.  `gauging.COMPLETE_BOUND`, the largest p*q^2 at which
+This module parses the arguments, applies the gates and formats the payload.
+`verify` refuses p*q^2 over its bound, a pair `gauging.certify_pair` refuses,
+then a ring over its byte budget; it and `sweep` hand `suite.verify_rows` the
+certified pair, and the rows, with the rule that turns an error into a fail
+row, come from there.  `gauging.COMPLETE_BOUND`, the largest p*q^2 at which
 every verify check runs, is verify's default bound and sweep's verify cutoff.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
@@ -150,11 +152,11 @@ def cmd_census(p: int, q: int, fmt: str) -> int:
 def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
         raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
-    gauging._require_pair(p, q)
+    pair = gauging.certify_pair(p, q)
     from . import fusionring, suite
 
     fusionring._require_ring_budget(p, q)
-    checks = suite.verify_rows(p, q)
+    checks = suite.verify_rows(pair)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
         "command": "verify",
@@ -184,7 +186,8 @@ def cmd_sweep(qmax: int, fmt: str) -> int:
             if row["gate"]:
                 row["rank"] = p * p + (q * q - 1) // p
                 if p * q * q <= gauging.COMPLETE_BOUND:
-                    ok = all(c["status"] != "fail" for c in suite.verify_rows(p, q))
+                    checks = suite.verify_rows(gauging.certify_pair(p, q))
+                    ok = all(c["status"] != "fail" for c in checks)
                     row["verify"] = "pass" if ok else "fail"
                 else:
                     row["verify"] = "skipped-bound"

@@ -54,8 +54,7 @@ import numpy as np
 
 from . import gauging
 from .errors import BadParameter, BoundExceeded, NotACharacter
-from .gauging import (DOUBLE_RANK_BOUND, Census, CertifiedPair, _require_pair,
-                      equivariantization_census)
+from .gauging import DOUBLE_RANK_BOUND, Census, CertifiedPair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
@@ -173,15 +172,17 @@ class AxiomReport:
     counterexample: str | None = None
 
 
-def build_extension_ring(p: int, q: int) -> FusionRing:
-    """The graded ring with invertibles from the extension field and X_1..X_{p-1}.
+def build_extension_ring(pair: CertifiedPair) -> FusionRing:
+    """The graded ring of a certified pair (p | q + 1), with invertibles
+    from the extension field and X_1..X_{p-1}.
 
     Rules: a*b = a+b on invertibles, a*X_i = X_i*a = X_i,
     X_i*X_j = q*X_{i+j} for i+j != p and the sum of all invertibles for
-    i+j = p; X_i^* = X_{p-i}.  Exists only when p | q+1.  The invertible
-    with coordinates (a0, a1) has index a0*q + a1, and X_i has q^2 + i - 1.
+    i+j = p; X_i^* = X_{p-i}.  BoundExceeded, before any allocation, for a
+    ring over RING_BYTE_BUDGET.  The invertible with coordinates (a0, a1)
+    has index a0*q + a1, and X_i has q^2 + i - 1.
     """
-    _require_pair(p, q)
+    p, q = pair.p, pair.q
     prod_t, coef_t = _require_ring_budget(p, q)
     q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
     xs, a, neg = q2 + deg - 1, np.arange(q), -np.arange(q) % q

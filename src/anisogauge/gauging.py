@@ -2,8 +2,8 @@
 
 Gauging the Z/p action v -> c*v on the graded ring of `fusionring` gives a
 census of rank p^2 + (q^2 - 1)/p, which exists exactly when p | q + 1.
-`certify_pair` turns (p, q) into the field and the order-p c once; the
-census, the semidirect table and the criterion suite read that record.
+`certify_pair` is the one gate of a pair: it turns (p, q) into the field
+and the order-p c once, and every stage that reads a pair reads that record.
 The orbit count is certified by argument, with no walk over the q^2
 codes: c has order exactly p, and F_{q^2} is a field, so every nonzero
 orbit of v -> c*v has exactly p elements.  Nothing here needs numpy.
@@ -44,13 +44,6 @@ def _exists(p: int, q: int) -> bool:
     return (q + 1) % p == 0
 
 
-def _require_pair(p: int, q: int) -> None:
-    if not (is_prime(p) and is_prime(q)):
-        raise NotPrime(f"({p}, {q}) must be prime")
-    if not _exists(p, q):
-        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
-
-
 def certify_pair(p: int, q: int) -> CertifiedPair:
     """(p, q, ctx, c): primes p | q + 1, the field F_{q^2} of q and the c of
     `pick_order_p` in its norm-one subgroup, certified to have order p.
@@ -60,7 +53,10 @@ def certify_pair(p: int, q: int) -> CertifiedPair:
     with p prime, so it has order exactly p; this is checked here,
     ArithmeticError otherwise.
     """
-    _require_pair(p, q)
+    if not (is_prime(p) and is_prime(q)):
+        raise NotPrime(f"({p}, {q}) must be prime")
+    if not _exists(p, q):
+        raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
     ctx = make_field(q)
     c = pick_order_p(ctx, p)
     if c == ctx.one or c ** p != ctx.one:

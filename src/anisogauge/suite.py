@@ -1,13 +1,13 @@
-"""The verify rows for one pair (p, q): the paper's claims, checked.
+"""The verify rows for one certified pair: the paper's claims, checked.
 
-`verify_rows(p, q)` returns the rows that `verify` prints, in payload order,
-as {"name", "status", "detail"} dicts with status pass, fail or skip.  It
-applies no gate of its own: the CLI refuses a pair over its bound, a pair with
-p not dividing q + 1 and a ring over its byte budget before it gets here, and
-a pair it does not refuse fails the rows whose inputs cannot be built.  Every
-check runs in full while p*q^2 <= `gauging.COMPLETE_BOUND`; above it the
-semidirect row skips its class count and says so.  Each stage is called
-through its module, so a caller can wrap or replace it there.  Imports numpy.
+`verify_rows(pair)` returns the rows that `verify` prints, in payload order,
+as {"name", "status", "detail"} dicts with status pass, fail or skip, for a
+record of `gauging.certify_pair`, the one gate of a pair.  It applies no gate
+of its own: the CLI refuses a pair over its bound and a ring over its byte
+budget before it gets here.  Every check runs in full while p*q^2 <=
+`gauging.COMPLETE_BOUND`; above it the semidirect row skips its class count
+and says so.  Each stage is called through its module, so a caller can wrap
+or replace it there.  Imports numpy.
 """
 
 import functools
@@ -16,20 +16,19 @@ from . import ffield, fusionring, gauging, gtcheck, orthogroup, quadspace
 from .errors import AnisogaugeError
 
 
-def verify_rows(p: int, q: int) -> list[dict]:
-    """The verify rows for (p, q), in payload order.
+def verify_rows(pair: gauging.CertifiedPair) -> list[dict]:
+    """The verify rows for the certified pair, in payload order.
 
     Each check returns (ok, detail) for its own row, ok None meaning
     skipped, or a list of (name, ok, detail) rows.  The library certifies
     sizes and orders by raising, so an AnisogaugeError or ArithmeticError
     raised inside a check becomes a fail row carrying the error and the
     other checks still run; any other exception is a bug and propagates.
-    The field, the certified pair (`gauging.certify_pair`), the two planes,
-    the ring and the census are built at most once per pair, and a
-    check whose input failed to build fails with that error.  The field is
-    built apart from the pair, so the rows on the field alone do not fail
-    with it.
+    Both planes are built once from the pair's field.  The ring and the
+    census are built at most once, and a check whose input failed to build
+    fails with that error.
     """
+    p, q, field = pair.p, pair.q, pair.ctx
 
     def once(build):
         @functools.cache
@@ -46,18 +45,15 @@ def verify_rows(p: int, q: int) -> list[dict]:
             return value
         return get
 
-    field = once(lambda: ffield.make_field(q))
-    pair = once(lambda: gauging.certify_pair(p, q))
-    aniso = once(lambda: quadspace.build_anisotropic(field()))
-    hyper = once(lambda: quadspace.build_hyperbolic(field()))
-    ring = once(lambda: fusionring.build_extension_ring(p, q))
-    census = once(lambda: fusionring.equivariantization_census(pair()))
+    aniso, hyper = quadspace.build_anisotropic(field), quadspace.build_hyperbolic(field)
+    ring = once(lambda: fusionring.build_extension_ring(pair))
+    census = once(lambda: fusionring.equivariantization_census(pair))
 
     def orthogonal_order(space):
         return True, f"order {len(orthogroup.enumerate_orth(space))}"
 
     def metric_group():
-        quadspace.metric_group_of(aniso())
+        quadspace.metric_group_of(aniso)
         return True, "non-degenerate"
 
     def fusion_axioms():
@@ -72,7 +68,7 @@ def verify_rows(p: int, q: int) -> list[dict]:
         return ok, f"dims {values}, global {global_dim}"
 
     def semidirect_cross_check():
-        irreps = fusionring.semidirect_irreps(pair())
+        irreps = fusionring.semidirect_irreps(pair)
         degree0 = {(dim, count) for label, dim, count in census().entries[:2]}
         semis = {(dim, count) for label, dim, count in irreps.entries}
         detail = f"irreps rank {irreps.rank}"
@@ -84,7 +80,7 @@ def verify_rows(p: int, q: int) -> list[dict]:
         if q == 2 or p == 2:
             reason = "q=2" if q == 2 else "p=2"
             return None, f"even prime ({reason}); needs odd characteristic"
-        suite = gtcheck.non_group_theoretical_suite(pair(), aniso())
+        suite = gtcheck.non_group_theoretical_suite(pair, aniso)
         return [(f"criterion-{name}", ok, detail) for name, ok, detail in suite]
 
     def hyperbolic_controls():
@@ -92,14 +88,14 @@ def verify_rows(p: int, q: int) -> list[dict]:
             return None, "q=2; needs odd characteristic"
         bad = [
             a for a in range(2, q - 1)  # skips 0, 1, and q-1 = -1
-            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(hyper(), a)).group_theoretical
+            if not gtcheck.gt_criterion(gtcheck.hyperbolic_control(hyper, a)).group_theoretical
         ]
         return not bad, f"{max(0, q - 3)} rotations checked" if not bad else f"failures at {bad}"
 
     checks = (
-        ("norm-one-subgroup", lambda: (True, f"size {len(ffield.ker_norm(field()))}")),
-        ("anisotropic-orthogonal", lambda: orthogonal_order(aniso())),
-        ("hyperbolic-orthogonal", lambda: orthogonal_order(hyper())),
+        ("norm-one-subgroup", lambda: (True, f"size {len(ffield.ker_norm(field))}")),
+        ("anisotropic-orthogonal", lambda: orthogonal_order(aniso)),
+        ("hyperbolic-orthogonal", lambda: orthogonal_order(hyper)),
         ("metric-group", metric_group),
         ("fusion-axioms", fusion_axioms),
         ("fp-dims", fp_dims),

@@ -111,7 +111,7 @@ def test_criterion_3_fusion_axioms():
     ]
     assert pairs == ODD_VALID_PAIRS_2000
     for p, q in pairs:
-        ring = build_extension_ring(p, q)
+        ring = build_extension_ring(certify_pair(p, q))
         rep = verify_axioms(ring)
         assert rep.passed, (p, q, rep.counterexample)
         dims = fp_dims(ring)

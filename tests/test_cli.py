@@ -175,7 +175,7 @@ def test_sweep_lists_the_primes_once(capsys, monkeypatch):
     tested = []
     is_prime = cli.is_prime
     monkeypatch.setattr(cli, "is_prime", lambda k: tested.append(k) or is_prime(k))
-    monkeypatch.setattr(suite, "verify_rows", lambda p, q: [])
+    monkeypatch.setattr(suite, "verify_rows", lambda pair: [])
     code, _, _ = run(capsys, ["sweep", "200"])
     assert code == 0
     assert tested == list(range(3, 201, 2))
@@ -405,6 +405,26 @@ def test_census_bound_exceeded(capsys):
     assert "exceeds bound" in err
 
 
+def test_verify_refuses_the_field_bound_before_the_ring_budget(capsys):
+    # `certify_pair` builds the field before the ring budget is read, so
+    # verify refuses q > 10000 with census's words
+    code, out, err = run(capsys, ["verify", "3", "10007", "--bound", "10000000000000"])
+    assert code == 3 and out == ""
+    assert err == "error: q=10007 exceeds bound 10000\n"
+    assert run(capsys, ["census", "3", "10007"])[2] == err
+
+
+def test_frontier_payload_digest(capsys):
+    # the largest verify the golden payloads do not cover: p*q^2 = 15123,
+    # rank 5043, every row but the class count
+    code, out, _ = run(capsys, ["verify", "3", "71", "--bound", "20000", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["sha256"] == (
+        "f7b7623a2e302f99977163424cb750aaf89d403fc81076746d9b5daab594d261")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78cd66aa85f7eaca3ae735d0d2d0b24b287a559936162aabb8d1e423cbd367ef")
+
+
 @pytest.mark.parametrize("length", [0, 1, 55, 56, 63, 64, 65, 119, 120, 4096])
 def test_digest_matches_hashlib_at_padding_boundaries(length):
     # SHA-256 pads to 64-byte blocks; the length field fits after 55 bytes
@@ -444,8 +464,8 @@ def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
 def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
     calls = []
 
-    def broken(p, q):
-        calls.append((p, q))
+    def broken(pair):
+        calls.append((pair.p, pair.q))
         raise ArithmeticError("ring build broke")
 
     monkeypatch.setattr(fusionring, "build_extension_ring", broken)
@@ -516,26 +536,21 @@ def test_census_certification_failure_exits_1(capsys, monkeypatch):
 
 
 def test_verify_reads_one_certified_pair(capsys, monkeypatch):
-    # a c of the wrong order fails the three rows that read the pair, with
-    # the one error of `certify_pair`; the rows on the field alone pass
+    # every verify row reads the record of `certify_pair`, so a c of the
+    # wrong order refuses the pair before any row, as it does for census
     monkeypatch.setattr(gauging, "pick_order_p", lambda ctx, p: ctx.theta)
-    code, out, _ = run(capsys, ["verify", "3", "5", "--format", "json"])
-    assert code == 1
-    rows = {c["name"]: c for c in _payload_and_digest_agree(out)["checks"]}
-    failed = {name for name, c in rows.items() if c["status"] == "fail"}
-    assert failed == {"census", "semidirect-cross-check", "criterion-suite"}
-    assert {rows[name]["detail"] for name in failed} == {
-        "ArithmeticError: c = 0+1t does not have order 3"}
-    assert all(c["status"] == "pass" for name, c in rows.items() if name not in failed)
+    code, out, err = run(capsys, ["verify", "3", "5", "--format", "json"])
+    assert code == 1 and out == ""
+    assert err == "error: ArithmeticError: c = 0+1t does not have order 3\n"
 
 
 @pytest.mark.parametrize("argv,fields,picks", [
-    (["verify", "3", "23"], 2, 1),
-    (["sweep", "20"], 10, 5),  # five pairs verified, each as verify does
-    (["census", "3", "23"], 1, 1),  # the census reads the pair's field
+    (["verify", "3", "23"], 1, 1),
+    (["sweep", "20"], 5, 5),  # five pairs verified, each as verify does
+    (["census", "3", "23"], 1, 1),
 ])
 def test_verify_builds_the_field_and_the_pair_once(capsys, monkeypatch, argv, fields, picks):
-    # the cli's own field and the certified pair's: no stage rebuilds either
+    # every stage reads the field of the certified pair: none builds another
     from anisogauge.ffield import FieldCtx
 
     built, picked = [], []
@@ -544,7 +559,7 @@ def test_verify_builds_the_field_and_the_pair_once(capsys, monkeypatch, argv, fi
     monkeypatch.setattr(gauging, "pick_order_p", lambda ctx, p: picked.append(p) or pick(ctx, p))
     code, _, _ = run(capsys, argv)
     assert code == 0
-    assert len(built) <= fields and len(picked) == picks
+    assert (len(built), len(picked)) == (fields, picks)
 
 
 def test_semidirect_detail_says_when_brute_force_is_skipped(capsys):

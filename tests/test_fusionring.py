@@ -41,7 +41,7 @@ from oracles import (
 
 
 def test_extension_ring_rules_3_5():
-    ring = build_extension_ring(3, 5)
+    ring = build_extension_ring(certify_pair(3, 5))
     assert len(ring.basis) == 25 + 2
     tensor, dual = tensor_of(ring), _dual(ring)
     # invertibles multiply by vector addition
@@ -58,13 +58,13 @@ def test_extension_ring_rules_3_5():
 
 def test_extension_ring_existence():
     with pytest.raises(ExistenceViolated):
-        build_extension_ring(3, 7)
+        build_extension_ring(certify_pair(3, 7))
     with pytest.raises(ExistenceViolated):
-        build_extension_ring(3, 3)
+        build_extension_ring(certify_pair(3, 3))
 
 
 def test_axioms_pass_3_5():
-    assert verify_axioms(build_extension_ring(3, 5)).passed
+    assert verify_axioms(build_extension_ring(certify_pair(3, 5))).passed
 
 
 def test_axioms_pass_group_ring():
@@ -75,7 +75,7 @@ def test_axioms_pass_group_ring():
 def test_axioms_pass_even_prime_pairs():
     # q = 2 and p = 2 variants of the extension ring are rings too
     for p, q in [(3, 2), (2, 5), (2, 7)]:
-        ring = build_extension_ring(p, q)
+        ring = build_extension_ring(certify_pair(p, q))
         assert verify_axioms(ring).passed, (p, q)
         dims = fp_dims(ring)
         assert set(dims.values()) == {1, q}
@@ -83,7 +83,7 @@ def test_axioms_pass_even_prime_pairs():
 
 
 def test_axioms_mutation_detected():
-    bad = _with(build_extension_ring(3, 5), {("X1", "X1"): {"X2": 6}})  # q+1 instead of q
+    bad = _with(build_extension_ring(certify_pair(3, 5)), {("X1", "X1"): {"X2": 6}})  # q+1 instead of q
     report = verify_axioms(bad)
     assert not report.passed
     assert not report.assoc_ok
@@ -252,7 +252,7 @@ def _scale_orbit(ring: FusionRing, i: str, j: str, k: str, value: int) -> Fusion
 
 
 RINGS = {
-    "extension-3-5": lambda: build_extension_ring(3, 5),
+    "extension-3-5": lambda: build_extension_ring(certify_pair(3, 5)),
     "cyclic-6": lambda: cyclic_group_ring(6),
     "s3-reps": _s3_rep_ring,
     "s4-reps": _s4_rep_ring,
@@ -341,7 +341,7 @@ def test_passing_rings_verify_without_the_full_scans(monkeypatch):
 
     monkeypatch.setattr(fusionring, "_first_assoc_failure", generators_only)
     monkeypatch.setattr(fusionring, "_reciprocity_problem", no_scan)
-    for ring in [build_extension_ring(3, 5), build_extension_ring(5, 19)] + [
+    for ring in [build_extension_ring(certify_pair(3, 5)), build_extension_ring(certify_pair(5, 19))] + [
             make() for make in RINGS.values()]:
         assert verify_axioms(ring).passed
 
@@ -403,7 +403,7 @@ def test_ring_build_and_fp_dims_independent_of_block_size(cells, monkeypatch):
     rings = {name: make() for name, make in RINGS.items()}
     dims = {name: fp_dims(ring) for name, ring in rings.items()}
     monkeypatch.setattr(fusionring, "_BLOCK_CELLS", cells)
-    blocked = build_extension_ring(3, 5)
+    blocked = build_extension_ring(certify_pair(3, 5))
     for attr in ("prod", "coef", "multi", "dual_index"):
         assert np.array_equal(getattr(blocked, attr), getattr(rings["extension-3-5"], attr))
     assert blocked.basis == rings["extension-3-5"].basis
@@ -436,7 +436,7 @@ def test_certificates_stay_in_bounded_memory():
     # rank 531; the ring's own prod and coef take 0.85 MB.  Light's test on
     # the multi-term middle X1 holds a dense block, its gathered grid and
     # the grid's flat indices, about _BLOCK_CELLS int64 cells each
-    ring = build_extension_ring(3, 23)
+    ring = build_extension_ring(certify_pair(3, 23))
     assert _traced_peak_mb(lambda: verify_axioms(ring)) < 2
     assert _traced_peak_mb(lambda: fp_dims(ring)) < 4
     g01, x1 = (_traced_peak_mb(lambda: _first_assoc_failure(ring, [ring.basis.index(s)]))
@@ -447,8 +447,9 @@ def test_certificates_stay_in_bounded_memory():
 def test_build_stays_in_bounded_memory():
     # rank 531 stores prod in int16 and coef in int8, 3 bytes a cell; the
     # build's int64 blocks hold about _BLOCK_CELLS cells each
-    assert _traced_peak_mb(lambda: build_extension_ring(3, 23)) < 2
-    ring = build_extension_ring(3, 23)
+    pair = certify_pair(3, 23)
+    assert _traced_peak_mb(lambda: build_extension_ring(pair)) < 2
+    ring = build_extension_ring(pair)
     assert (ring.prod.dtype, ring.coef.dtype) == (np.int16, np.int8)
     assert ring.prod.nbytes + ring.coef.nbytes == 3 * 531 ** 2
 
@@ -458,10 +459,10 @@ def test_ring_byte_budget(monkeypatch):
     # one int64 multi row; rank 5043 (q = 71) stays inside, in int16 and int8
     fits = 2 * 27 * 27 + 8 * 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits)
-    assert len(build_extension_ring(3, 5).basis) == 27
+    assert len(build_extension_ring(certify_pair(3, 5)).basis) == 27
     monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits - 1)
     with pytest.raises(BoundExceeded, match=f"rank 27 needs {fits} bytes"):
-        build_extension_ring(3, 5)
+        build_extension_ring(certify_pair(3, 5))
     monkeypatch.undo()
     _require_ring_budget(3, 71)
     with pytest.raises(BoundExceeded, match="rank 38811"):
@@ -501,7 +502,7 @@ def test_ring_from_text_counts_multi_rows_in_the_budget(monkeypatch):
 
 def test_ring_from_text_in_bounded_memory():
     # rank 123; the parse holds flat int64 entries, not a dict per cell
-    text = ring_to_text(build_extension_ring(3, 11))
+    text = ring_to_text(build_extension_ring(certify_pair(3, 11)))
     assert _traced_peak_mb(lambda: ring_from_text(text)) < 5
 
 
@@ -533,7 +534,7 @@ def test_ring_from_text_refuses_a_coefficient_past_max(value):
 
 def test_stored_arrays_are_read_only():
     # an in-place write into a narrow array could wrap silently
-    for ring in (build_extension_ring(3, 5), _s3_rep_ring()):
+    for ring in (build_extension_ring(certify_pair(3, 5)), _s3_rep_ring()):
         for attr in ("prod", "coef", "multi", "dual_index"):
             array = getattr(ring, attr)
             with pytest.raises(ValueError, match="read-only"):
@@ -637,7 +638,7 @@ def test_mutations_in_small_blocks_match_int64_references(cells, monkeypatch):
 
 def test_generators_of_extension_ring():
     for p, q in [(3, 5), (3, 23), (2, 7), (3, 2)]:
-        ring = build_extension_ring(p, q)
+        ring = build_extension_ring(certify_pair(p, q))
         assert [ring.basis[g] for g in _generators(ring)] == ["g0_1", "g1_0", "X1"]
 
 
@@ -656,7 +657,7 @@ def test_full_scan_when_closure_reaches_nothing_more():
 
 
 def test_fp_dims_extension_rings():
-    ring = build_extension_ring(3, 5)
+    ring = build_extension_ring(certify_pair(3, 5))
     dims = fp_dims(ring)
     assert dims["X1"] == dims["X2"] == 5
     assert all(dims[l] == 1 for l in ring.basis if l.startswith("g"))
@@ -669,7 +670,7 @@ def test_fp_dims_group_ring():
 
 
 def test_fp_dims_detects_invertibles():
-    ring = build_extension_ring(3, 5)
+    ring = build_extension_ring(certify_pair(3, 5))
     dims, tensor, dual = fp_dims(ring), tensor_of(ring), _dual(ring)
     for label in ring.basis:
         row = tensor.get((label, dual[label]), {})
@@ -699,7 +700,7 @@ def test_fp_dims_several_non_invertibles(make, dims):
 
 _FACTORS = RINGS | {
     "cyclic-4": lambda: cyclic_group_ring(4),
-    "extension-3-2": lambda: build_extension_ring(3, 2),
+    "extension-3-2": lambda: build_extension_ring(certify_pair(3, 2)),
 }
 
 
@@ -742,7 +743,7 @@ def test_fp_dims_irrational_raises():
 
 def test_grading():
     p, q = 3, 5
-    ring = build_extension_ring(p, q)
+    ring = build_extension_ring(certify_pair(p, q))
 
     def degree(label):
         return 0 if label.startswith("g") else int(label[1:])
@@ -1032,7 +1033,7 @@ def test_ring_from_text_rejects_malformed(text):
         ring_from_text(text)
 
 
-_TEXT_3_5 = ring_to_text(build_extension_ring(3, 5))
+_TEXT_3_5 = ring_to_text(build_extension_ring(certify_pair(3, 5)))
 
 
 @settings(max_examples=150, deadline=None)

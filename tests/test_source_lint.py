@@ -158,6 +158,19 @@ def test_one_place_picks_the_order_p_element():
     assert _callers("pick_order_p") == ["gauging.py:certify_pair"]
 
 
+def test_one_place_builds_the_field():
+    # `gauging.certify_pair` is the one gate of a pair and builds its field;
+    # every verify stage reads the record, so none re-tests or rebuilds it
+    assert _callers("make_field") == ["gauging.py:certify_pair"]
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_require_pair"
+    ]
+    assert defined == []
+
+
 def test_one_place_builds_the_hyperbolic_plane():
     # `suite.verify_rows` builds each plane once: the hyperbolic one for its
     # orthogonal row and every control, the anisotropic one for its rows and

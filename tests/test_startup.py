@@ -50,6 +50,7 @@ START_UP_PATHS = [
     (["verify", "3", "11"], {"ANISOGAUGE_BOUND": "100"}),
     (["verify", "1", "5"], None),
     (["sweep", "201"], None),  # past the hard cap
+    (["verify", "3", "10007", "--bound", "10000000000000"], None),  # past the field bound
 ]
 
 

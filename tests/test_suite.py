@@ -8,6 +8,7 @@ import pytest
 
 import anisogauge
 from anisogauge import cli, fusionring, suite
+from anisogauge.gauging import certify_pair
 from anisogauge.quadspace import ANISOTROPIC, HYPERBOLIC, QuadSpace
 
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
@@ -31,29 +32,19 @@ ROWS = [
 
 
 def test_rows_pass_in_payload_order():
-    rows = suite.verify_rows(3, 5)
+    rows = suite.verify_rows(certify_pair(3, 5))
     assert [row["name"] for row in rows] == ROWS
     assert all(row["status"] == "pass" for row in rows)
 
 
 def test_even_prime_rows_skip():
-    skipped = [row for row in suite.verify_rows(3, 2) if row["status"] != "pass"]
+    skipped = [row for row in suite.verify_rows(certify_pair(3, 2)) if row["status"] != "pass"]
     assert skipped == [
         {"name": "criterion-suite", "status": "skip",
          "detail": "even prime (q=2); needs odd characteristic"},
         {"name": "hyperbolic-controls", "status": "skip",
          "detail": "q=2; needs odd characteristic"},
     ]
-
-
-def test_an_ungated_pair_fails_the_rows_that_read_it():
-    # 3 does not divide 7 + 1: no gate runs here, so the rows that read the
-    # pair or the ring fail with the error, and the rows on the field pass
-    rows = {row["name"]: row for row in suite.verify_rows(3, 7)}
-    failed = {"fusion-axioms", "fp-dims", "census", "semidirect-cross-check", "criterion-suite"}
-    assert {name for name, row in rows.items() if row["status"] == "fail"} == failed
-    assert all(rows[name]["detail"].startswith("ExistenceViolated: ") for name in failed)
-    assert all(row["status"] == "pass" for name, row in rows.items() if name not in failed)
 
 
 def test_skip_clause_matches_the_class_count(monkeypatch):
@@ -65,14 +56,15 @@ def test_skip_clause_matches_the_class_count(monkeypatch):
         fusionring, "_class_count", lambda *args: counted.append(args[1:]) or class_count(*args))
     for (p, q), runs in [((5, 19), True), ((3, 29), False)]:
         counted.clear()
-        (row,) = [row for row in suite.verify_rows(p, q) if row["name"] == "semidirect-cross-check"]
+        rows = suite.verify_rows(certify_pair(p, q))
+        (row,) = [row for row in rows if row["name"] == "semidirect-cross-check"]
         assert row["status"] == "pass"
         assert counted == ([(p, q)] if runs else [])
         assert ("brute-force class count skipped" in row["detail"]) is not runs
 
 
 @pytest.mark.parametrize("run,planes,derived", [
-    (lambda: suite.verify_rows(3, 23), 1, 2),
+    (lambda: suite.verify_rows(certify_pair(3, 23)), 1, 2),
     (lambda: cli.main(["sweep", "20", "--format", "json"]), 5, 10),  # five pairs verified
 ], ids=["verify-3-23", "sweep-20"])
 def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatch, run, planes,

@@ -5,7 +5,9 @@ and the group-theoreticality eigenvalue test.
 The public names below are exported lazily: each is imported from its home
 module on first access (PEP 562), so `import anisogauge` loads no numpy.
 Only `quadspace`, `orthogroup`, `fusionring`, `gtcheck` and `suite` need
-it; `errors`, `ffield` and `gauging` do not.
+it; `errors`, `ffield` and `gauging` do not.  Every record (`CertifiedPair`,
+`Census`, `AxiomReport`, `GTVerdict`) is a namedtuple: `dataclasses` would
+load `inspect` and `copy`, start-up work that no command needs.
 """
 
 import importlib

@@ -55,10 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _decimal(text: str) -> int:
+    """A plain ASCII decimal: an optional leading `-`, then the digits 0-9
+    alone.  `int` would also take `_`, spaces, a `+` and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return int(text)
+
+
 def _prime(text: str) -> int:
     """A prime below PRIME_TEST_LIMIT, where `is_prime` runs in bounded time."""
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value >= PRIME_TEST_LIMIT:
@@ -99,7 +108,7 @@ def _non_negative(text: str) -> int:
     """A bound, from --bound or ANISOGAUGE_BOUND, or sweep's qmax: a
     non-negative integer."""
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         value = -1
     if value < 0:

@@ -48,7 +48,7 @@ the numpy-free `gauging` module, which certifies the orbit count by argument.
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -163,13 +163,9 @@ def _pack(n: int, entries):
     return prod.reshape(n, n), coef.reshape(n, n), multi
 
 
-@dataclass
-class AxiomReport:
-    passed: bool
-    unit_ok: bool
-    assoc_ok: bool
-    duality_ok: bool
-    counterexample: str | None = None
+# four bools, then the text of the first failure or None
+AxiomReport = namedtuple("AxiomReport", "passed unit_ok assoc_ok duality_ok counterexample",
+                         defaults=(None,))
 
 
 def build_extension_ring(pair: CertifiedPair) -> FusionRing:
@@ -614,8 +610,9 @@ def drinfeld_double_rank(table: np.ndarray) -> int:
     classes of the number of classes of the centralizer; Burnside's lemma,
     applied twice, makes that the number of pairwise commuting triples over
     |G|.  BadParameter unless the table is square, its entries lie in
-    0..n - 1, exactly one row is x -> x and the ring passes; ArithmeticError
-    if the triples are not a multiple of |G|.
+    0..n - 1, exactly one row is x -> x, every row holds that identity (so
+    each element has a right inverse to read) and the ring passes;
+    ArithmeticError if the triples are not a multiple of |G|.
     """
     table = np.asarray(table)
     n = len(table)
@@ -629,8 +626,12 @@ def drinfeld_double_rank(table: np.ndarray) -> int:
     if len(identity) != 1:
         raise BadParameter("table has no unique identity")
     e = int(identity[0])
+    is_e = table == e
+    lacking = np.flatnonzero(~is_e.any(axis=1))
+    if len(lacking):
+        raise BadParameter(f"table is not a group: {lacking[0]} has no inverse")
     prod_t, coef_t = _ring_dtypes(n, 0, 1, 1)
-    ring = FusionRing([str(g) for g in range(n)], e, np.argmax(table == e, axis=1),
+    ring = FusionRing([str(g) for g in range(n)], e, np.argmax(is_e, axis=1),
                       table.astype(prod_t), np.ones((n, n), dtype=coef_t),
                       np.zeros((0, n), dtype=np.int64))
     report = verify_axioms(ring)

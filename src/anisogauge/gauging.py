@@ -19,8 +19,7 @@ COMPLETE_BOUND = 2000  # the largest p*q^2 at which every verify check runs
 
 
 class Census(namedtuple("Census", "entries global_dim")):
-    """Simple-object inventory; weighted square sum must match global_dim.
-    Not a dataclass, whose import pulls in inspect on numpy-free paths."""
+    """Simple-object inventory; weighted square sum must match global_dim."""
 
     __slots__ = ()
 
@@ -35,7 +34,7 @@ class Census(namedtuple("Census", "entries global_dim")):
         return sum(count for _, _, count in self.entries)
 
 
-# what `certify_pair` returns; a namedtuple for the same reason as `Census`
+# what `certify_pair` returns
 CertifiedPair = namedtuple("CertifiedPair", "p q ctx c")
 
 

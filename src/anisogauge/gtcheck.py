@@ -7,7 +7,7 @@ Galois involution.  Rotations of the anisotropic plane fail the test
 (non-group-theoretical); rotations of the hyperbolic plane pass it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadParameter,
@@ -20,13 +20,8 @@ from .gauging import CertifiedPair, _exists
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
 from .quadspace import ANISOTROPIC, QuadSpace
 
-@dataclass(frozen=True)
-class GTVerdict:
-    group_theoretical: bool
-    mu1: ExtElement
-    mu2: ExtElement
-    ratio: ExtElement | None
-    witness: str
+# group_theoretical: bool; mu1, mu2: ExtElement; ratio: ExtElement; witness: str
+GTVerdict = namedtuple("GTVerdict", "group_theoretical mu1 mu2 ratio witness")
 
 
 def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:

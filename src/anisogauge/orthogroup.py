@@ -192,13 +192,12 @@ def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     B'(x, y) = Q(x + y) - Q(x) - Q(y), so a linear g preserves Q iff it does on
     e1, e2 and e1 + e2: the columns g e1, g e2 range over two level sets of Q.
     `space.certificate` proves the form table is the quadratic form those three
-    values fix, so the argument holds for `space.form` as implemented.
+    values, `space.polar_values`, fix, so the argument holds for `space.form`.
     """
     q = space.ctx.q
-    cert = space.certificate
-    form = cert.table
-    a, c = (k[:, None] for k in np.nonzero(form == cert.q1))
-    b, d = (k[None, :] for k in np.nonzero(form == cert.q2))
+    form, (q1, q2, _) = space.certificate, space.polar_values
+    a, c = (k[:, None] for k in np.nonzero(form == q1))
+    b, d = (k[None, :] for k in np.nonzero(form == q2))
     ok = (form[(a + b) % q, (c + d) % q] == form[1, 1]) & ((a * d - b * c) % q != 0)
     i, j = np.nonzero(ok)
     return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))

@@ -5,19 +5,17 @@ quadratic extension, and the hyperbolic plane (x, y) -> x*y over F_q.  The
 split form on base + dual lives with its isometries, in
 `orthogroup.SplitOrthMap`.
 
-Each plane certifies its form once (`QuadSpace.certificate`): the q^2 table
-of the form equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2) mod q, where
-B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  Each plane derives
-the three values once (`QuadSpace.polar_values`): the certificate reads
-them, the orthogonal-group solve and the metric group read them through
-it, and the Gram matrix reads them without building the q^2 table.  The
-metric group (F_q^2, t) is the certificate itself: its table stores
-t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q) with k the stored
-exponent), never as complex numbers.
+Each plane certifies its form once (`QuadSpace.certificate`): the q x q
+table of the form, read-only, equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2)
+mod q, where B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  Each
+plane derives the three values once (`QuadSpace.polar_values`), their only
+home: the certificate, the orthogonal-group solve, the metric group and
+the Gram matrix read them there.  The metric group (F_q^2, t) is that form
+table: it stores t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q)
+with k the stored exponent), never as complex numbers.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +24,6 @@ from .ffield import ExtElement, FieldCtx, norm
 
 ANISOTROPIC = "anisotropic"
 HYPERBOLIC = "hyperbolic"
-
-
-@dataclass(frozen=True, eq=False)
-class FormCertificate:
-    """A plane's form, certified to be the quadratic form with these values.
-
-    `q1`, `q2` and `polar` are Q(e1), Q(e2) and B'(e1, e2) mod q, and
-    `table[x, y]` = Q(x e1 + y e2) mod q = x^2 q1 + y^2 q2 + xy polar.
-    """
-
-    q1: int
-    q2: int
-    polar: int
-    table: np.ndarray
 
 
 class QuadSpace:
@@ -70,8 +54,10 @@ class QuadSpace:
         return q1, q2, (q12 - q1 - q2) % q
 
     @functools.cached_property
-    def certificate(self) -> FormCertificate:
-        """The form table, built once and certified by polarization.
+    def certificate(self) -> np.ndarray:
+        """The read-only form table, built once and certified by polarization:
+        table[x, y] = Q(x e1 + y e2) mod q = x^2 q1 + y^2 q2 + xy polar for
+        (q1, q2, polar) = `polar_values`.
 
         Raises ArithmeticError unless the table is the quadratic form fixed
         by Q(e1), Q(e2) and Q(e1 + e2).
@@ -83,7 +69,7 @@ class QuadSpace:
         if ((x * x * q1 + y * y * q2 + x * y * polar - table) % q).any():
             raise ArithmeticError("form table is not a quadratic form")
         table.flags.writeable = False
-        return FormCertificate(q1, q2, polar, table)
+        return table
 
     def __repr__(self):
         return f"{type(self).__name__}(q={self.ctx.q})"
@@ -128,19 +114,21 @@ def build_hyperbolic(ctx: FieldCtx) -> HyperbolicSpace:
     return HyperbolicSpace(ctx)
 
 
-def metric_group_of(space: QuadSpace) -> FormCertificate:
-    """The metric group (F_q^2, t = form mod q) of a plane: its certificate.
+def metric_group_of(space: QuadSpace) -> np.ndarray:
+    """The metric group (F_q^2, t = form mod q) of a plane: its form table,
+    `space.certificate`.
 
-    Complete by argument on `space.certificate`: the carrier is all of
-    F_q^2, so it is closed under addition; t(-v) = t(v) for a quadratic
-    form, so t is even; and the bicharacter is the polar form B', which is
+    Complete by argument on the certificate: the carrier is all of F_q^2,
+    so it is closed under addition; t(-v) = t(v) for a quadratic form, so
+    t is even; and the bicharacter is the polar form B', which is
     non-degenerate exactly when its Gram determinant
     4 Q(e1) Q(e2) - B'(e1, e2)^2 is nonzero mod q (q = 2 included).
     """
-    cert = space.certificate
-    if (4 * cert.q1 * cert.q2 - cert.polar ** 2) % space.ctx.q == 0:
+    table = space.certificate
+    q1, q2, polar = space.polar_values
+    if (4 * q1 * q2 - polar ** 2) % space.ctx.q == 0:
         raise ArithmeticError("bicharacter is degenerate")
-    return cert
+    return table
 
 
 def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -179,10 +179,9 @@ def coords(v) -> tuple[int, int]:
     return (v.a0, v.a1) if isinstance(v, ExtElement) else tuple(v)
 
 
-def bicharacter(mg, a, c) -> int:
+def bicharacter(t, a, c) -> int:
     """Exponent of b(a, c) = t(a+c) - t(a) - t(c) in Z/q, on coordinate
-    pairs, for a metric group whose q x q `table` holds t."""
-    t = mg.table
+    pairs, for a metric group: the q x q form table t."""
     q = len(t)
     s = ((a[0] + c[0]) % q, (a[1] + c[1]) % q)
     return int(t[s] - t[a] - t[c]) % q

@@ -114,7 +114,8 @@ def test_verify_env_bound(capsys, monkeypatch):
     assert code == 3 and "exceeds bound 0" in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5", "", "1_000", " +75 ", "+75", " 75",
+                                 "\u0661\u0661"])
 def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
     monkeypatch.setenv("ANISOGAUGE_BOUND", raw)
     with pytest.raises(SystemExit) as exc:
@@ -127,7 +128,7 @@ def test_env_bound_rejects_bad_values(capsys, monkeypatch, raw):
     assert code == 0
 
 
-@pytest.mark.parametrize("raw", ["-1", "abc"])
+@pytest.mark.parametrize("raw", ["-1", "abc", "1_000", "+75", " 75", "\u0661\u0661"])
 def test_bound_flag_rejects_bad_values(capsys, raw):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "3", "5", "--bound", raw])
@@ -240,15 +241,20 @@ def test_sweep_ignores_the_env_bound(capsys, monkeypatch, raw):
 
 
 def test_usage_errors_exit_64(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "4", "5"])
-    assert exc.value.code == 64
-    with pytest.raises(SystemExit) as exc:
-        main(["unknown-command"])
-    assert exc.value.code == 64
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 64
+    # a prime argument is a plain ASCII decimal: `int` alone would read
+    # 1_1 and the Arabic-Indic digits as 11
+    for argv, message in [
+        (["census", "4", "5"], "4 is not prime"),
+        (["census", "3", "-3"], "-3 is not prime"),
+        (["census", "3", "1_1"], "'1_1' is not an integer"),
+        (["census", "3", "\u0661\u0661"], "'\u0661\u0661' is not an integer"),
+        (["unknown-command"], "invalid choice"),
+        ([], "required"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert message in capsys.readouterr().err
 
 
 def _s3_table_text() -> str:

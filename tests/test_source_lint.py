@@ -185,6 +185,18 @@ def test_one_place_factors_a_group_order():
     assert _callers("_prime_factors") == ["orthogroup.py:_generator"]
 
 
+def test_no_dataclasses_in_package():
+    # every record is a namedtuple: `dataclasses` would load inspect and copy
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert found == []
+
+
 def _names_hashlib(node) -> bool:
     """An import of hashlib, a use of the name, or the string "hashlib"
     (as importlib.import_module would take it)."""

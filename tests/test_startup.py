@@ -13,9 +13,9 @@ from anisogauge import _EXPORTS
 SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
 
 # Runs the CLI in a fresh interpreter, then reports its exit code and which
-# of numpy, numpy.ma, inspect and _hashlib were loaded.  inspect (with ast,
-# dis and tokenize) comes with dataclasses, and numpy imports it too;
-# _hashlib is hashlib's binding to OpenSSL.
+# of numpy, numpy.ma, inspect, dataclasses and _hashlib were loaded.  inspect
+# (with ast, dis and tokenize) comes with dataclasses, and numpy imports it
+# too; _hashlib is hashlib's binding to OpenSSL.
 PROBE = """
 import sys
 argv, code = sys.argv[1:], None
@@ -27,7 +27,7 @@ if argv:
         code = exit.code
 else:
     import anisogauge
-print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "_hashlib")
+print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "dataclasses", "_hashlib")
               if name in sys.modules))
 """
 
@@ -63,6 +63,13 @@ def test_verify_past_its_gates_loads_numpy():
     assert "numpy" in probe(["verify", "3", "5"])[1]
 
 
+def _with_z3(argv, tmp_path) -> list:
+    """argv with Z3_TABLE replaced by a file holding the table of Z/3."""
+    table = tmp_path / "z3.txt"
+    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    return [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "3", "5"],
     ["verify", "3", "2"],
@@ -70,10 +77,14 @@ def test_verify_past_its_gates_loads_numpy():
 ])
 def test_numpy_paths_skip_numpy_ma(argv, tmp_path):
     # np.unique calls np.ma.is_masked, which imports numpy.ma (about 6 ms)
-    table = tmp_path / "z3.txt"
-    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-    argv = [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
-    assert probe(argv) == ("0", {"numpy", "inspect"})
+    assert probe(_with_z3(argv, tmp_path)) == ("0", {"numpy", "inspect"})
+
+
+@pytest.mark.parametrize("argv", [["verify", "3", "5"], ["sweep", "6"], ["double-rank", "Z3_TABLE"]])
+def test_commands_skip_dataclasses(argv, tmp_path):
+    # every record is a namedtuple: dataclasses would load inspect and copy
+    code, modules = probe(_with_z3(argv, tmp_path))
+    assert code == "0" and "dataclasses" not in modules
 
 
 @pytest.mark.parametrize("text,code", [
@@ -102,10 +113,7 @@ BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha
 ])
 def test_no_command_loads_openssl(argv, env, tmp_path):
     # hashlib imports _hashlib, which maps OpenSSL's libcrypto (about 3.7 MB)
-    table = tmp_path / "z3.txt"
-    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-    argv = [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
-    assert "_hashlib" not in probe(argv, env)[1]
+    assert "_hashlib" not in probe(_with_z3(argv, tmp_path), env)[1]
 
 
 # The public surface, pinned so that a new export shows up in review.

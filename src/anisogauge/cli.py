@@ -33,7 +33,7 @@ except ImportError:
 # numpy-free modules only; the array layers are imported inside the
 # commands that need them
 from . import gauging
-from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated
+from .errors import AnisogaugeError, BadParameter, BoundExceeded, ExistenceViolated, decimal
 # `ker_norm` and `make_field` are unused here: they are imported by name
 # only because the traced benchmark patches them on this module
 from .ffield import PRIME_TEST_LIMIT, is_prime, ker_norm, make_field  # noqa: F401
@@ -55,19 +55,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _decimal(text: str) -> int:
-    """A plain ASCII decimal: an optional leading `-`, then the digits 0-9
-    alone.  `int` would also take `_`, spaces, a `+` and non-ASCII digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not a plain decimal")
-    return int(text)
-
-
 def _prime(text: str) -> int:
     """A prime below PRIME_TEST_LIMIT, where `is_prime` runs in bounded time."""
     try:
-        value = _decimal(text)
+        value = decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value >= PRIME_TEST_LIMIT:
@@ -108,7 +99,7 @@ def _non_negative(text: str) -> int:
     """A bound, from --bound or ANISOGAUGE_BOUND, or sweep's qmax: a
     non-negative integer."""
     try:
-        value = _decimal(text)
+        value = decimal(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -219,7 +210,7 @@ def cmd_double_rank(path: str, fmt: str) -> int:
                 tokens = line.split()
             if not tokens:
                 raise ValueError("no group order in a blank file")
-            n = int(tokens[0])
+            n = decimal(tokens[0])
             if n < 1:
                 raise ValueError(f"group order {n} is not positive")
             if n > gauging.DOUBLE_RANK_BOUND:  # refused before the n^2 entries are read
@@ -227,7 +218,7 @@ def cmd_double_rank(path: str, fmt: str) -> int:
             tokens += fh.read().split()
         if len(tokens) != 1 + n * n:
             raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
-        entries = [int(t) for t in tokens[1:]]
+        entries = list(map(decimal, tokens[1:]))
         import numpy as np  # not before, so that the refusals above skip it
 
         table = np.array(entries, dtype=np.int32).reshape(n, n)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `decimal`, the one rule
+for reading an integer from text.
 
 The CLI maps ExistenceViolated to exit code 2, BoundExceeded to exit
 code 3, every other AnisogaugeError to exit code 64 and an ArithmeticError
@@ -50,3 +51,13 @@ class NotACharacter(AnisogaugeError):
 
 class BadParameter(AnisogaugeError):
     """A parameter is outside the documented domain."""
+
+
+def decimal(text: str) -> int:
+    """A plain ASCII decimal: an optional leading `-`, then the digits 0-9
+    alone; ValueError otherwise.  `int` would also take `_`, spaces, a `+`
+    and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return int(text)

@@ -286,39 +286,17 @@ def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     raise NoSuchElement(f"no element of order {p} in the norm-one subgroup")
 
 
-def sqrt_ext(x: ExtElement) -> ExtElement | None:
-    """A canonical square root of x in the extension, or None if x is not a square.
-
-    For odd q, the roots come from `_square_roots` through the norm.  x is a
-    square exactly when N(x) = x^(q + 1) is a square mod q, as
-    x^((q^2 - 1) / 2) = N(x)^((q - 1) / 2).
-    For x = a + b*theta with b != 0 and n^2 = N(x), a root u + v*theta has
-    u^2 - d v^2 = +-n and u^2 + d v^2 = a, so u^2 is (a + n)/2 or (a - n)/2:
-    their product d b^2 / 4 is a non-residue, so exactly one is a square,
-    and it is nonzero; then v = b / 2u.  For b = 0 the root is sqrt(a), or
-    sqrt(a/d)*theta when a is a non-residue, so every base-field element is
-    a square up here.  For q = 2 the multiplicative group has odd order 3
-    and x^2 is the root.  The canonical choice is the smaller of {y, -y} in
-    (a0, a1) order.
+def sqrt_ext(ctx: FieldCtx, a: int) -> ExtElement:
+    """The canonical square root in the extension of a base-field element a:
+    the least root of a mod q from `_square_roots` when a is a square mod q,
+    else sqrt(a/d)*theta, as a/d is then a square (at q = 2 every element
+    is a square).  So every a has a root up here, and it is the smaller of
+    {y, -y} in (a0, a1) order.
     """
-    ctx = x.ctx
-    q, a, b = ctx.q, x.a0, x.a1
-    if not x:
-        return ctx.zero
-    if q == 2:  # odd group order, everything is a square
-        y = x * x
-    else:
-        roots = _square_roots(q)
-        if b == 0:
-            u = roots[a]
-            y = ctx.elem(u) if u is not None else ctx.elem(0, roots[a * pow(ctx.d, -1, q) % q])
-        else:
-            n = roots[norm(x)]
-            if n is None:
-                return None
-            half = pow(2, -1, q)
-            u = roots[(a + n) * half % q] or roots[(a - n) * half % q]
-            y = ctx.elem(u, b * pow(2 * u, -1, q))
-    if y * y != x:
+    q = ctx.q
+    roots = _square_roots(q)
+    u = roots[a % q]
+    y = ctx.elem(u) if u is not None else ctx.elem(0, roots[a * pow(ctx.d, -1, q) % q])
+    if y * y != ctx.elem(a):
         raise ArithmeticError("square-root extraction failed")
-    return min(y, -y, key=ExtElement.key)
+    return y

@@ -53,7 +53,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import gauging
-from .errors import BadParameter, BoundExceeded, NotACharacter
+from .errors import BadParameter, BoundExceeded, NotACharacter, decimal
 from .gauging import DOUBLE_RANK_BOUND, Census, CertifiedPair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
@@ -668,7 +668,7 @@ def ring_from_text(text: str) -> FusionRing:
     lines = filter(None, map(str.split, text.splitlines()))
     try:
         magic, version, n = next(lines)
-        n = int(n)
+        n = decimal(n)
     except (StopIteration, ValueError):
         raise BadParameter("expected a 'fusionring v1 N' header") from None
     named = list(itertools.islice(lines, max(n, 0)))
@@ -685,7 +685,7 @@ def ring_from_text(text: str) -> FusionRing:
     def entries():
         for line in lines:
             try:
-                i, j, k, v = map(int, line)
+                i, j, k, v = map(decimal, line)
             except ValueError:
                 raise BadParameter(f"entry {' '.join(line)!r} is not 'i j k v'") from None
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):

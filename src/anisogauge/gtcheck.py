@@ -27,15 +27,14 @@ GTVerdict = namedtuple("GTVerdict", "group_theoretical mu1 mu2 ratio witness")
 def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
     """Roots of x^2 - tr(m) x + det(m) in the extension, canonically ordered.
 
-    The discriminant a is a base-field element, so `sqrt_ext` returns
-    sqrt(a) or sqrt(a/d)*theta and both roots exist.
+    The discriminant tr^2 - 4 det lies in F_q, and `sqrt_ext` takes its
+    square root in the extension, so both roots exist.
     """
     if ctx.q == 2:
         raise EvenCharacteristic("eigenvalue extraction needs odd characteristic")
     q = ctx.q
     tr, det = m.tr(), m.det()
-    disc = ctx.elem((tr * tr - 4 * det) % q)
-    root = sqrt_ext(disc)
+    root = sqrt_ext(ctx, tr * tr - 4 * det)
     inv2 = pow(2, -1, q)
     mu1 = (ctx.elem(tr) + root) * inv2
     mu2 = (ctx.elem(tr) - root) * inv2

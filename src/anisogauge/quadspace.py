@@ -3,7 +3,9 @@
 Two fixed kinds: the anisotropic plane carried by the norm form of the
 quadratic extension, and the hyperbolic plane (x, y) -> x*y over F_q.  The
 split form on base + dual lives with its isometries, in
-`orthogroup.SplitOrthMap`.
+`orthogroup.SplitOrthMap`.  A plane vector is its coordinate pair (x, y)
+in the canonical basis, (1, theta) on the anisotropic plane, and
+`QuadSpace.form(x, y)` is Q(x e1 + y e2) on either plane.
 
 Each plane certifies its form once (`QuadSpace.certificate`): the q x q
 table of the form, read-only, equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2)
@@ -27,30 +29,23 @@ HYPERBOLIC = "hyperbolic"
 
 
 class QuadSpace:
-    """Base class; concrete spaces provide form and vector."""
+    """A plane F_q^2 with a quadratic form on the coordinates (x, y) of
+    x*e1 + y*e2 in the canonical basis; concrete spaces provide the form."""
 
     kind: str
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
 
-    def form(self, v) -> int:
+    def form(self, x: int, y: int) -> int:
+        """Q(x*e1 + y*e2) mod q."""
         raise NotImplementedError
-
-    def vector(self, x: int, y: int):
-        """The vector x*e1 + y*e2 of the canonical basis."""
-        raise NotImplementedError
-
-    def vectors(self):
-        """All q^2 vectors, in (x, y) lexicographic order."""
-        q = self.ctx.q
-        return (self.vector(x, y) for x in range(q) for y in range(q))
 
     @functools.cached_property
     def polar_values(self) -> tuple[int, int, int]:
         """Q(e1), Q(e2) and B'(e1, e2) = Q(e1 + e2) - Q(e1) - Q(e2), mod q."""
         q = self.ctx.q
-        q1, q2, q12 = (self.form(self.vector(x, y)) % q for x, y in ((1, 0), (0, 1), (1, 1)))
+        q1, q2, q12 = (self.form(x, y) % q for x, y in ((1, 0), (0, 1), (1, 1)))
         return q1, q2, (q12 - q1 - q2) % q
 
     @functools.cached_property
@@ -64,7 +59,8 @@ class QuadSpace:
         """
         q = self.ctx.q
         q1, q2, polar = self.polar_values
-        table = np.array([self.form(v) for v in self.vectors()], dtype=np.int64).reshape(q, q) % q
+        table = np.array([[self.form(x, y) for y in range(q)] for x in range(q)],
+                         dtype=np.int64) % q
         x, y = np.ogrid[:q, :q]
         if ((x * x * q1 + y * y * q2 + x * y * polar - table) % q).any():
             raise ArithmeticError("form table is not a quadratic form")
@@ -80,11 +76,8 @@ class AnisotropicSpace(QuadSpace):
 
     kind = ANISOTROPIC
 
-    def form(self, v: ExtElement) -> int:
-        return norm(v)
-
-    def vector(self, x: int, y: int) -> ExtElement:
-        return ExtElement(self.ctx, x, y)
+    def form(self, x: int, y: int) -> int:
+        return norm(ExtElement(self.ctx, x, y))
 
 
 class HyperbolicSpace(QuadSpace):
@@ -92,11 +85,8 @@ class HyperbolicSpace(QuadSpace):
 
     kind = HYPERBOLIC
 
-    def form(self, v: tuple[int, int]) -> int:
-        return (v[0] * v[1]) % self.ctx.q
-
-    def vector(self, x: int, y: int) -> tuple[int, int]:
-        return (x % self.ctx.q, y % self.ctx.q)
+    def form(self, x: int, y: int) -> int:
+        return x * y % self.ctx.q
 
 
 def build_anisotropic(ctx: FieldCtx) -> AnisotropicSpace:

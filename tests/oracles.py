@@ -3,16 +3,14 @@
 None of these is on a CLI path: they are fixtures (rings written on labels,
 a group ring, the semidirect product's full multiplication table), small
 readings of package objects (a ring's label-level tensor, orders, block
-products, coordinates) kept out of `src/`, and brute-force counts on group
+products) kept out of `src/`, and brute-force counts on group
 tables (conjugacy classes, commuting pairs up to conjugation) that the
 package's Burnside counts are checked against.
 """
 
 import numpy as np
 
-from anisogauge import (
-    ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ring_to_text,
-)
+from anisogauge import FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ring_to_text
 from anisogauge import fusionring
 from anisogauge.fusionring import _code_permutation
 from anisogauge.gauging import certify_pair
@@ -171,12 +169,6 @@ def compose(a: SplitOrthMap, b: SplitOrthMap) -> SplitOrthMap:
         a.gamma * b.beta + a.delta * b.delta,
         a.gram,
     )
-
-
-def coords(v) -> tuple[int, int]:
-    """Canonical-basis coordinates of a plane vector: (a0, a1) of an
-    extension element, the pair itself on the hyperbolic plane."""
-    return (v.a0, v.a1) if isinstance(v, ExtElement) else tuple(v)
 
 
 def bicharacter(t, a, c) -> int:

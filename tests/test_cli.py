@@ -595,11 +595,15 @@ def test_timing_prints_after_error(capsys):
         ("-1\n0\n", "error: cannot read group table: group order -1 is not positive\n"),
         ("", "error: cannot read group table: no group order in a blank file\n"),
         ("  \n\n", "error: cannot read group table: no group order in a blank file\n"),
+        ("2\n0 1\n1 0_0\n", "error: cannot read group table: '0_0' is not a plain decimal\n"),
+        ("\u0662\n0 1\n1 0\n",
+         "error: cannot read group table: '\u0662' is not a plain decimal\n"),
+        ("2\n0 1\n1 +0\n", "error: cannot read group table: '+0' is not a plain decimal\n"),
     ],
 )
 def test_double_rank_rejects_bad_entries(capsys, tmp_path, text, message):
     path = tmp_path / "table.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, ["double-rank", str(path)])
     assert code == 64 and out == ""
     assert err.startswith(message) and err.count("\n") == 1

@@ -1026,6 +1026,11 @@ def test_ring_to_text_refuses_labels_its_reader_refuses(basis):
         "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 0 5\n",
         "fusionring v1 2\na a\nb b\n0 0 0 1\n0 1 1 1\n",
         "fusionring v1 2\na a\nb b\n0 0 0 1\n1 0 1 1\n",
+        # int() would read each of these as a well-formed Z/2
+        "fusionring v1 2\ne e\ng g\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 +1\n",
+        "fusionring v1 2\ne e\ng g\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 0_1\n",
+        "fusionring v1 2\ne e\ng g\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 \u0661\n",
+        "fusionring v1 \u0662\ne e\ng g\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n",
     ],
 )
 def test_ring_from_text_rejects_malformed(text):

@@ -185,6 +185,12 @@ def test_one_place_factors_a_group_order():
     assert _callers("_prime_factors") == ["orthogroup.py:_generator"]
 
 
+def test_one_place_takes_a_square_root():
+    # the criterion's one square root is of its discriminant, a base-field
+    # element, so `sqrt_ext` takes an int
+    assert _callers("sqrt_ext") == ["gtcheck.py:eigenvalues_2x2"]
+
+
 def test_no_dataclasses_in_package():
     # every record is a namedtuple: `dataclasses` would load inspect and copy
     found = [

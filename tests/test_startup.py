@@ -92,11 +92,13 @@ def test_commands_skip_dataclasses(argv, tmp_path):
     ("three\n0 1 2\n", "64"),  # a header that is not an integer
     ("2\n0 1\n1 x\n", "64"),  # an entry that is not an integer
     ("201\n", "3"),  # past DOUBLE_RANK_BOUND, refused on the header alone
-], ids=["missing-file", "header", "entry", "order-201"])
+    ("2\n0 1\n1 0_0\n", "64"),  # an entry that int() would read as 0
+    ("\u0662\n0 1\n1 0\n", "64"),  # an Arabic-Indic header that int() would read as 2
+], ids=["missing-file", "header", "entry", "order-201", "underscore-entry", "non-ascii-header"])
 def test_double_rank_refusals_skip_numpy(text, code, tmp_path):
     table = tmp_path / "group.txt"
     if text is not None:
-        table.write_text(text)
+        table.write_text(text, encoding="utf-8")
     exit_code, modules = probe(["double-rank", str(table)])
     assert exit_code == code and "numpy" not in modules
 

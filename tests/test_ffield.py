@@ -163,6 +163,13 @@ def test_pick_order_p_outside_base_field():
                 assert c.a1 != 0
 
 
+def test_sqrt_examples():
+    ctx = make_field(5)
+    assert sqrt_ext(ctx, 0) == ctx.zero
+    assert sqrt_ext(ctx, 2) == ctx.theta
+    assert sqrt_ext(ctx, 1) == ctx.one
+
+
 @pytest.mark.parametrize("q", [2] + SMALL_ODD + [1013])
 def test_sqrt_total_behaviour(q):
     # every a in F_q has a root in the extension, in F_q exactly when a is

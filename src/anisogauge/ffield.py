@@ -125,8 +125,10 @@ class ExtElement:
         self.a1 = a1 % ctx.q
 
     def _coerce(self, other) -> "ExtElement":
+        """other as an element of this field, or NotImplemented: an element
+        of another field is refused, as `==` already tells them apart."""
         if isinstance(other, ExtElement):
-            return other
+            return other if other.ctx is self.ctx or other.ctx == self.ctx else NotImplemented
         if isinstance(other, int):
             return ExtElement(self.ctx, other, 0)
         return NotImplemented

@@ -34,6 +34,8 @@ class Mat2:
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         q = self.q
+        if other.q != q:  # over another field: TypeError
+            return NotImplemented
         return Mat2(
             q,
             self.a * other.a + self.b * other.c,
@@ -43,9 +45,13 @@ class Mat2:
         )
 
     def __add__(self, other: "Mat2") -> "Mat2":
+        if other.q != self.q:
+            return NotImplemented
         return Mat2(self.q, self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
+        if other.q != self.q:
+            return NotImplemented
         return Mat2(self.q, self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def scale(self, k: int) -> "Mat2":
@@ -107,24 +113,21 @@ class SplitOrthMap:
     (x, y) of the base vector and the preimage, Q(x, y-hat) = y^T G x with
     G = `gram`, the Gram matrix of the base bilinear form B (the hat is
     an isomorphism, since B is non-degenerate).  All four blocks are 2x2
-    matrices over F_q in the canonical basis and its hat-dual.  `source`
-    (optional) records the 2-dim isometry this map was embedded from.
+    matrices over F_q in the canonical basis and its hat-dual.
     """
 
-    __slots__ = ("ctx", "q", "alpha", "beta", "gamma", "delta", "gram", "source")
+    __slots__ = ("ctx", "alpha", "beta", "gamma", "delta", "gram")
 
     def __init__(self, ctx: FieldCtx, alpha: Mat2, beta: Mat2, gamma: Mat2,
-                 delta: Mat2, gram: Mat2, source: Mat2 | None = None):
+                 delta: Mat2, gram: Mat2):
         if ctx.q == 2:
             raise EvenCharacteristic("split maps need odd characteristic")
         self.ctx = ctx
-        self.q = ctx.q
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma
         self.delta = delta
         self.gram = gram
-        self.source = source
         if not self._preserves_q():
             raise ArithmeticError("block map does not preserve the split form")
 
@@ -133,14 +136,14 @@ class SplitOrthMap:
         y = (cs[2], cs[3])
         ax, bx = self.alpha(x), self.beta(y)
         gx, dx = self.gamma(x), self.delta(y)
-        q = self.q
+        q = self.ctx.q
         return ((ax[0] + bx[0]) % q, (ax[1] + bx[1]) % q,
                 (gx[0] + dx[0]) % q, (gx[1] + dx[1]) % q)
 
     def form(self, cs: tuple[int, int, int, int]) -> int:
         """The split form Q on coordinates (x0, x1, y0, y1), as in the class docstring."""
         gx = self.gram(cs[:2])
-        return (cs[2] * gx[0] + cs[3] * gx[1]) % self.q
+        return (cs[2] * gx[0] + cs[3] * gx[1]) % self.ctx.q
 
     def _preserves_q(self) -> bool:
         """Q is quadratic and the map linear, so by polarization it suffices
@@ -151,38 +154,33 @@ class SplitOrthMap:
 
     def __repr__(self):
         blocks = [m.entries() for m in (self.alpha, self.beta, self.gamma, self.delta)]
-        return f"SplitOrthMap(q={self.q}, blocks={blocks})"
+        return f"SplitOrthMap(q={self.ctx.q}, blocks={blocks})"
 
 
 def split_embedding(space: QuadSpace, g: Mat2) -> SplitOrthMap:
     """Embed a plane isometry g, a canonical-basis matrix, in the split orthogonal group.
 
-    Blocks (with h = 1/2): alpha = h(I + g), beta = gamma = h(I - g),
-    delta = h(I + g), written in the canonical basis and its hat-dual.
-    The result fixes every (v, v-hat) and sends (v, -v-hat) to
-    (g v, -(g v)-hat).  Both sides of each property are linear in v, so
-    checking them on the basis e1, e2 proves them for every v.
+    Blocks (with h = 1/2): alpha = delta = h(I + g) and beta = gamma = h(I - g),
+    written in the canonical basis and its hat-dual.  The map fixes every
+    (v, v-hat) and sends (v, -v-hat) to (g v, -(g v)-hat); with gamma = beta
+    and delta = alpha these say alpha + beta = I and alpha - beta = g, which
+    are checked as matrix identities, so they hold for every v.  As I + g and
+    I - g commute, A = alpha + beta delta beta^-1 = alpha + delta = I + g
+    whenever beta is invertible, which is what `gt_criterion` reads.
     """
     ctx = space.ctx
+    (g11, g12), (g21, g22) = gram_matrix(space)  # EvenCharacteristic at q = 2
     q = ctx.q
-    if q == 2:
-        raise EvenCharacteristic("split embedding needs odd characteristic")
+    gram = Mat2(q, g11, g12, g21, g22)
     ident = Mat2.identity(q)
     half = pow(2, -1, q)
     plus = (ident + g).scale(half)
     minus = (ident - g).scale(half)
-    (g11, g12), (g21, g22) = gram_matrix(space)
-    gram = Mat2(q, g11, g12, g21, g22)
-    m = SplitOrthMap(ctx, plus, minus, minus, plus, gram, source=g)
-
-    for x0, x1 in ((1, 0), (0, 1)):
-        if m.apply_coords((x0, x1, x0, x1)) != (x0, x1, x0, x1):
-            raise ArithmeticError("embedding does not fix the diagonal")
-        gx = g((x0, x1))
-        flipped = m.apply_coords((x0, x1, -x0 % q, -x1 % q))
-        if flipped != (gx[0], gx[1], -gx[0] % q, -gx[1] % q):
-            raise ArithmeticError("embedding wrong on the antidiagonal")
-    return m
+    if plus + minus != ident:
+        raise ArithmeticError("embedding does not fix the diagonal")
+    if plus - minus != g:
+        raise ArithmeticError("embedding wrong on the antidiagonal")
+    return SplitOrthMap(ctx, plus, minus, minus, plus, gram)
 
 
 def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:

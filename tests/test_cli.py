@@ -467,6 +467,19 @@ def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
     assert all(c["status"] == "pass" for name, c in rows.items() if name != "fp-dims")
 
 
+def test_verify_class_count_disagreement_is_one_fail_row(capsys, monkeypatch):
+    # the census cross-check against the class count of the group law
+    class_count = fusionring._class_count
+    monkeypatch.setattr(fusionring, "_class_count", lambda *args: class_count(*args) + 1)
+    code, out, err = run(capsys, ["verify", "3", "5", "--format", "json"])
+    assert code == 1 and err == ""
+    rows = {c["name"]: c for c in _payload_and_digest_agree(out)["checks"]}
+    assert rows["semidirect-cross-check"]["status"] == "fail"
+    assert (rows["semidirect-cross-check"]["detail"]
+            == "ArithmeticError: class count 12 disagrees with census rank 11")
+    assert all(c["status"] == "pass" for name, c in rows.items() if name != "semidirect-cross-check")
+
+
 def test_verify_failed_input_fails_every_reader(capsys, monkeypatch):
     calls = []
 
@@ -599,6 +612,7 @@ def test_timing_prints_after_error(capsys):
         ("\u0662\n0 1\n1 0\n",
          "error: cannot read group table: '\u0662' is not a plain decimal\n"),
         ("2\n0 1\n1 +0\n", "error: cannot read group table: '+0' is not a plain decimal\n"),
+        ("2\n0 1\n1\n", "error: cannot read group table: expected 4 entries, got 3\n"),
     ],
 )
 def test_double_rank_rejects_bad_entries(capsys, tmp_path, text, message):

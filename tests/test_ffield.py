@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -58,6 +59,22 @@ def test_elements_never_equal_ints():
     assert len({ctx.one, 1}) == 2
     assert ctx.elem(3) != 8 and ctx.elem(3) != 3
     assert ctx.one + 1 == ctx.elem(2)  # int arithmetic still coerces
+
+
+def test_arithmetic_refuses_elements_of_another_field():
+    # == already tells F_25 from F_49 apart, so + - * / refuse to mix them
+    x, y = ExtElement(make_field(5), 1, 1), ExtElement(make_field(7), 3, 0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(y, x)
+    # two equal contexts built apart are one field
+    a, b = make_field(5), make_field(5)
+    assert a is not b
+    assert ExtElement(a, 1, 1) + ExtElement(b, 3, 0) == ExtElement(a, 4, 1)
+    assert ExtElement(a, 1, 1) * ExtElement(b, 3, 2) == ExtElement(b, 2, 0)
+    assert ExtElement(a, 1, 1) / ExtElement(b, 1, 1) == a.one
 
 
 def test_arithmetic_field_axioms_exhaustive():

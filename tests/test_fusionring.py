@@ -96,6 +96,17 @@ def test_axioms_unit_violation_detected():
     assert not report.passed and not report.unit_ok
 
 
+def test_axioms_dual_not_involutive_detected():
+    # g2^* = g1 but g1^* = g1: the dual map is not an involution
+    ring = cyclic_group_ring(3)
+    dual = ring.dual_index.copy()
+    dual[1] = 1
+    bad = FusionRing(ring.basis, ring.unit_index, dual, ring.prod, ring.coef, ring.multi)
+    report = verify_axioms(bad)
+    assert report.unit_ok and not report.duality_ok and not report.passed
+    assert report.counterexample == "dual not involutive at g2"
+
+
 def _s3_rep_ring() -> FusionRing:
     """The three-object ring 1, s, V with V V = 1 + s + V."""
     tensor = {

@@ -1,3 +1,4 @@
+import operator
 import re
 
 import numpy as np
@@ -125,6 +126,18 @@ def test_rotation_multiplicative_injective():
     assert len(seen) == len(ker_norm(ctx))
 
 
+def test_matrix_arithmetic_refuses_another_q():
+    m, n = Mat2(5, 1, 2, 3, 4), Mat2(7, 6, 6, 6, 6)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(m, n)
+    assert m * Mat2(5, 6, 6, 6, 6) == Mat2(5, 3, 3, 2, 2)
+    # a norm-one c of one context rotates the vectors of an equal one built apart
+    c, other = pick_order_p(make_field(5), 3), make_field(5)
+    assert rotation(other, c) == rotation(c.ctx, c)
+    assert rotation(other, c) * rotation(c.ctx, c.inverse()) == Mat2.identity(5)
+
+
 def test_split_embedding_identity():
     ctx = make_field(5)
     aniso = build_anisotropic(ctx)
@@ -186,6 +199,19 @@ def test_unique_cyclic_subgroup_of_odd_order(p, q):
     c = pick_order_p(ctx, p)
     expected = frozenset(rotation(ctx, c ** k) for k in range(p))
     assert subgroups == {expected}
+
+
+@pytest.mark.parametrize("shifts,message", [
+    ((1, 1), "does not fix the diagonal"),
+    ((1, -1), "wrong on the antidiagonal"),
+])
+def test_split_embedding_checks_its_block_identities(monkeypatch, shifts, message):
+    # alpha + beta = I and alpha - beta = g: shifting a corner of (I + g)/2
+    # and of (I - g)/2 alike breaks the first, oppositely only the second
+    scale, shift = Mat2.scale, iter(shifts)
+    monkeypatch.setattr(Mat2, "scale", lambda m, k: scale(m, k) + Mat2(m.q, next(shift), 0, 0, 0))
+    with pytest.raises(ArithmeticError, match=message):
+        split_embedding(build_anisotropic(make_field(5)), Mat2.identity(5))
 
 
 def test_split_embedding_even_characteristic():

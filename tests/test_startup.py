@@ -94,7 +94,9 @@ def test_commands_skip_dataclasses(argv, tmp_path):
     ("201\n", "3"),  # past DOUBLE_RANK_BOUND, refused on the header alone
     ("2\n0 1\n1 0_0\n", "64"),  # an entry that int() would read as 0
     ("\u0662\n0 1\n1 0\n", "64"),  # an Arabic-Indic header that int() would read as 2
-], ids=["missing-file", "header", "entry", "order-201", "underscore-entry", "non-ascii-header"])
+    ("2\n0 1\n1\n", "64"),  # three entries for an order-2 table
+], ids=["missing-file", "header", "entry", "order-201", "underscore-entry", "non-ascii-header",
+        "short-table"])
 def test_double_rank_refusals_skip_numpy(text, code, tmp_path):
     table = tmp_path / "group.txt"
     if text is not None:

@@ -231,9 +231,6 @@ def _spread(ring: FusionRing, out: np.ndarray, r, t, c, at: np.ndarray) -> None:
     n, flat = out.shape[1], out.reshape(-1)
     at = np.add(r * n, t, out=_scratch(at, t.shape)).reshape(-1)
     cells = np.flatnonzero(t < 0)
-    if not len(cells):
-        np.add.at(flat, at, c.reshape(-1))
-        return
     multi = np.unravel_index(cells, t.shape)
     at[cells] -= t[multi]
     np.add.at(flat, at, c.reshape(-1))

@@ -33,6 +33,8 @@ def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
     if ctx.q == 2:
         raise EvenCharacteristic("eigenvalue extraction needs odd characteristic")
     q = ctx.q
+    if m.q != q:
+        raise TypeError(f"{m!r} is not over F_{q}")
     tr, det = m.tr(), m.det()
     root = sqrt_ext(ctx, tr * tr - 4 * det)
     inv2 = pow(2, -1, q)
@@ -48,8 +50,8 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     """Apply the eigenvalue-ratio test to a split-orthogonal block map.
 
     Requires an invertible beta block.  On a map from `split_embedding`,
-    A = alpha + beta*delta*beta^-1 is I + g for the embedded g, by the block
-    identities that `split_embedding` checks where it builds the map.
+    A = alpha + beta*delta*beta^-1 is I + g for the embedded g: its blocks
+    are built as (I + g)/2 and (I - g)/2, which commute.
     """
     if m.beta.det() == 0:
         raise BetaSingular("beta block is singular")

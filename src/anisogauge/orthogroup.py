@@ -5,6 +5,8 @@ anisotropic plane.  Enumeration solves for the two columns of each isometry
 from the level sets of the form (complete by polarization) and compares
 that set with each plane's group built from its dihedral presentation: an
 exhibited rotation r of order n (a generator, by the cofactor test) and s.
+A block map of the split space is certified on its blocks: three 2x2
+identities hold iff it preserves the split form on every vector.
 """
 
 import itertools
@@ -73,10 +75,6 @@ class Mat2:
     def transpose(self) -> "Mat2":
         return Mat2(self.q, self.a, self.c, self.b, self.d)
 
-    def __call__(self, v: tuple[int, int]) -> tuple[int, int]:
-        q = self.q
-        return ((self.a * v[0] + self.b * v[1]) % q, (self.c * v[0] + self.d * v[1]) % q)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -114,6 +112,13 @@ class SplitOrthMap:
     G = `gram`, the Gram matrix of the base bilinear form B (the hat is
     an isomorphism, since B is non-degenerate).  All four blocks are 2x2
     matrices over F_q in the canonical basis and its hat-dual.
+
+    Q of the image of (x, y) is (gamma x + delta y)^T G (alpha x + beta y).
+    Its terms in x alone vanish for all x iff gamma^T G alpha is alternating
+    (S^T = -S, as 2 is invertible), its terms in y alone iff delta^T G beta
+    is, and its cross terms equal y^T G x for all x, y iff
+    beta^T G^T gamma + delta^T G alpha = G: so these three identities hold
+    iff the map preserves Q on every vector.
     """
 
     __slots__ = ("ctx", "alpha", "beta", "gamma", "delta", "gram")
@@ -122,50 +127,38 @@ class SplitOrthMap:
                  delta: Mat2, gram: Mat2):
         if ctx.q == 2:
             raise EvenCharacteristic("split maps need odd characteristic")
+        if any(m.q != ctx.q for m in (alpha, beta, gamma, delta, gram)):
+            raise TypeError(f"a block or the Gram matrix is not over F_{ctx.q}")
         self.ctx = ctx
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma
         self.delta = delta
         self.gram = gram
-        if not self._preserves_q():
+        cross = beta.transpose() * gram.transpose() * gamma + delta.transpose() * gram * alpha
+        if not (_alternating(gamma.transpose() * gram * alpha)
+                and _alternating(delta.transpose() * gram * beta) and cross == gram):
             raise ArithmeticError("block map does not preserve the split form")
-
-    def apply_coords(self, cs: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        x = (cs[0], cs[1])
-        y = (cs[2], cs[3])
-        ax, bx = self.alpha(x), self.beta(y)
-        gx, dx = self.gamma(x), self.delta(y)
-        q = self.ctx.q
-        return ((ax[0] + bx[0]) % q, (ax[1] + bx[1]) % q,
-                (gx[0] + dx[0]) % q, (gx[1] + dx[1]) % q)
-
-    def form(self, cs: tuple[int, int, int, int]) -> int:
-        """The split form Q on coordinates (x0, x1, y0, y1), as in the class docstring."""
-        gx = self.gram(cs[:2])
-        return (cs[2] * gx[0] + cs[3] * gx[1]) % self.ctx.q
-
-    def _preserves_q(self) -> bool:
-        """Q is quadratic and the map linear, so by polarization it suffices
-        that the map preserves Q on each e_i and each e_i + e_j."""
-        units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        sums = [tuple(map(sum, zip(u, v))) for u, v in itertools.combinations(units, 2)]
-        return all(self.form(self.apply_coords(v)) == self.form(v) for v in units + sums)
 
     def __repr__(self):
         blocks = [m.entries() for m in (self.alpha, self.beta, self.gamma, self.delta)]
         return f"SplitOrthMap(q={self.ctx.q}, blocks={blocks})"
 
 
+def _alternating(s: Mat2) -> bool:
+    """Whether x^T s x = 0 for every x, at odd q: s^T = -s."""
+    return s.transpose() == s.scale(-1)
+
+
 def split_embedding(space: QuadSpace, g: Mat2) -> SplitOrthMap:
     """Embed a plane isometry g, a canonical-basis matrix, in the split orthogonal group.
 
     Blocks (with h = 1/2): alpha = delta = h(I + g) and beta = gamma = h(I - g),
-    written in the canonical basis and its hat-dual.  The map fixes every
-    (v, v-hat) and sends (v, -v-hat) to (g v, -(g v)-hat); with gamma = beta
-    and delta = alpha these say alpha + beta = I and alpha - beta = g, which
-    are checked as matrix identities, so they hold for every v.  As I + g and
-    I - g commute, A = alpha + beta delta beta^-1 = alpha + delta = I + g
+    written in the canonical basis and its hat-dual, so the map fixes every
+    (v, v-hat) and sends (v, -v-hat) to (g v, -(g v)-hat).  `SplitOrthMap`
+    checks that it preserves the split form, which holds iff g is an
+    isometry of `space`; that is the one check of the embedding.  As I + g
+    and I - g commute, A = alpha + beta delta beta^-1 = alpha + delta = I + g
     whenever beta is invertible, which is what `gt_criterion` reads.
     """
     ctx = space.ctx
@@ -176,10 +169,6 @@ def split_embedding(space: QuadSpace, g: Mat2) -> SplitOrthMap:
     half = pow(2, -1, q)
     plus = (ident + g).scale(half)
     minus = (ident - g).scale(half)
-    if plus + minus != ident:
-        raise ArithmeticError("embedding does not fix the diagonal")
-    if plus - minus != g:
-        raise ArithmeticError("embedding wrong on the antidiagonal")
     return SplitOrthMap(ctx, plus, minus, minus, plus, gram)
 
 

@@ -5,8 +5,12 @@ a group ring, the semidirect product's full multiplication table), small
 readings of package objects (a ring's label-level tensor, orders, block
 products) kept out of `src/`, and brute-force counts on group
 tables (conjugacy classes, commuting pairs up to conjugation) that the
-package's Burnside counts are checked against.
+package's Burnside counts are checked against, and the split form
+evaluated on every vector, which `SplitOrthMap`'s block identities are
+checked against.
 """
+
+import itertools
 
 import numpy as np
 
@@ -153,6 +157,33 @@ def frobenius_matrix(ctx: FieldCtx) -> Mat2:
     """The Galois reflection: the matrix of frobenius in the basis (1, theta)."""
     f1, ft = frobenius(ctx.one), frobenius(ctx.theta)
     return Mat2(ctx.q, f1.a0, ft.a0, f1.a1, ft.a1)
+
+
+def apply(m: Mat2, v: tuple[int, int]) -> tuple[int, int]:
+    """The matrix m applied to the coordinate pair v."""
+    q = m.q
+    return ((m.a * v[0] + m.b * v[1]) % q, (m.c * v[0] + m.d * v[1]) % q)
+
+
+def split_apply(blocks: tuple, cs: tuple) -> tuple[int, int, int, int]:
+    """The block map (alpha beta; gamma delta) on coordinates (x0, x1, y0, y1)."""
+    alpha, beta, gamma, delta = blocks
+    x, y, q = cs[:2], cs[2:], alpha.q
+    top = [(u + v) % q for u, v in zip(apply(alpha, x), apply(beta, y))]
+    bottom = [(u + v) % q for u, v in zip(apply(gamma, x), apply(delta, y))]
+    return tuple(top + bottom)
+
+
+def split_form(gram: Mat2, cs: tuple) -> int:
+    """The split form Q(x, y-hat) = y^T G x on coordinates (x0, x1, y0, y1)."""
+    gx = apply(gram, cs[:2])
+    return (cs[2] * gx[0] + cs[3] * gx[1]) % gram.q
+
+
+def preserves_split_form(blocks: tuple, gram: Mat2) -> bool:
+    """Whether the block map keeps Q on all q^4 vectors, one at a time."""
+    return all(split_form(gram, split_apply(blocks, v)) == split_form(gram, v)
+               for v in itertools.product(range(gram.q), repeat=4))
 
 
 def blocks(m: SplitOrthMap) -> tuple:

@@ -430,6 +430,10 @@ def test_dense_rows_independent_of_block_size(cells, monkeypatch):
     out = np.zeros((2, 3), dtype=np.int64)
     _spread(ring, out, r, t, c, np.empty(len(t), dtype=np.int64))
     assert out.tolist() == [[5, 5, 5], [2, 2, 5]]
+    # a grid with no multi-term cell: repeats still summed
+    out = np.zeros((2, 3), dtype=np.int64)
+    _spread(ring, out, r, np.array([2, 0, 0, 2]), c, np.empty(len(t), dtype=np.int64))
+    assert out.tolist() == [[0, 0, 5], [5, 0, 0]]
 
 
 def _traced_peak_mb(f) -> float:

@@ -72,6 +72,12 @@ def test_eigenvalues_satisfy_char_poly_exhaustive(q):
                         assert mu * mu - mu * m.tr() + m.det() == ctx.zero
 
 
+def test_eigenvalues_refuse_a_matrix_over_another_field():
+    # reducing the F_7 trace 5 and determinant 5 mod 5 would give (0, 0)
+    with pytest.raises(TypeError):
+        eigenvalues_2x2(Mat2(7, 1, 2, 3, 4), make_field(5))
+
+
 def test_gt_criterion_anisotropic_rotation_3_5():
     ctx = make_field(5)
     c = pick_order_p(ctx, 3)

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisogauge import (
     AnisotropicSpace,
@@ -21,7 +22,16 @@ from anisogauge import (
     split_embedding,
 )
 from anisogauge.orthogroup import _solve_form_preserving
-from oracles import blocks, compose, dihedral_search, frobenius_matrix, order
+from oracles import (
+    apply,
+    blocks,
+    compose,
+    dihedral_search,
+    frobenius_matrix,
+    order,
+    preserves_split_form,
+    split_apply,
+)
 
 
 @pytest.mark.parametrize("q,count", [(2, 6), (3, 8), (5, 12), (7, 16)])
@@ -162,9 +172,9 @@ def test_split_embedding_fixes_diagonal_everywhere():
         m = split_embedding(aniso, mg)
         for x0 in range(7):
             for x1 in range(7):
-                assert m.apply_coords((x0, x1, x0, x1)) == (x0, x1, x0, x1)
-                gx = mg((x0, x1))
-                assert m.apply_coords((x0, x1, -x0, -x1)) == (
+                assert split_apply(blocks(m), (x0, x1, x0, x1)) == (x0, x1, x0, x1)
+                gx = apply(mg, (x0, x1))
+                assert split_apply(blocks(m), (x0, x1, -x0, -x1)) == (
                     gx[0], gx[1], (-gx[0]) % 7, (-gx[1]) % 7,
                 )
 
@@ -201,19 +211,6 @@ def test_unique_cyclic_subgroup_of_odd_order(p, q):
     assert subgroups == {expected}
 
 
-@pytest.mark.parametrize("shifts,message", [
-    ((1, 1), "does not fix the diagonal"),
-    ((1, -1), "wrong on the antidiagonal"),
-])
-def test_split_embedding_checks_its_block_identities(monkeypatch, shifts, message):
-    # alpha + beta = I and alpha - beta = g: shifting a corner of (I + g)/2
-    # and of (I - g)/2 alike breaks the first, oppositely only the second
-    scale, shift = Mat2.scale, iter(shifts)
-    monkeypatch.setattr(Mat2, "scale", lambda m, k: scale(m, k) + Mat2(m.q, next(shift), 0, 0, 0))
-    with pytest.raises(ArithmeticError, match=message):
-        split_embedding(build_anisotropic(make_field(5)), Mat2.identity(5))
-
-
 def test_split_embedding_even_characteristic():
     ctx = make_field(2)
     aniso = build_anisotropic(ctx)
@@ -228,11 +225,73 @@ def test_split_map_rejects_a_non_isometry():
     with pytest.raises(ArithmeticError, match="does not preserve the split form"):
         SplitOrthMap(ctx, ident.scale(2), zero, zero, ident, gram)
     # (x, y) -> (x + b y, y) with G b symmetric and zero on the diagonal keeps Q
-    # on every basis vector but not on e3 + e4: only the polarization sums see it
+    # on every basis vector but not on e3 + e4: delta^T G beta = G b is not
+    # alternating, though its diagonal is zero
     b = gram.inverse() * Mat2(5, 0, 1, 1, 0)
     with pytest.raises(ArithmeticError, match="does not preserve the split form"):
         SplitOrthMap(ctx, ident, b, zero, ident, gram)
     assert blocks(SplitOrthMap(ctx, ident, zero, zero, ident, gram)) == (ident, zero, zero, ident)
+
+
+def test_split_map_refuses_blocks_from_another_field():
+    ctx, ident7, zero7 = make_field(5), Mat2.identity(7), Mat2(7, 0, 0, 0, 0)
+    gram = split_embedding(build_anisotropic(ctx), Mat2.identity(5)).gram
+    with pytest.raises(TypeError):
+        SplitOrthMap(ctx, ident7, zero7, zero7, ident7, gram)
+    ident, zero = Mat2.identity(5), Mat2(5, 0, 0, 0, 0)
+    for i in range(5):
+        args = [ident, zero, zero, ident, gram]
+        args[i] = Mat2(7, *args[i].entries())
+        with pytest.raises(TypeError):
+            SplitOrthMap(ctx, *args)
+
+
+@st.composite
+def _block_maps(draw):
+    """(ctx, blocks, gram) at q in {3, 5, 7}, with the Gram matrix of either
+    plane: the embedding of one of its isometries, that embedding with one
+    entry changed, or four random blocks."""
+    ctx = make_field(draw(st.sampled_from([3, 5, 7])))
+    q = ctx.q
+    space = draw(st.sampled_from([build_anisotropic, build_hyperbolic]))(ctx)
+    m = split_embedding(space, draw(st.sampled_from(enumerate_orth(space))))
+    maps = list(blocks(m))
+    kind = draw(st.sampled_from(["isometry", "one entry", "random"]))
+    if kind == "one entry":
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        entries = list(maps[i].entries())
+        entries[j] += draw(st.integers(1, q - 1))
+        maps[i] = Mat2(q, *entries)
+    elif kind == "random":
+        entry = st.integers(0, q - 1)
+        maps = [Mat2(q, *draw(st.tuples(entry, entry, entry, entry))) for _ in range(4)]
+    return ctx, tuple(maps), m.gram
+
+
+def _accepts(ctx, maps, gram) -> bool:
+    try:
+        SplitOrthMap(ctx, *maps, gram)
+    except ArithmeticError as error:
+        assert str(error) == "block map does not preserve the split form"
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_maps())
+def test_split_map_accepts_exactly_the_isometries(case):
+    # the three block identities against Q on all q^4 vectors
+    ctx, maps, gram = case
+    assert _accepts(ctx, maps, gram) == preserves_split_form(maps, gram)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_split_map_accepts_every_embedded_isometry(q):
+    ctx = make_field(q)
+    for space in (build_anisotropic(ctx), build_hyperbolic(ctx)):
+        for g in enumerate_orth(space):
+            m = split_embedding(space, g)
+            assert preserves_split_form(blocks(m), m.gram)
 
 
 def test_composition_law():
@@ -241,12 +300,12 @@ def test_composition_law():
         ctx = make_field(q)
         for c in ker_norm(ctx):
             for v in ctx.elements():
-                assert rotation(ctx, c)(v.key()) == (c * v).key()
+                assert apply(rotation(ctx, c), v.key()) == (c * v).key()
         maps = enumerate_orth(build_anisotropic(ctx))
         for a in maps:
             for b in maps:
                 for v in ctx.elements():
-                    assert (a * b)(v.key()) == a(b(v.key()))
+                    assert apply(a * b, v.key()) == apply(a, apply(b, v.key()))
 
 
 def _scan_form_preserving(space):

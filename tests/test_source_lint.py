@@ -191,6 +191,12 @@ def test_one_place_takes_a_square_root():
     assert _callers("sqrt_ext") == ["gtcheck.py:eigenvalues_2x2"]
 
 
+def test_one_place_builds_a_split_map():
+    # `orthogroup.split_embedding` builds every block map of the package, so
+    # the verify rows read only embeddings that its block identities checked
+    assert _callers("SplitOrthMap") == ["orthogroup.py:split_embedding"]
+
+
 def test_no_dataclasses_in_package():
     # every record is a namedtuple: `dataclasses` would load inspect and copy
     found = [

@@ -11,6 +11,10 @@ row, come from there.  `gauging.COMPLETE_BOUND`, the largest p*q^2 at which
 every verify check runs, is verify's default bound and sweep's verify cutoff.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
+`run()`, the entry of `python -m anisogauge.cli` and of the console script,
+flushes stdout and stderr and then ends the process with `os._exit`, so
+`atexit` handlers that an embedding caller registers do not run; in-process
+callers use `main`, which returns the exit code.
 Only `verify` past its gates, `sweep` past its cap and `double-rank` past
 reading its table load numpy, so `census` and the refusals start quickly.
 The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
@@ -296,13 +300,19 @@ def run() -> None:
     # keeps BLAS to one thread unless the caller sets it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as stop:  # argparse's usage error (64) and --help (0)
+            code = stop.code
         sys.stdout.flush()
-    except BrokenPipeError as err:  # devnull keeps the flush at exit from raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError as err:
         print(f"error: cannot write to stdout: {err}", file=sys.stderr)
         code = EXIT_IO
-    raise SystemExit(code)
+    # The program writes only stdout and stderr, and both are flushed here,
+    # so interpreter finalization (tens of ms of module teardown) has no
+    # work left to do: end the process at once.
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

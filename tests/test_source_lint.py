@@ -254,3 +254,22 @@ def test_every_exit_code_is_documented():
     docstring, listed = _exit_codes_sentence(cli.__doc__), _exit_codes_sentence(readme)
     assert [code for code in codes if not re.search(rf"\b{code}\b", docstring)] == []
     assert [code for code in codes if f"`{code}`" not in listed] == []
+
+
+def test_one_os_exit_after_both_flushes():
+    # `cli.run` ends the process with `os._exit`, which skips the flush at
+    # interpreter exit: it is the only one, and stdout and stderr are
+    # flushed before it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if not isinstance(node, ast.Constant) and "_exit" in _spelled(node)
+    ]
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    run = next(node for node in tree.body if getattr(node, "name", None) == "run")
+    calls = {ast.unparse(node.func): node.lineno for node in ast.walk(run)
+             if isinstance(node, ast.Call)}
+    assert ast.unparse(run.body[-1]) == "os._exit(code)"
+    assert found == [f"cli.py:{calls['os._exit']}"]
+    assert calls["sys.stdout.flush"] < calls["sys.stderr.flush"] < calls["os._exit"]

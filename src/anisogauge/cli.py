@@ -58,6 +58,11 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse's own swallows OSError, so an unbuffered --help to a
+        # closed stdout would exit 0; let the write error reach `run`
+        (file or sys.stderr).write(message)
+
 
 def _prime(text: str) -> int:
     """A prime below PRIME_TEST_LIMIT, where `is_prime` runs in bounded time."""

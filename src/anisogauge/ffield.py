@@ -248,6 +248,16 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _generator(ctx: FieldCtx, candidates, n: int) -> ExtElement:
+    """The first candidate g of order n, for candidates with g^n = 1 by argument
+    (norm-one, or in F_q^*): g^(n/l) != 1 for each prime l | n makes n its order."""
+    cofactors = [n // ell for ell in _prime_factors(n)]
+    g = next((g for g in candidates if all(g ** k != ctx.one for k in cofactors)), None)
+    if g is None:
+        raise ArithmeticError(f"no element of order {n}: the group is not cyclic")
+    return g
+
+
 @lru_cache(maxsize=None)
 def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     """All norm-one elements, sorted by (a0, a1); a cyclic group of order q + 1.
@@ -256,7 +266,8 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     members are the square roots +-a0 of 1 + d*a1^2, read from
     `_square_roots`: O(q) instead of a scan of the q^2 elements.  For
     q = 2 the four elements are scanned.  The size q + 1 is checked here,
-    and cyclicity where a generator is used, in `orthogroup.enumerate_orth`.
+    and cyclicity where a generator is used: `_generator` certifies one for
+    `pick_order_p` and for `orthogroup.enumerate_orth`.
     """
     q = ctx.q
     if q == 2:
@@ -276,16 +287,17 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
 def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     """Lexicographically smallest c != 1 with norm(c) = 1 and c^p = 1.
 
-    Requires p prime and p | q + 1 (otherwise NoSuchElement).
+    Requires p prime and p | q + 1 (otherwise NotPrime, NoSuchElement).
+    The norm-one group is cyclic of order q + 1, generated by the g of
+    `_generator`, so its elements of order p are the powers h^k, 0 < k < p,
+    of h = g^((q+1)/p): the least of them, in O(p log q) after `ker_norm`.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if (ctx.q + 1) % p != 0:
         raise NoSuchElement(f"{p} does not divide q+1 = {ctx.q + 1}")
-    for c in ker_norm(ctx):
-        if c != ctx.one and c ** p == ctx.one:
-            return c
-    raise NoSuchElement(f"no element of order {p} in the norm-one subgroup")
+    h = _generator(ctx, ker_norm(ctx), ctx.q + 1) ** ((ctx.q + 1) // p)  # of order p
+    return min((h ** k for k in range(1, p)), key=ExtElement.key)
 
 
 def sqrt_ext(ctx: FieldCtx, a: int) -> ExtElement:

@@ -4,7 +4,8 @@ Every plane isometry is a `Mat2` in the canonical basis, (1, theta) on the
 anisotropic plane.  Enumeration solves for the two columns of each isometry
 from the level sets of the form (complete by polarization) and compares
 that set with each plane's group built from its dihedral presentation: an
-exhibited rotation r of order n (a generator, by the cofactor test) and s.
+exhibited rotation r of order n and s, with the generator behind r
+certified by the cofactor test of `ffield._generator`; nothing here factors.
 A block map of the split space is certified on its blocks: three 2x2
 identities hold iff it preserves the split form on every vector.
 """
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import EvenCharacteristic, NotNormOne
-from .ffield import ExtElement, FieldCtx, _prime_factors, frobenius, ker_norm, norm
+from .ffield import ExtElement, FieldCtx, _generator, frobenius, ker_norm, norm
 from .quadspace import ANISOTROPIC, QuadSpace, gram_matrix
 
 
@@ -188,16 +189,6 @@ def _solve_form_preserving(space: QuadSpace) -> set[tuple[int, int, int, int]]:
     ok = (form[(a + b) % q, (c + d) % q] == form[1, 1]) & ((a * d - b * c) % q != 0)
     i, j = np.nonzero(ok)
     return set(zip(a[i, 0].tolist(), b[0, j].tolist(), c[i, 0].tolist(), d[0, j].tolist()))
-
-
-def _generator(ctx: FieldCtx, candidates, n: int) -> ExtElement:
-    """The first candidate g of order n, for candidates with g^n = 1 by argument
-    (norm-one, or in F_q^*): g^(n/l) != 1 for each prime l | n makes n its order."""
-    cofactors = [n // ell for ell in _prime_factors(n)]
-    g = next((g for g in candidates if all(g ** k != ctx.one for k in cofactors)), None)
-    if g is None:
-        raise ArithmeticError(f"no element of order {n}: the group is not cyclic")
-    return g
 
 
 def enumerate_orth(space: QuadSpace) -> list[Mat2]:

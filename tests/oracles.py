@@ -7,18 +7,36 @@ products) kept out of `src/`, and brute-force counts on group
 tables (conjugacy classes, commuting pairs up to conjugation) that the
 package's Burnside counts are checked against, and the split form
 evaluated on every vector, which `SplitOrthMap`'s block identities are
-checked against.
+checked against, and the scan of the norm-one group for its least element
+of order p, which `pick_order_p` is checked against.  `child_env` is the
+one environment of every CLI subprocess the tests start.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
-from anisogauge import FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ring_to_text
-from anisogauge import fusionring
+import anisogauge
+from anisogauge import ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ker_norm
+from anisogauge import fusionring, ring_to_text
 from anisogauge.fusionring import _code_permutation
 from anisogauge.gauging import certify_pair
 from anisogauge.orthogroup import rotation
+
+SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
+
+
+def child_env(**overrides) -> dict:
+    """The caller's environment with PYTHONPATH at `src`, then `overrides`.
+    ANISOGAUGE_BOUND is removed, so verify's cap is its default, and so is
+    PYTHONUNBUFFERED, which writes each print at once and would hide a lost
+    stdout flush."""
+    environ = {**os.environ, "PYTHONPATH": SRC}
+    for name in ("ANISOGAUGE_BOUND", "PYTHONUNBUFFERED"):
+        environ.pop(name, None)
+    return {**environ, **overrides}
 
 
 def ring_of(basis, unit: str, dual: dict, tensor: dict) -> FusionRing:
@@ -216,3 +234,10 @@ def dims_multiset(census) -> dict[int, int]:
     for _, dim, count in census.entries:
         out[dim] = out.get(dim, 0) + count
     return out
+
+
+def order_p_scan(ctx: FieldCtx, p: int) -> ExtElement:
+    """The first c != 1 of `ker_norm`, in (a0, a1) order, with c^p = 1: the
+    least element of order p, found by raising about q / 2 elements to the
+    p-th power."""
+    return next(c for c in ker_norm(ctx) if c != ctx.one and c ** p == ctx.one)

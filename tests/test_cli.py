@@ -6,16 +6,16 @@ import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import anisogauge
 from anisogauge import cli, ffield, fusionring, gauging, gtcheck, suite
 from anisogauge.cli import main, sha256
 from anisogauge.errors import ExistenceViolated, NotACharacter
+
+from oracles import child_env
 
 
 def run(capsys, argv):
@@ -85,10 +85,9 @@ def test_verify_refuses_a_ring_over_its_byte_budget():
     # the refusal comes before they are allocated, and the child runs in a
     # 512 MB address space, so a regression fails with a traceback instead
     # of allocating
-    src = str(Path(anisogauge.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-m", "anisogauge.cli", "verify", "3", "197", "--bound", "1000000"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
         preexec_fn=_cap_address_space)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == ("error: the ring of rank 38811 needs 9038072814 bytes, "
@@ -301,9 +300,8 @@ def test_double_rank_rejects_non_group(capsys, tmp_path):
 def test_double_rank_refuses_a_table_that_is_not_a_group(tmp_path, rows):
     path = tmp_path / "table.txt"
     path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
-    src = str(Path(anisogauge.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-m", "anisogauge.cli", "double-rank", str(path)],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          env=child_env(), capture_output=True,
                           text=True, timeout=60)
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.returncode == 64 and done.stdout == ""
@@ -378,9 +376,8 @@ def test_csv_rows_have_as_many_fields_as_the_header(capsys, tmp_path):
 def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
     # 10^18 + 3 is prime, (10^9 + 7)(10^9 + 9) is not, and the last value
     # is the least strong pseudoprime to the prime bases up to 41
-    src = str(Path(anisogauge.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          env=child_env(), capture_output=True,
                           text=True, timeout=20)
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.returncode == code and done.stdout == ""
@@ -390,12 +387,11 @@ def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
 @pytest.mark.parametrize("argv", [["census", "3", "5"], ["verify", "3", "5", "--format", "json"]])
 def test_a_closed_stdout_exits_74(argv):
     # the reader has closed the pipe before the payload is written
-    src = str(Path(anisogauge.__file__).resolve().parent.parent)
     read, write = os.pipe()
     os.close(read)
     try:
         done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              stderr=subprocess.PIPE, env=child_env(),
                               text=True)
     finally:
         os.close(write)

@@ -18,6 +18,8 @@ from anisogauge import (
 )
 from anisogauge.ffield import PRIME_TEST_LIMIT, _prime_factors
 
+from oracles import order_p_scan
+
 SMALL_ODD = [3, 5, 7, 11, 13]
 
 
@@ -178,6 +180,29 @@ def test_pick_order_p_outside_base_field():
                 c = pick_order_p(ctx, p)
                 assert c ** p == ctx.one
                 assert c.a1 != 0
+
+
+def test_pick_order_p_equals_the_scan():
+    # the least of the p - 1 powers of order p is the first element of
+    # order p in the sorted group
+    for q in [n for n in range(2, 600) if is_prime(n)]:
+        ctx = make_field(q)
+        for p in _prime_factors(q + 1):
+            assert pick_order_p(ctx, p) == order_p_scan(ctx, p), (p, q)
+
+
+@pytest.mark.parametrize("p,q", [(3, 9221), (5, 9349)])
+def test_pick_order_p_makes_few_powers(monkeypatch, p, q):
+    # after `ker_norm`, the certified generator and its p - 1 powers of
+    # order p: a scan of the group would make thousands of powers
+    ctx = make_field(q)
+    ker_norm(ctx)
+    calls, power = [], ExtElement.__pow__
+    monkeypatch.setattr(ExtElement, "__pow__", lambda x, n: calls.append(n) or power(x, n))
+    c = pick_order_p(ctx, p)
+    assert len(calls) <= 50
+    monkeypatch.undo()
+    assert c == order_p_scan(ctx, p)
 
 
 def test_sqrt_examples():

@@ -10,14 +10,12 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import anisogauge
 from anisogauge import cli
 
-SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
+from oracles import child_env
 
 ENTRIES = {
     "module": ["-m", "anisogauge.cli"],
@@ -25,13 +23,9 @@ ENTRIES = {
 }
 
 
-def cli_process(entry: str, argv: list, **kwargs) -> subprocess.CompletedProcess:
-    # PYTHONUNBUFFERED would write each print at once and hide a lost flush
-    environ = {**os.environ, "PYTHONPATH": SRC}
-    for name in ("ANISOGAUGE_BOUND", "PYTHONUNBUFFERED"):
-        environ.pop(name, None)
-    return subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=environ, timeout=60,
-                          **kwargs)
+def cli_process(entry: str, argv: list, env=None, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=env or child_env(),
+                          timeout=60, **kwargs)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -77,6 +71,18 @@ def test_exit_codes_through_each_entry(entry, argv, code, capsys):
     assert (done.stdout, done.stderr) == (captured.out, captured.err)
 
 
+def assert_exits_74_on_a_closed_stdout(entry: str, argv: list, env=None) -> None:
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = cli_process(entry, argv, env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_IO
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")
+
+
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("argv", [
     ["census", "3", "5"],  # fits the buffer: the final flush fails
@@ -84,12 +90,12 @@ def test_exit_codes_through_each_entry(entry, argv, code, capsys):
     ["--help"],  # argparse's exit 0: the final flush fails
 ])
 def test_a_closed_stdout_exits_74_through_each_entry(entry, argv):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = cli_process(entry, argv, stdout=write, stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(write)
-    assert done.returncode == cli.EXIT_IO
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("error: cannot write to stdout: ")
+    assert_exits_74_on_a_closed_stdout(entry, argv)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_an_unbuffered_help_to_a_closed_stdout_exits_74(entry, argv):
+    # unbuffered, the help text is written inside argparse, which would
+    # swallow the OSError and exit 0 with nothing printed
+    assert_exits_74_on_a_closed_stdout(entry, argv, child_env(PYTHONUNBUFFERED="1"))

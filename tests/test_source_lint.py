@@ -180,9 +180,12 @@ def test_one_place_builds_the_hyperbolic_plane():
 
 
 def test_one_place_factors_a_group_order():
-    # `orthogroup._generator` certifies the cyclic part of each plane's
-    # group by the cofactor test; `ker_norm` checks only its size
-    assert _callers("_prime_factors") == ["orthogroup.py:_generator"]
+    # `ffield._generator` certifies a cyclic group by the cofactor test: the
+    # norm-one group for `pick_order_p` and each plane's rotations for
+    # `enumerate_orth`; `ker_norm` checks only its size
+    assert _callers("_prime_factors") == ["ffield.py:_generator"]
+    assert set(_callers("_generator")) == {
+        "ffield.py:pick_order_p", "orthogroup.py:enumerate_orth"}
 
 
 def test_one_place_takes_a_square_root():

@@ -3,14 +3,13 @@ import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import anisogauge
 from anisogauge import _EXPORTS
 
-SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
+from oracles import child_env
 
 # Runs the CLI in a fresh interpreter, then reports its exit code and which
 # of numpy, numpy.ma, inspect, dataclasses and _hashlib were loaded.  inspect
@@ -33,11 +32,9 @@ print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "dataclasses", "
 
 
 def probe(argv, env=None) -> tuple[str, set]:
-    environ = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
-    if not env:
-        environ.pop("ANISOGAUGE_BOUND", None)
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=environ,
-                         capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                         env=child_env(**(env or {})), capture_output=True, text=True,
+                         check=True).stdout
     code, *modules = out.splitlines()[-1].split()
     return code, set(modules)
 
@@ -166,9 +163,8 @@ cli.run()
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_cli_runs_on_one_thread():
     # numpy's OpenBLAS would start a spinning worker per core at import
-    environ = {**os.environ, "PYTHONPATH": SRC}
-    for name in ("ANISOGAUGE_BOUND", "OPENBLAS_NUM_THREADS"):
-        environ.pop(name, None)
+    environ = child_env()
+    environ.pop("OPENBLAS_NUM_THREADS", None)
     done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=environ,
                           capture_output=True, text=True)
     assert done.returncode == 0

@@ -1,17 +1,14 @@
 import functools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import anisogauge
 from anisogauge import cli, fusionring, suite
 from anisogauge.gauging import certify_pair
 from anisogauge.quadspace import ANISOTROPIC, HYPERBOLIC, QuadSpace
 
-SRC = str(Path(anisogauge.__file__).resolve().parent.parent)
+from oracles import child_env
 
 ROWS = [
     "norm-one-subgroup",
@@ -87,7 +84,6 @@ def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatc
 
 def test_import_loads_no_cli():
     probe = "import sys, anisogauge.suite; print('anisogauge.cli' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"

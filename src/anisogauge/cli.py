@@ -21,6 +21,7 @@ The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -52,10 +53,20 @@ EXIT_IO = 74
 SWEEP_HARD_CAP = 200
 
 
+def _note(line: str) -> None:
+    """The one writer of stderr: print `line` there, or drop it where stderr
+    is closed (`sys.stderr` is None when descriptor 2 was closed at start-up,
+    and a write fails with EPIPE on a pipe with no reader, EBADF on a
+    descriptor not open for writing).  A closed stderr costs the line, never
+    the exit code."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:  # `print` would send the line to stdout
+            print(line, file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _note(f"{self.format_usage()}error: {message}")
         raise SystemExit(EXIT_USAGE)
 
     def _print_message(self, message, file=None):
@@ -127,7 +138,7 @@ def _bound(flag: int | None) -> int:
     try:
         return _non_negative(raw)
     except argparse.ArgumentTypeError as err:
-        print(f"error: ANISOGAUGE_BOUND={err}", file=sys.stderr)
+        _note(f"error: ANISOGAUGE_BOUND={err}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -252,21 +263,19 @@ def build_parser() -> _Parser:
     c = sub.add_parser("census", help="simple-object census for (p, q)")
     c.add_argument("p", type=_prime)
     c.add_argument("q", type=_prime)
-    c.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     v = sub.add_parser("verify", help="full verification suite for (p, q)")
     v.add_argument("p", type=_prime)
     v.add_argument("q", type=_prime)
     v.add_argument("--bound", type=_non_negative, default=None, help="cap on p*q^2")
-    v.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     s = sub.add_parser("sweep", help="existence sweep over odd prime pairs")
     s.add_argument("qmax", type=_non_negative, help=f"largest swept q, at most {SWEEP_HARD_CAP}")
-    s.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     d = sub.add_parser("double-rank", help="rank of the double from a multiplication table")
     d.add_argument("group_file")
-    d.add_argument("--format", default="table", choices=["table", "json", "csv"])
+    for command in (c, v, s, d):
+        command.add_argument("--format", default="table", choices=["table", "json", "csv"])
     return parser
 
 
@@ -285,7 +294,7 @@ def main(argv=None) -> int:
             code = cmd_double_rank(args.group_file, args.format)
     except (AnisogaugeError, ArithmeticError) as err:
         ours = isinstance(err, AnisogaugeError)  # else a certification failed
-        print(f"error: {err}" if ours else f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        _note(f"error: {err}" if ours else f"error: {type(err).__name__}: {err}")
         if isinstance(err, ExistenceViolated):
             code = EXIT_EXISTENCE
         elif isinstance(err, BoundExceeded):
@@ -293,7 +302,7 @@ def main(argv=None) -> int:
         else:
             code = EXIT_USAGE if ours else EXIT_CHECK_FAILED
     if args.timing:
-        print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
+        _note(f"elapsed {time.perf_counter() - start:.3f}s")
     return code
 
 
@@ -310,13 +319,15 @@ def run() -> None:
         except SystemExit as stop:  # argparse's usage error (64) and --help (0)
             code = stop.code
         sys.stdout.flush()
-    except BrokenPipeError as err:
-        print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+    except BrokenPipeError as err:  # stdout's: `_note` drops stderr's
+        _note(f"error: cannot write to stdout: {err}")
         code = EXIT_IO
     # The program writes only stdout and stderr, and both are flushed here,
     # so interpreter finalization (tens of ms of module teardown) has no
-    # work left to do: end the process at once.
-    sys.stderr.flush()
+    # work left to do: end the process at once.  A line that `_note`
+    # dropped is still in stderr's buffer, and its flush fails again.
+    with contextlib.suppress(AttributeError, OSError):  # stderr is None, or closed
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -12,6 +12,7 @@ q = 2 is supported in restricted mode (no operation that divides by 2).
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import BoundExceeded, NoSuchElement, NotPrime
@@ -290,14 +291,15 @@ def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     Requires p prime and p | q + 1 (otherwise NotPrime, NoSuchElement).
     The norm-one group is cyclic of order q + 1, generated by the g of
     `_generator`, so its elements of order p are the powers h^k, 0 < k < p,
-    of h = g^((q+1)/p): the least of them, in O(p log q) after `ker_norm`.
+    of h = g^((q+1)/p): the least of them, each one product by h from the
+    last, so p - 2 products after h.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if (ctx.q + 1) % p != 0:
         raise NoSuchElement(f"{p} does not divide q+1 = {ctx.q + 1}")
     h = _generator(ctx, ker_norm(ctx), ctx.q + 1) ** ((ctx.q + 1) // p)  # of order p
-    return min((h ** k for k in range(1, p)), key=ExtElement.key)
+    return min(accumulate([h] * (p - 1), ExtElement.__mul__), key=ExtElement.key)
 
 
 def sqrt_ext(ctx: FieldCtx, a: int) -> ExtElement:

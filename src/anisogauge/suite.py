@@ -10,8 +10,6 @@ and says so.  Each stage is called through its module, so a caller can wrap
 or replace it there.  Imports numpy.
 """
 
-import functools
-
 from . import ffield, fusionring, gauging, gtcheck, orthogroup, quadspace
 from .errors import AnisogaugeError
 
@@ -24,30 +22,24 @@ def verify_rows(pair: gauging.CertifiedPair) -> list[dict]:
     sizes and orders by raising, so an AnisogaugeError or ArithmeticError
     raised inside a check becomes a fail row carrying the error and the
     other checks still run; any other exception is a bug and propagates.
-    Both planes are built once from the pair's field.  The ring and the
-    census are built at most once, and a check whose input failed to build
-    fails with that error.
+    Both planes, the ring and the census are built once, up front, and a
+    check whose input failed to build fails with that error.
     """
     p, q, field = pair.p, pair.q, pair.ctx
 
-    def once(build):
-        @functools.cache
-        def outcome():
-            try:
-                return build(), None
-            except (AnisogaugeError, ArithmeticError) as err:
-                return None, err
-
-        def get():
-            value, err = outcome()
-            if err is not None:
+    def built(build):
+        """A getter of build(), or one that re-raises the error it raised."""
+        try:
+            value = build()
+        except (AnisogaugeError, ArithmeticError) as err:
+            def fail(err=err):  # a default: `err` is unbound after the block
                 raise err
-            return value
-        return get
+            return fail
+        return lambda: value
 
     aniso, hyper = quadspace.build_anisotropic(field), quadspace.build_hyperbolic(field)
-    ring = once(lambda: fusionring.build_extension_ring(pair))
-    census = once(lambda: fusionring.equivariantization_census(pair))
+    ring = built(lambda: fusionring.build_extension_ring(pair))
+    census = built(lambda: fusionring.equivariantization_census(pair))
 
     def orthogonal_order(space):
         return True, f"order {len(orthogroup.enumerate_orth(space))}"

@@ -205,6 +205,20 @@ def test_pick_order_p_makes_few_powers(monkeypatch, p, q):
     assert c == order_p_scan(ctx, p)
 
 
+def test_pick_order_p_takes_each_power_in_one_product(monkeypatch):
+    # at the largest p of the field bound, the p - 1 powers of h are each
+    # one multiplication by h from the last: taking each h^k by squaring
+    # made 86,405 multiplications here
+    ctx = make_field(9973)
+    ker_norm(ctx)
+    calls, multiply = [], ExtElement.__mul__
+    monkeypatch.setattr(ExtElement, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
+    c = pick_order_p(ctx, 4987)
+    assert len(calls) <= 6000
+    monkeypatch.undo()
+    assert c == order_p_scan(ctx, 4987)
+
+
 def test_sqrt_examples():
     ctx = make_field(5)
     assert sqrt_ext(ctx, 0) == ctx.zero

@@ -99,3 +99,44 @@ def test_an_unbuffered_help_to_a_closed_stdout_exits_74(entry, argv):
     # unbuffered, the help text is written inside argparse, which would
     # swallow the OSError and exit 0 with nothing printed
     assert_exits_74_on_a_closed_stdout(entry, argv, child_env(PYTHONUNBUFFERED="1"))
+
+
+
+def stderr_closed_process(how: str, entry: str, argv: list, env: dict) -> subprocess.CompletedProcess:
+    """The CLI run with stderr closed: "pipe" gives it a pipe whose read end
+    is closed (EPIPE), "fd2" starts it through `sh` with `2>&-`, so the
+    interpreter finds descriptor 2 closed and sets `sys.stderr` to None."""
+    if how == "fd2":
+        command = ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, *ENTRIES[entry], *argv]
+        return subprocess.run(command, env=env, stdout=subprocess.PIPE, timeout=60)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return cli_process(entry, argv, env, stdout=subprocess.PIPE, stderr=write)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("how", ["pipe", "fd2"])
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv,env,code", [
+    (["verify", "3", "7"], {}, cli.EXIT_EXISTENCE),
+    (["verify", "3", "29"], {}, cli.EXIT_BOUND),
+    (["verify", "3"], {}, cli.EXIT_USAGE),
+    (["verify", "3", "5"], {"ANISOGAUGE_BOUND": "x"}, cli.EXIT_USAGE),
+    (["double-rank", "no-such-file.txt"], {}, cli.EXIT_USAGE),
+    (["--timing", "census", "3", "5", "--format", "json"], {}, cli.EXIT_OK),
+], ids=["existence", "bound", "usage", "env-bound", "missing-file", "timing"])
+def test_a_closed_stderr_keeps_the_exit_code(argv, env, code, entry, how, unbuffered):
+    # each stderr line is dropped: it neither turns the exit code into 1 or
+    # 120 nor reaches stdout, and the payload arrives whole
+    done = stderr_closed_process(how, entry, argv, child_env(**env, **unbuffered))
+    assert done.returncode == code
+    if code != cli.EXIT_OK:
+        assert done.stdout == b""
+        return
+    (line,) = done.stdout.splitlines()
+    data = json.loads(line)
+    digest = data.pop("sha256")
+    assert hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest() == digest

@@ -276,3 +276,28 @@ def test_one_os_exit_after_both_flushes():
     assert ast.unparse(run.body[-1]) == "os._exit(code)"
     assert found == [f"cli.py:{calls['os._exit']}"]
     assert calls["sys.stdout.flush"] < calls["sys.stderr.flush"] < calls["os._exit"]
+
+
+def _calls_in_functions(tree):
+    """(name of the innermost enclosing function, call) for each call."""
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            if isinstance(child, ast.Call):
+                yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, None)
+
+
+def test_stderr_has_one_writer():
+    # `cli._note` drops its line where stderr is closed, so that no state of
+    # stderr changes an exit code: it is the only call that passes
+    # `sys.stderr` or calls a method of it, but for `run`'s final flush
+    found = [
+        f"{path.name}:{function} {ast.unparse(call)}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for function, call in _calls_in_functions(ast.parse(path.read_text(), filename=str(path)))
+        if "sys.stderr" in map(ast.unparse, [getattr(call.func, "value", call.func), *call.args,
+                                             *(keyword.value for keyword in call.keywords)])
+    ]
+    assert found == ["cli.py:_note print(line, file=sys.stderr)", "cli.py:run sys.stderr.flush()"]

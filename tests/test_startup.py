@@ -11,10 +11,11 @@ from anisogauge import _EXPORTS
 
 from oracles import child_env
 
-# Runs the CLI in a fresh interpreter, then reports its exit code and which
-# of numpy, numpy.ma, inspect, dataclasses and _hashlib were loaded.  inspect
-# (with ast, dis and tokenize) comes with dataclasses, and numpy imports it
-# too; _hashlib is hashlib's binding to OpenSSL.
+# Runs the CLI in a fresh interpreter, then reports, on its last two lines,
+# the `anisogauge` modules it loaded, and its exit code and which of numpy,
+# numpy.ma, inspect, dataclasses and _hashlib were loaded.  inspect (with
+# ast, dis and tokenize) comes with dataclasses, and numpy imports it too;
+# _hashlib is hashlib's binding to OpenSSL.
 PROBE = """
 import sys
 argv, code = sys.argv[1:], None
@@ -26,17 +27,26 @@ if argv:
         code = exit.code
 else:
     import anisogauge
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "anisogauge"))
 print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "dataclasses", "_hashlib")
               if name in sys.modules))
 """
 
 
+def probe_lines(argv, env=None) -> list[str]:
+    return subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          env=child_env(**(env or {})), capture_output=True, text=True,
+                          check=True).stdout.splitlines()
+
+
 def probe(argv, env=None) -> tuple[str, set]:
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                         env=child_env(**(env or {})), capture_output=True, text=True,
-                         check=True).stdout
-    code, *modules = out.splitlines()[-1].split()
+    code, *modules = probe_lines(argv, env)[-1].split()
     return code, set(modules)
+
+
+def package_modules(argv, env=None) -> set:
+    """The `anisogauge` modules that the probe of argv loaded."""
+    return set(probe_lines(argv, env)[-2].split())
 
 
 START_UP_PATHS = [
@@ -54,6 +64,22 @@ START_UP_PATHS = [
 @pytest.mark.parametrize("argv,env", START_UP_PATHS)
 def test_start_up_paths_skip_numpy(argv, env):
     assert probe(argv, env)[1].isdisjoint({"numpy", "inspect"})
+
+
+def test_bare_import_loads_only_the_package():
+    # every public name is imported from its home module on first access
+    assert package_modules([]) == {"anisogauge"}
+
+
+VERIFY_LAYERS = {f"anisogauge.{name}"
+                 for name in ("quadspace", "orthogroup", "fusionring", "gtcheck", "suite")}
+
+
+@pytest.mark.parametrize("argv,env", START_UP_PATHS)
+def test_start_up_paths_skip_the_verify_layers(argv, env):
+    # each of these modules takes milliseconds to compile where no bytecode
+    # is cached, so import, census and the refusals load none of them
+    assert package_modules(argv, env).isdisjoint(VERIFY_LAYERS)
 
 
 def test_verify_past_its_gates_loads_numpy():

@@ -22,6 +22,7 @@ The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -64,15 +65,26 @@ def _note(line: str) -> None:
             print(line, file=sys.stderr)
 
 
+def _say(text: str) -> None:
+    """The one writer of stdout: write `text` there.  Where descriptor 1 was
+    closed at start-up `sys.stdout` is None, and `print` would drop the text
+    unseen; raise `BrokenPipeError` with EBADF instead, so that `run` exits
+    74 with one `error:` line, as for EPIPE from a pipe with no reader."""
+    if sys.stdout is None:
+        raise BrokenPipeError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _note(f"{self.format_usage()}error: {message}")
         raise SystemExit(EXIT_USAGE)
 
     def _print_message(self, message, file=None):
+        # only help and usage come here, since `error` writes through `_note`;
         # argparse's own swallows OSError, so an unbuffered --help to a
-        # closed stdout would exit 0; let the write error reach `run`
-        (file or sys.stderr).write(message)
+        # closed stdout would exit 0: let the write error reach `run`
+        _say(message)
 
 
 def _prime(text: str) -> int:
@@ -101,18 +113,16 @@ def _csv_cell(value) -> str:
 
 
 def _emit(payload: dict, fmt: str, table_lines, csv_fields: tuple, csv_rows) -> None:
-    """Print the payload as json, the table lines, or CSV: `csv_fields` of the `csv_rows` dicts."""
+    """Write the payload as json, the table lines, or CSV: `csv_fields` of the `csv_rows` dicts."""
     digest = sha256(_payload_json(payload).encode()).hexdigest()
     if fmt == "json":
-        print(_payload_json({**payload, "sha256": digest}))
+        lines = [_payload_json({**payload, "sha256": digest})]
     elif fmt == "csv":
-        print(",".join(csv_fields))
-        for row in csv_rows:
-            print(",".join(_csv_cell(row[field]) for field in csv_fields))
+        lines = [",".join(csv_fields)]
+        lines += [",".join(_csv_cell(row[field]) for field in csv_fields) for row in csv_rows]
     else:
-        for line in table_lines:
-            print(line)
-        print(f"sha256 {digest}")
+        lines = [*table_lines, f"sha256 {digest}"]
+    _say("".join(f"{line}\n" for line in lines))
 
 
 def _non_negative(text: str) -> int:
@@ -318,7 +328,8 @@ def run() -> None:
             code = main()
         except SystemExit as stop:  # argparse's usage error (64) and --help (0)
             code = stop.code
-        sys.stdout.flush()
+        if sys.stdout is not None:  # else `_say` has raised, if there was text
+            sys.stdout.flush()
     except BrokenPipeError as err:  # stdout's: `_note` drops stderr's
         _note(f"error: cannot write to stdout: {err}")
         code = EXIT_IO

@@ -263,23 +263,26 @@ def _generator(ctx: FieldCtx, candidates, n: int) -> ExtElement:
 def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
     """All norm-one elements, sorted by (a0, a1); a cyclic group of order q + 1.
 
-    For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a1 the
-    members are the square roots +-a0 of 1 + d*a1^2, read from
-    `_square_roots`: O(q) instead of a scan of the q^2 elements.  For
-    q = 2 the four elements are scanned.  The size q + 1 is checked here,
-    and cyclicity where a generator is used: `_generator` certifies one for
+    For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a0 the
+    members are the square roots a1 of (a0^2 - 1)/d, read from
+    `_square_roots`: the least root r, then q - r > r when r != 0, so the
+    members come in (a0, a1) order, in O(q) and with no sort.  For q = 2
+    the four elements are scanned.  The size q + 1 is checked here, and
+    cyclicity where a generator is used: `_generator` certifies one for
     `pick_order_p` and for `orthogroup.enumerate_orth`.
     """
     q = ctx.q
     if q == 2:
         members = tuple(x for x in ctx.elements() if norm(x) == 1)
     else:
-        roots, found = _square_roots(q), set()
-        for a1 in range(q):
-            a0 = roots[(1 + ctx.d * a1 * a1) % q]
-            if a0 is not None:
-                found |= {ExtElement(ctx, a0, a1), ExtElement(ctx, -a0, a1)}
-        members = tuple(sorted(found, key=ExtElement.key))
+        roots, over_d, found = _square_roots(q), pow(ctx.d, -1, q), []
+        for a0 in range(q):
+            r = roots[(a0 * a0 - 1) * over_d % q]
+            if r is not None:
+                found.append(ExtElement(ctx, a0, r))
+                if r:
+                    found.append(ExtElement(ctx, a0, q - r))
+        members = tuple(found)
     if len(members) != q + 1:
         raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {q + 1}")
     return members

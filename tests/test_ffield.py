@@ -161,6 +161,17 @@ def test_ker_norm_order_all_q_up_to_100():
         assert ker_norm(ctx) == tuple(sorted(members, key=ExtElement.key))
 
 
+def test_ker_norm_is_the_whole_group_in_order_for_every_q_below_2000():
+    # q + 1 distinct members of norm one are the whole group, and strictly
+    # ascending keys make them distinct and put them in (a0, a1) order
+    for q in [n for n in range(2, 2000) if is_prime(n)]:
+        members = ker_norm(make_field(q))
+        keys = [x.key() for x in members]
+        assert len(members) == q + 1
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(norm(x) == 1 for x in members)
+
+
 def test_pick_order_p():
     assert pick_order_p(make_field(2), 3) == make_field(2).theta
     ctx = make_field(5)

@@ -71,15 +71,29 @@ def test_exit_codes_through_each_entry(entry, argv, code, capsys):
     assert (done.stdout, done.stderr) == (captured.out, captured.err)
 
 
-def assert_exits_74_on_a_closed_stdout(entry: str, argv: list, env=None) -> None:
+def closed_process(fd: int, how: str, entry: str, argv: list, env=None) -> subprocess.CompletedProcess:
+    """The CLI run with descriptor `fd` (1, stdout, or 2, stderr) closed and
+    the other one captured: "pipe" gives it a pipe whose read end is closed
+    (EPIPE); "fd1" or "fd2" starts it through `sh` with `1>&-` or `2>&-`, so
+    the interpreter finds the descriptor closed and sets `sys.stdout` or
+    `sys.stderr` to None."""
+    closed, captured = ("stdout", "stderr") if fd == 1 else ("stderr", "stdout")
+    if how == f"fd{fd}":
+        command = ["sh", "-c", f'exec "$0" "$@" {fd}>&-', sys.executable, *ENTRIES[entry], *argv]
+        return subprocess.run(command, env=env or child_env(), timeout=60,
+                              **{captured: subprocess.PIPE})
     read, write = os.pipe()
     os.close(read)
     try:
-        done = cli_process(entry, argv, env, stdout=write, stderr=subprocess.PIPE, text=True)
+        return cli_process(entry, argv, env, **{closed: write, captured: subprocess.PIPE})
     finally:
         os.close(write)
+
+
+def assert_exits_74_on_a_closed_stdout(entry: str, argv: list, env=None, how="pipe") -> None:
+    done = closed_process(1, how, entry, argv, env)
     assert done.returncode == cli.EXIT_IO
-    (line,) = done.stderr.splitlines()
+    (line,) = done.stderr.decode().splitlines()
     assert line.startswith("error: cannot write to stdout: ")
 
 
@@ -101,23 +115,46 @@ def test_an_unbuffered_help_to_a_closed_stdout_exits_74(entry, argv):
     assert_exits_74_on_a_closed_stdout(entry, argv, child_env(PYTHONUNBUFFERED="1"))
 
 
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                                     ids=["buffered", "unbuffered"])
 
-def stderr_closed_process(how: str, entry: str, argv: list, env: dict) -> subprocess.CompletedProcess:
-    """The CLI run with stderr closed: "pipe" gives it a pipe whose read end
-    is closed (EPIPE), "fd2" starts it through `sh` with `2>&-`, so the
-    interpreter finds descriptor 2 closed and sets `sys.stderr` to None."""
-    if how == "fd2":
-        command = ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, *ENTRIES[entry], *argv]
-        return subprocess.run(command, env=env, stdout=subprocess.PIPE, timeout=60)
-    read, write = os.pipe()
-    os.close(read)
+
+@UNBUFFERED
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv", [
+    ["census", "3", "5", "--format", "json"],
+    ["verify", "3", "5"],
+    ["sweep", "20"],
+    ["sweep", "200", "--format", "json"],
+    ["--help"],
+    ["verify", "--help"],
+], ids=["census", "verify", "sweep", "sweep-json", "help", "verify-help"])
+def test_a_stdout_closed_at_start_up_exits_74(argv, entry, unbuffered):
+    # `sys.stdout` is None: the payload or help text is refused by `_say`,
+    # where `print` would drop it and the final flush raise AttributeError
+    assert_exits_74_on_a_closed_stdout(entry, argv, child_env(**unbuffered), how="fd1")
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "3", "7"], cli.EXIT_EXISTENCE),
+    (["verify", "3", "29"], cli.EXIT_BOUND),
+    (["verify", "3"], cli.EXIT_USAGE),
+], ids=["existence", "bound", "usage"])
+def test_a_refusal_with_stdout_closed_at_start_up_keeps_its_code(argv, code, entry, unbuffered,
+                                                                   capsys):
+    # a refusal writes nothing to stdout, so it keeps its code and its stderr
+    done = closed_process(1, "fd1", entry, argv, child_env(**unbuffered))
     try:
-        return cli_process(entry, argv, env, stdout=subprocess.PIPE, stderr=write)
-    finally:
-        os.close(write)
+        cli.main(argv)
+    except SystemExit:  # argparse's usage error
+        pass
+    assert done.returncode == code
+    assert done.stderr.decode() == capsys.readouterr().err
 
 
-@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@UNBUFFERED
 @pytest.mark.parametrize("how", ["pipe", "fd2"])
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("argv,env,code", [
@@ -131,7 +168,7 @@ def stderr_closed_process(how: str, entry: str, argv: list, env: dict) -> subpro
 def test_a_closed_stderr_keeps_the_exit_code(argv, env, code, entry, how, unbuffered):
     # each stderr line is dropped: it neither turns the exit code into 1 or
     # 120 nor reaches stdout, and the payload arrives whole
-    done = stderr_closed_process(how, entry, argv, child_env(**env, **unbuffered))
+    done = closed_process(2, how, entry, argv, child_env(**env, **unbuffered))
     assert done.returncode == code
     if code != cli.EXIT_OK:
         assert done.stdout == b""

@@ -289,15 +289,36 @@ def _calls_in_functions(tree):
     return visit(tree, None)
 
 
+def _src_calls():
+    """("file:function", call) for each call in `src/`."""
+    for path in sorted(SOURCE.glob("*.py")):
+        for function, call in _calls_in_functions(ast.parse(path.read_text(), filename=str(path))):
+            yield f"{path.name}:{function}", call
+
+
+def _calls_touching(stream: str) -> list[str]:
+    """Each call in `src/` that passes `stream` or calls a method of it."""
+    return [
+        f"{where} {ast.unparse(call)}" for where, call in _src_calls()
+        if stream in map(ast.unparse, [getattr(call.func, "value", call.func), *call.args,
+                                       *(keyword.value for keyword in call.keywords)])
+    ]
+
+
 def test_stderr_has_one_writer():
     # `cli._note` drops its line where stderr is closed, so that no state of
     # stderr changes an exit code: it is the only call that passes
     # `sys.stderr` or calls a method of it, but for `run`'s final flush
-    found = [
-        f"{path.name}:{function} {ast.unparse(call)}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for function, call in _calls_in_functions(ast.parse(path.read_text(), filename=str(path)))
-        if "sys.stderr" in map(ast.unparse, [getattr(call.func, "value", call.func), *call.args,
-                                             *(keyword.value for keyword in call.keywords)])
-    ]
-    assert found == ["cli.py:_note print(line, file=sys.stderr)", "cli.py:run sys.stderr.flush()"]
+    assert _calls_touching("sys.stderr") == ["cli.py:_note print(line, file=sys.stderr)",
+                                             "cli.py:run sys.stderr.flush()"]
+
+
+def test_stdout_has_one_writer():
+    # `cli._say` refuses to write where descriptor 1 was closed at start-up,
+    # so that no payload is dropped unseen: it is the only call that passes
+    # `sys.stdout` or calls a method of it, but for `run`'s guarded flush,
+    # and the only `print` is `_note`'s, to stderr
+    assert _calls_touching("sys.stdout") == ["cli.py:_say sys.stdout.write(text)",
+                                             "cli.py:run sys.stdout.flush()"]
+    assert [where for where, call in _src_calls() if ast.unparse(call.func) == "print"] == [
+        "cli.py:_note"]

@@ -65,14 +65,26 @@ def _note(line: str) -> None:
             print(line, file=sys.stderr)
 
 
+def _stdout_failed(err: OSError) -> int:
+    """Report a failed write or flush of stdout in one `error:` line, and
+    return its exit code, 74."""
+    _note(f"error: cannot write to stdout: {err}")
+    return EXIT_IO
+
+
 def _say(text: str) -> None:
-    """The one writer of stdout: write `text` there.  Where descriptor 1 was
-    closed at start-up `sys.stdout` is None, and `print` would drop the text
-    unseen; raise `BrokenPipeError` with EBADF instead, so that `run` exits
-    74 with one `error:` line, as for EPIPE from a pipe with no reader."""
-    if sys.stdout is None:
-        raise BrokenPipeError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.write(text)
+    """The one writer of stdout: write `text` there, or end the command with
+    exit 74 on any `OSError` (EPIPE from a pipe with no reader, ENOSPC from
+    a full device, EBADF from a descriptor not open for writing), raised as
+    the `SystemExit` that `run` reads as it reads argparse's.  Where
+    descriptor 1 was closed at start-up `sys.stdout` is None, and `print`
+    would drop the text unseen: that is EBADF too."""
+    try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+    except OSError as err:
+        raise SystemExit(_stdout_failed(err)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         # only help and usage come here, since `error` writes through `_note`;
         # argparse's own swallows OSError, so an unbuffered --help to a
-        # closed stdout would exit 0: let the write error reach `run`
+        # closed stdout would exit 0: `_say` exits 74 instead
         _say(message)
 
 
@@ -324,15 +336,17 @@ def run() -> None:
     # keeps BLAS to one thread unless the caller sets it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
+        code = main()
+    except SystemExit as stop:  # argparse's usage error (64) and --help (0), `_say`'s 74
+        code = stop.code
+    # An OSError raised elsewhere in `main` is no failed stdout write, and
+    # keeps its traceback.  After a failed write, the text left in stdout's
+    # buffer is not flushed again, so it gives no second `error:` line.
+    if code != EXIT_IO and sys.stdout is not None:  # else `_say` has raised, if there was text
         try:
-            code = main()
-        except SystemExit as stop:  # argparse's usage error (64) and --help (0)
-            code = stop.code
-        if sys.stdout is not None:  # else `_say` has raised, if there was text
             sys.stdout.flush()
-    except BrokenPipeError as err:  # stdout's: `_note` drops stderr's
-        _note(f"error: cannot write to stdout: {err}")
-        code = EXIT_IO
+        except OSError as err:
+            code = _stdout_failed(err)
     # The program writes only stdout and stderr, and both are flushed here,
     # so interpreter finalization (tens of ms of module teardown) has no
     # work left to do: end the process at once.  A line that `_note`

@@ -260,32 +260,29 @@ def _generator(ctx: FieldCtx, candidates, n: int) -> ExtElement:
 
 
 @lru_cache(maxsize=None)
-def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
-    """All norm-one elements, sorted by (a0, a1); a cyclic group of order q + 1.
+def norm_one_generator(ctx: FieldCtx) -> ExtElement:
+    """A generator g of the norm-one group, certified to have order q + 1.
 
-    For odd q, norm(a0 + a1*theta) = a0^2 - d*a1^2, so for each a0 the
-    members are the square roots a1 of (a0^2 - 1)/d, read from
-    `_square_roots`: the least root r, then q - r > r when r != 0, so the
-    members come in (a0, a1) order, in O(q) and with no sort.  For q = 2
-    the four elements are scanned.  The size q + 1 is checked here, and
-    cyclicity where a generator is used: `_generator` certifies one for
-    `pick_order_p` and for `orthogroup.enumerate_orth`.
+    The map y -> y^q / y takes F_{q^2}^* onto the norm-one group with kernel
+    F_q^*.  The y = a + theta, a = 0 .. q - 1, are the q cosets of F_q^*
+    other than F_q^* itself, so their images are the q norm-one elements
+    other than 1, each once.  `_generator` certifies the first of order
+    q + 1, with no list of the group.  It generates the whole group, by
+    argument: every norm-one x has x^(q+1) = x * x^q = 1, and that equation
+    has at most q + 1 roots in a field, so the group is exactly the q + 1
+    powers of g.
     """
-    q = ctx.q
-    if q == 2:
-        members = tuple(x for x in ctx.elements() if norm(x) == 1)
-    else:
-        roots, over_d, found = _square_roots(q), pow(ctx.d, -1, q), []
-        for a0 in range(q):
-            r = roots[(a0 * a0 - 1) * over_d % q]
-            if r is not None:
-                found.append(ExtElement(ctx, a0, r))
-                if r:
-                    found.append(ExtElement(ctx, a0, q - r))
-        members = tuple(found)
-    if len(members) != q + 1:
-        raise ArithmeticError(f"norm-one subgroup has size {len(members)}, expected {q + 1}")
-    return members
+    images = (frobenius(y) / y for y in (ExtElement(ctx, a, 1) for a in range(ctx.q)))
+    return _generator(ctx, images, ctx.q + 1)
+
+
+@lru_cache(maxsize=None)
+def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
+    """All norm-one elements, sorted by (a0, a1): the q + 1 powers of
+    `norm_one_generator`, which are the whole group by its argument.  No
+    stage calls it; it is the library's ordered list of the group."""
+    powers = accumulate([norm_one_generator(ctx)] * ctx.q, ExtElement.__mul__, initial=ctx.one)
+    return tuple(sorted(powers, key=ExtElement.key))
 
 
 def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
@@ -293,15 +290,15 @@ def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
 
     Requires p prime and p | q + 1 (otherwise NotPrime, NoSuchElement).
     The norm-one group is cyclic of order q + 1, generated by the g of
-    `_generator`, so its elements of order p are the powers h^k, 0 < k < p,
-    of h = g^((q+1)/p): the least of them, each one product by h from the
-    last, so p - 2 products after h.
+    `norm_one_generator`, so its elements of order p are the powers h^k,
+    0 < k < p, of h = g^((q+1)/p): the least of them, each one product by h
+    from the last, so p - 2 products after h.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if (ctx.q + 1) % p != 0:
         raise NoSuchElement(f"{p} does not divide q+1 = {ctx.q + 1}")
-    h = _generator(ctx, ker_norm(ctx), ctx.q + 1) ** ((ctx.q + 1) // p)  # of order p
+    h = norm_one_generator(ctx) ** ((ctx.q + 1) // p)  # of order p
     return min(accumulate([h] * (p - 1), ExtElement.__mul__), key=ExtElement.key)
 
 

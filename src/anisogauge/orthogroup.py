@@ -4,8 +4,10 @@ Every plane isometry is a `Mat2` in the canonical basis, (1, theta) on the
 anisotropic plane.  Enumeration solves for the two columns of each isometry
 from the level sets of the form (complete by polarization) and compares
 that set with each plane's group built from its dihedral presentation: an
-exhibited rotation r of order n and s, with the generator behind r
-certified by the cofactor test of `ffield._generator`; nothing here factors.
+exhibited rotation r of order n and s.  On the anisotropic plane r rotates
+by `ffield.norm_one_generator`, the certified generator the order-p element
+also comes from; on the hyperbolic plane the generator behind r is
+certified by the cofactor test of `ffield._generator`.  Nothing here factors.
 A block map of the split space is certified on its blocks: three 2x2
 identities hold iff it preserves the split form on every vector.
 """
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 
 from .errors import EvenCharacteristic, NotNormOne
-from .ffield import ExtElement, FieldCtx, _generator, frobenius, ker_norm, norm
+from .ffield import ExtElement, FieldCtx, _generator, frobenius, norm, norm_one_generator
 from .quadspace import ANISOTROPIC, QuadSpace, gram_matrix
 
 
@@ -195,7 +197,8 @@ def enumerate_orth(space: QuadSpace) -> list[Mat2]:
     """All form-preserving invertible linear maps of a plane, as canonical-basis matrices.
 
     The maps are r^0 .. r^(n-1), then each r^i s.  Anisotropic (n = q + 1): r
-    rotates by a generator of `ker_norm` and s is the matrix of Frobenius.
+    rotates by `norm_one_generator`, certified of order q + 1 with no list of
+    the norm-one group, and s is the matrix of Frobenius.
     Hyperbolic (n = q - 1): r = diag(a, 1/a) for a of order q - 1, and
     s = antidiag(1, 1).  The maps must equal the set solved from the level
     sets of the form, and `dihedral_generators` checks the presentation.
@@ -205,7 +208,7 @@ def enumerate_orth(space: QuadSpace) -> list[Mat2]:
     found = _solve_form_preserving(space)
     n = q + 1 if space.kind == ANISOTROPIC else q - 1
     if space.kind == ANISOTROPIC:
-        r = rotation(ctx, _generator(ctx, ker_norm(ctx), n))
+        r = rotation(ctx, norm_one_generator(ctx))
         s = _matrix_of_map(ctx, frobenius)
     else:
         a = _generator(ctx, map(ctx.elem, range(1, q)), n).a0

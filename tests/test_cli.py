@@ -550,6 +550,19 @@ def test_census_certification_failure_exits_1(capsys, monkeypatch):
     assert err == "error: ArithmeticError: c = 1 does not have order 3\n"
 
 
+def test_an_uncertified_norm_one_generator_exits_1(capsys, monkeypatch):
+    # a `_generator` that finds no element of order q + 1 refuses the pair:
+    # `certify_pair` raises, and verify prints one `error:` line and no payload
+    generator = ffield._generator
+    monkeypatch.setattr(ffield, "_generator", lambda ctx, candidates, n: generator(ctx, (), n))
+    ffield.norm_one_generator.cache_clear()
+    with pytest.raises(ArithmeticError, match="no element of order 6"):
+        gauging.certify_pair(3, 5)
+    code, out, err = run(capsys, ["verify", "3", "5"])
+    assert code == 1 and out == ""
+    assert err == "error: ArithmeticError: no element of order 6: the group is not cyclic\n"
+
+
 def test_verify_reads_one_certified_pair(capsys, monkeypatch):
     # every verify row reads the record of `certify_pair`, so a c of the
     # wrong order refuses the pair before any row, as it does for census

@@ -16,7 +16,8 @@ from anisogauge import (
     pick_order_p,
     sqrt_ext,
 )
-from anisogauge.ffield import PRIME_TEST_LIMIT, _prime_factors
+from anisogauge.ffield import PRIME_TEST_LIMIT, _prime_factors, norm_one_generator
+from anisogauge.gauging import certify_pair
 
 from oracles import order_p_scan
 
@@ -172,6 +173,32 @@ def test_ker_norm_is_the_whole_group_in_order_for_every_q_below_2000():
         assert all(norm(x) == 1 for x in members)
 
 
+def test_norm_one_generator_has_order_q_plus_1_for_every_q_below_2000():
+    # checked by a walk over its powers, not by the cofactor test that
+    # certifies it
+    for q in [n for n in range(2, 2000) if is_prime(n)]:
+        ctx = make_field(q)
+        g = norm_one_generator(ctx)
+        assert norm(g) == 1
+        x, order = g, 1
+        while x != ctx.one:
+            x, order = x * g, order + 1
+        assert order == q + 1, q
+
+
+def test_certify_pair_lists_no_norm_one_group(monkeypatch):
+    # the pair is certified from the one generator: no `ker_norm` tuple, and
+    # a few hundred elements where listing the group made 9655
+    ker_norm.cache_clear()
+    norm_one_generator.cache_clear()
+    built, init = [], ExtElement.__init__
+    monkeypatch.setattr(ExtElement, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    certify_pair(3, 9221)
+    assert ker_norm.cache_info().currsize == 0
+    assert len(built) <= 500
+
+
 def test_pick_order_p():
     assert pick_order_p(make_field(2), 3) == make_field(2).theta
     ctx = make_field(5)
@@ -204,10 +231,11 @@ def test_pick_order_p_equals_the_scan():
 
 @pytest.mark.parametrize("p,q", [(3, 9221), (5, 9349)])
 def test_pick_order_p_makes_few_powers(monkeypatch, p, q):
-    # after `ker_norm`, the certified generator and its p - 1 powers of
-    # order p: a scan of the group would make thousands of powers
+    # from a cold cache, the generator that `norm_one_generator` certifies
+    # and its p - 1 powers of order p: a scan of the group would make
+    # thousands of powers
     ctx = make_field(q)
-    ker_norm(ctx)
+    norm_one_generator.cache_clear()
     calls, power = [], ExtElement.__pow__
     monkeypatch.setattr(ExtElement, "__pow__", lambda x, n: calls.append(n) or power(x, n))
     c = pick_order_p(ctx, p)
@@ -219,9 +247,10 @@ def test_pick_order_p_makes_few_powers(monkeypatch, p, q):
 def test_pick_order_p_takes_each_power_in_one_product(monkeypatch):
     # at the largest p of the field bound, the p - 1 powers of h are each
     # one multiplication by h from the last: taking each h^k by squaring
-    # made 86,405 multiplications here
+    # made 86,405 multiplications here; from a cold cache, so that the
+    # certification of the generator is counted too
     ctx = make_field(9973)
-    ker_norm(ctx)
+    norm_one_generator.cache_clear()
     calls, multiply = [], ExtElement.__mul__
     monkeypatch.setattr(ExtElement, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
     c = pick_order_p(ctx, 4987)

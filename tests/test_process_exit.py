@@ -177,3 +177,74 @@ def test_a_closed_stderr_keeps_the_exit_code(argv, env, code, entry, how, unbuff
     data = json.loads(line)
     digest = data.pop("sha256")
     assert hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest() == digest
+
+
+def stdout_on_device(device: str, entry: str, argv: list, env) -> subprocess.CompletedProcess:
+    """The CLI with stdout on a device and stderr captured: "full" is
+    /dev/full, where every write fails with ENOSPC; "read-only" is /dev/null
+    opened for reading, where every write fails with EBADF."""
+    fd = os.open("/dev/full", os.O_WRONLY) if device == "full" else os.open(os.devnull, os.O_RDONLY)
+    try:
+        return cli_process(entry, argv, env, stdout=fd, stderr=subprocess.PIPE)
+    finally:
+        os.close(fd)
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("device,argv,code", [
+    ("full", ["census", "3", "5", "--format", "json"], cli.EXIT_IO),
+    ("full", ["sweep", "200", "--format", "json"], cli.EXIT_IO),  # overflows the buffer
+    ("full", ["--help"], cli.EXIT_IO),
+    ("read-only", ["census", "3", "5"], cli.EXIT_IO),
+    ("full", ["verify", "3", "7"], cli.EXIT_EXISTENCE),
+], ids=["census-full", "sweep-json-full", "help-full", "census-read-only", "refusal-full"])
+def test_any_failed_stdout_write_exits_74(device, argv, code, entry, unbuffered):
+    # ENOSPC and EBADF fail the write as EPIPE does: buffered at the final
+    # flush, unbuffered inside `_say`; either way one `error:` line, and the
+    # text left in the buffer gives no second one.  A refusal writes nothing
+    # to stdout, so it keeps its own code
+    done = stdout_on_device(device, entry, argv, child_env(**unbuffered))
+    assert done.returncode == code
+    (line,) = done.stderr.decode().splitlines()
+    if code == cli.EXIT_IO:
+        assert line.startswith("error: cannot write to stdout: ")
+    else:
+        assert line == "error: p=3 does not divide q+1=8"
+
+
+def run_with_main(body: str, **kwargs) -> subprocess.CompletedProcess:
+    """`cli.run()` in a child whose `cli.main` is replaced by `body`, the
+    statements of a function of `argv`."""
+    script = ("import errno, os\n"
+              "from anisogauge import cli\n"
+              "def main(argv=None):\n"
+              + "".join(f"    {line}\n" for line in body.splitlines())
+              + "cli.main = main\n"
+              "cli.run()\n")
+    return subprocess.run([sys.executable, "-c", script], env=child_env(), text=True,
+                          timeout=60, **kwargs)
+
+
+def test_an_oserror_outside_the_stdout_writes_is_not_reported_as_one():
+    # only `_say`'s write and `run`'s flush read as a failed stdout write:
+    # an OSError raised elsewhere in `main` keeps its traceback
+    done = run_with_main("raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))",
+                         capture_output=True)
+    assert done.returncode not in (cli.EXIT_OK, cli.EXIT_IO)
+    assert done.stdout == ""
+    assert "Traceback" in done.stderr and "cannot write to stdout" not in done.stderr
+
+
+def test_text_left_in_the_buffer_after_a_failed_write_gives_no_second_error():
+    # a short write waits in the buffer, a long one fails and leaves it
+    # there: `run` does not flush it again, so one `error:` line
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = run_with_main('cli._say("a" * 100)\ncli._say("b" * 100000)\nreturn 0',
+                             stdout=fd, stderr=subprocess.PIPE)
+    finally:
+        os.close(fd)
+    assert done.returncode == cli.EXIT_IO
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")

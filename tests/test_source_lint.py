@@ -181,11 +181,29 @@ def test_one_place_builds_the_hyperbolic_plane():
 
 def test_one_place_factors_a_group_order():
     # `ffield._generator` certifies a cyclic group by the cofactor test: the
-    # norm-one group for `pick_order_p` and each plane's rotations for
-    # `enumerate_orth`; `ker_norm` checks only its size
+    # norm-one group once, in `norm_one_generator`, for `pick_order_p` and
+    # the anisotropic rotation, and the hyperbolic plane's rotations in
+    # `enumerate_orth`
     assert _callers("_prime_factors") == ["ffield.py:_generator"]
     assert set(_callers("_generator")) == {
-        "ffield.py:pick_order_p", "orthogroup.py:enumerate_orth"}
+        "ffield.py:norm_one_generator", "orthogroup.py:enumerate_orth"}
+
+
+def test_no_stage_lists_the_norm_one_group():
+    # every stage reads the certified generator: no function calls
+    # `ker_norm`, and the one reference to it, past its definition, is the
+    # by-name import in `cli` that the traced benchmark patches
+    references = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom))
+        and "ker_norm" in _spelled(node)
+    ]
+    imports = [node.lineno for node in ast.parse((SOURCE / "cli.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) and node.module == "ffield"]
+    assert _callers("ker_norm") == []
+    assert references == [f"cli.py:{line}" for line in imports]
 
 
 def test_one_place_takes_a_square_root():

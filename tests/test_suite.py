@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from anisogauge import cli, fusionring, suite
+from anisogauge import cli, ffield, fusionring, orthogroup, suite
 from anisogauge.gauging import certify_pair
 from anisogauge.quadspace import ANISOTROPIC, HYPERBOLIC, QuadSpace
 
@@ -80,6 +80,20 @@ def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatc
     capsys.readouterr()
     assert (built.count(ANISOTROPIC), built.count(HYPERBOLIC), len(derivations)) == (
         planes, planes, derived)
+
+
+def test_a_verify_certifies_each_cyclic_group_once(monkeypatch):
+    # the norm-one generator is certified once, for the pair's c, and read
+    # again by its row and the anisotropic rotation; the hyperbolic
+    # rotation's generator is certified once for its plane
+    orders, generator = [], ffield._generator
+    counted = lambda ctx, candidates, n: orders.append(n) or generator(ctx, candidates, n)
+    monkeypatch.setattr(ffield, "_generator", counted)
+    monkeypatch.setattr(orthogroup, "_generator", counted)
+    ffield.norm_one_generator.cache_clear()
+    rows = suite.verify_rows(certify_pair(3, 23))
+    assert all(row["status"] == "pass" for row in rows)
+    assert orders == [24, 22]
 
 
 def test_import_loads_no_cli():

@@ -2,8 +2,9 @@
 
 Commands: census, verify, sweep, double-rank.  Exit codes: 0 success, 1 check
 failure (a failed verify row, or an ArithmeticError raised by a certification),
-2 existence violated, 3 bound exceeded, 64 usage, 74 stdout closed.
-This module parses the arguments, applies the gates and formats the payload.
+2 existence violated, 3 bound exceeded, 64 usage, 74 stdout could not be
+written.  This module parses the arguments, applies the gates and formats
+the payload.
 `verify` refuses p*q^2 over its bound, a pair `gauging.certify_pair` refuses,
 then a ring over its byte budget; it and `sweep` hand `suite.verify_rows` the
 certified pair, and the rows, with the rule that turns an error into a fail

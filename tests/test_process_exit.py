@@ -1,7 +1,10 @@
 """The CLI process ends at one flushed `os._exit` in `cli.run`: each test runs
 the CLI as a subprocess, through `python -m anisogauge.cli` and through a
 caller of `run`, and reads what reached its stdout, its stderr and its
-exit code."""
+exit code.  The installed `anisogauge` script enters through `run` too
+(`sys.exit(run())`), so this module is the one matrix of exit codes; the
+numpy-free CI job repeats none of it but three checks of that script's
+wiring to `run`."""
 
 import hashlib
 import io
@@ -102,6 +105,7 @@ def assert_exits_74_on_a_closed_stdout(entry: str, argv: list, env=None, how="pi
     ["census", "3", "5"],  # fits the buffer: the final flush fails
     ["sweep", "200", "--format", "json"],  # overflows it: a print inside `main` fails
     ["--help"],  # argparse's exit 0: the final flush fails
+    ["verify", "3", "5", "--format", "json"],  # a verify payload: the final flush fails
 ])
 def test_a_closed_stdout_exits_74_through_each_entry(entry, argv):
     assert_exits_74_on_a_closed_stdout(entry, argv)

@@ -58,12 +58,21 @@ START_UP_PATHS = [
     (["verify", "1", "5"], None),
     (["sweep", "201"], None),  # past the hard cap
     (["verify", "3", "10007", "--bound", "10000000000000"], None),  # past the field bound
+    (["--help"], None),
+    (["verify", "--help"], None),
+    (["verify", "3", "5", "--bound", "1_000"], None),
+    (["--timing", "census", "3", "5", "--format", "json"], None),
 ]
+# The documented exit code of each start-up path, in order; the bare import
+# has none.
+START_UP_CODES = [None, 0, 2, 3, 3, 64, 3, 3, 0, 0, 64, 0]
 
 
 @pytest.mark.parametrize("argv,env", START_UP_PATHS)
 def test_start_up_paths_skip_numpy(argv, env):
-    assert probe(argv, env)[1].isdisjoint({"numpy", "inspect"})
+    code = START_UP_CODES[START_UP_PATHS.index((argv, env))]
+    exit_code, modules = probe(argv, env)
+    assert exit_code == str(code) and modules.isdisjoint({"numpy", "inspect"})
 
 
 def test_bare_import_loads_only_the_package():

@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -381,6 +383,26 @@ def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.returncode == code and done.stdout == ""
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("argv", [["census", "3", "5"]])
+def test_a_closed_stdout_exits_74(argv):
+    # the reader has closed the pipe before the payload is written; the
+    # exit-code matrix over both entries is in test_process_exit, this pins
+    # that the one stderr line names the failure, EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=child_env(),
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_IO == 74
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")
+    assert os.strerror(errno.EPIPE) in line
 
 
 def test_census_bound_exceeded(capsys):

@@ -6,18 +6,19 @@ failure (a failed verify row, or an ArithmeticError raised by a certification),
 written.  This module parses the arguments, applies the gates and formats
 the payload.
 `verify` refuses p*q^2 over its bound, a pair `gauging.certify_pair` refuses,
-then a ring over its byte budget; it and `sweep` hand `suite.verify_rows` the
-certified pair, and the rows, with the rule that turns an error into a fail
-row, come from there.  `gauging.COMPLETE_BOUND`, the largest p*q^2 at which
-every verify check runs, is verify's default bound and sweep's verify cutoff.
+then a ring over `gauging.RING_BYTE_BUDGET`, all three before numpy loads;
+it and `sweep` hand `suite.verify_rows` the certified pair, and the rows,
+with the rule that turns an error into a fail row, come from there.
+`gauging.COMPLETE_BOUND`, the largest p*q^2 at which every verify check
+runs, is verify's default bound and sweep's verify cutoff.
 Output for a fixed command line is byte-identical across runs; timing is
 opt-in and goes to stderr so it never touches the payload.
 `run()`, the entry of `python -m anisogauge.cli` and of the console script,
 flushes stdout and stderr and then ends the process with `os._exit`, so
 `atexit` handlers that an embedding caller registers do not run; in-process
 callers use `main`, which returns the exit code.
-Only `verify` past its gates, `sweep` past its cap and `double-rank` past
-reading its table load numpy, so `census` and the refusals start quickly.
+Only `verify` past its three gates, `sweep` past its cap and `double-rank`
+past reading its table load numpy, so `census` and every refusal start quickly.
 The payload digest is CPython's built-in SHA-256: no command loads OpenSSL.
 """
 
@@ -196,9 +197,9 @@ def cmd_verify(p: int, q: int, bound: int, fmt: str) -> int:
     if p * q * q > bound:
         raise BoundExceeded(f"p*q^2 = {p * q * q} exceeds bound {bound}")
     pair = gauging.certify_pair(p, q)
-    from . import fusionring, suite
+    gauging.extension_ring_widths(p, q)  # the ring's byte budget, before numpy loads
+    from . import suite
 
-    fusionring._require_ring_budget(p, q)
     checks = suite.verify_rows(pair)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {

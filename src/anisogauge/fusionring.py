@@ -27,9 +27,9 @@ handles each multi-term x s (or s y) once over all y (or all x): one
 gathered grid over its support, summed by np.add.at on flat indices, less
 the other side, one cell a pair, so a multi-term middle costs a few
 single-term ones.  The extension ring is built in its narrow dtypes from
-the addition table of Z/q.  A ring whose prod, coef and int64 multi, in the
-dtypes they would be stored in, would exceed RING_BYTE_BUDGET is refused
-before any of them is allocated.  fp_dims iterates an integer fixed point
+the addition table of Z/q.  `gauging.ring_widths` gives the byte widths
+of prod and coef, and refuses a ring over `gauging.RING_BYTE_BUDGET`
+before any of it is allocated.  fp_dims iterates an integer fixed point
 on the n cells (i, i^*) before the character check; there is no floating
 point.  Censuses are `gauging.Census` inventories (label, dimension, count)
 whose weighted square sum must reproduce the declared global dimension.
@@ -59,7 +59,6 @@ from .orthogroup import Mat2, rotation
 
 MAX_COEF = 2 ** 15  # keeps every int64 product and sum in the checks exact
 _BLOCK_CELLS = 2 ** 15  # cap on the cells of each int64 temporary, widened from the narrow ring
-RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod, coef and multi, as stored
 
 
 class FusionRing:
@@ -70,7 +69,7 @@ class FusionRing:
     def __init__(self, basis, unit: int, dual, prod, coef, multi):
         """Store the arrays as given and make them read-only, so that no
         in-place write can wrap silently in a narrow dtype.  They must be in
-        the form `_pack` gives: prod and coef in the dtypes of `_ring_dtypes`,
+        the form `_pack` gives: prod and coef in the widths of `gauging.ring_widths`,
         and the multi rows int64, primitive and distinct."""
         self.basis, self.unit_index = basis, unit
         self.dual_index = np.asarray(dual, dtype=np.int64)
@@ -103,12 +102,6 @@ def _gather(ring: FusionRing, cells):
     return ring.prod[cells].astype(np.int64), ring.coef[cells].astype(np.int64)
 
 
-def _signed(lo: int, hi: int) -> np.dtype:
-    """The smallest signed integer dtype that holds every value in [lo, hi]."""
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-
-
 def _block_entries(ring: FusionRing, rows: slice):
     """The nonzero N(i, j; k) = v with i in `rows`, as index arrays (i, j, k, v)
     in pieces, each in lexicographic order: first the single-term cells, then
@@ -133,8 +126,8 @@ def _pack(n: int, entries):
     Each cell's scale is the gcd of its |v|, signed like the entry of least
     k, and goes to coef; a multi-term cell's row divided by it is primitive,
     and equal rows are stored once, keyed by a dict.  prod and coef take the
-    dtypes of `_ring_dtypes`, so an oversized ring is refused before any of
-    the three arrays is allocated."""
+    widths of `gauging.ring_widths`, so an oversized ring is refused before
+    any of the three arrays is allocated."""
     flat = array("q")
     for i, j, k, v in entries:
         if abs(v) > MAX_COEF:  # on the int, before int64 could overflow
@@ -155,8 +148,8 @@ def _pack(n: int, entries):
     for s in np.flatnonzero(size > 1).tolist():
         part = slice(starts[s], starts[s] + size[s])
         row[s] = rows.setdefault((k[part].tobytes(), w[part].tobytes()), len(rows))
-    prod_t, coef_t = _ring_dtypes(n, len(rows), scale.min(initial=0), scale.max(initial=0))
-    prod, coef = np.zeros(n * n, dtype=prod_t), np.zeros(n * n, dtype=coef_t)
+    pw, cw = gauging.ring_widths(n, len(rows), scale.min(initial=0), scale.max(initial=0))
+    prod, coef = np.zeros(n * n, dtype=f"i{pw}"), np.zeros(n * n, dtype=f"i{cw}")
     prod[cell[starts]], coef[cell[starts]] = np.where(row < 0, k[starts], -1 - row), scale
     multi, at = np.zeros((len(rows), n), dtype=np.int64), np.repeat(row, size)
     multi[at[at >= 0], k[at >= 0]] = w[at >= 0]  # equal rows write equal values
@@ -175,19 +168,19 @@ def build_extension_ring(pair: CertifiedPair) -> FusionRing:
     Rules: a*b = a+b on invertibles, a*X_i = X_i*a = X_i,
     X_i*X_j = q*X_{i+j} for i+j != p and the sum of all invertibles for
     i+j = p; X_i^* = X_{p-i}.  BoundExceeded, before any allocation, for a
-    ring over RING_BYTE_BUDGET.  The invertible with coordinates (a0, a1)
-    has index a0*q + a1, and X_i has q^2 + i - 1.
+    ring over `gauging.RING_BYTE_BUDGET`.  The invertible (a0, a1) has index
+    a0*q + a1, and X_i has q^2 + i - 1.
     """
     p, q = pair.p, pair.q
-    prod_t, coef_t = _require_ring_budget(p, q)
+    pw, cw = gauging.extension_ring_widths(p, q)
     q2, n, deg = q * q, q * q + p - 1, np.arange(1, p, dtype=np.int64)
     xs, a, neg = q2 + deg - 1, np.arange(q), -np.arange(q) % q
     basis = [f"g{t // q}_{t % q}" for t in range(q2)] + [f"X{i}" for i in range(1, p)]
     dual = np.concatenate([(neg[:, None] * q + neg).ravel(), xs[::-1]])
-    prod, coef = np.empty((n, n), dtype=prod_t), np.ones((n, n), dtype=coef_t)
+    prod, coef = np.empty((n, n), dtype=f"i{pw}"), np.ones((n, n), dtype=f"i{cw}")
     # prod[a0 q + a1, b0 q + b1] = add[a0, b0] q + add[a1, b1] for the addition
     # table of Z/q, written in the narrow dtype through a (q, q, q, q) view
-    add = ((a[:, None] + a) % q).astype(prod_t)
+    add = ((a[:, None] + a) % q).astype(f"i{pw}")
     np.add(add[:, None, :, None] * q, add[None, :, None, :], out=prod[:q2, :q2].reshape(q, q, q, q))
     prod[:q2, q2:], prod[q2:, :q2] = xs, xs[:, None]
     total = (deg[:, None] + deg) % p
@@ -195,27 +188,6 @@ def build_extension_ring(pair: CertifiedPair) -> FusionRing:
     coef[q2:, q2:] = np.where(total == 0, 1, q)
     multi = (np.arange(n) < q2).astype(np.int64)[None]  # X_i X_{p-i}: the sum of all invertibles
     return FusionRing(basis, 0, dual, prod, coef, multi)
-
-
-def _require_ring_budget(p: int, q: int):
-    """The dtypes that `_ring_dtypes` gives prod and coef of the extension
-    ring of rank n = q^2 + p - 1 (one multi-term row; coefficients 1 and,
-    for p > 2, q), so that an oversized ring is refused before any of it is
-    allocated."""
-    return _ring_dtypes(q * q + p - 1, 1, 1, q if p > 2 else 1)
-
-
-def _ring_dtypes(n: int, multi_rows: int, lo: int, hi: int):
-    """The smallest signed dtypes of prod, which holds [-multi_rows, n - 1],
-    and of coef, which holds [lo, hi]; BoundExceeded when the two n x n
-    arrays in them and the multi_rows x n int64 multi would take more than
-    RING_BYTE_BUDGET bytes."""
-    dtypes = _signed(-multi_rows, n - 1), _signed(lo, hi)
-    size = n * n * sum(t.itemsize for t in dtypes) + multi_rows * n * 8
-    if size > RING_BYTE_BUDGET:
-        raise BoundExceeded(f"the ring of rank {n} needs {size} bytes, "
-                            f"over the budget of {RING_BYTE_BUDGET}")
-    return dtypes
 
 
 def _scratch(buf: np.ndarray, shape) -> np.ndarray:
@@ -627,9 +599,9 @@ def drinfeld_double_rank(table: np.ndarray) -> int:
     lacking = np.flatnonzero(~is_e.any(axis=1))
     if len(lacking):
         raise BadParameter(f"table is not a group: {lacking[0]} has no inverse")
-    prod_t, coef_t = _ring_dtypes(n, 0, 1, 1)
+    pw, cw = gauging.ring_widths(n, 0, 1, 1)
     ring = FusionRing([str(g) for g in range(n)], e, np.argmax(is_e, axis=1),
-                      table.astype(prod_t), np.ones((n, n), dtype=coef_t),
+                      table.astype(f"i{pw}"), np.ones((n, n), dtype=f"i{cw}"),
                       np.zeros((0, n), dtype=np.int64))
     report = verify_axioms(ring)
     if not report.passed:
@@ -661,7 +633,7 @@ def ring_to_text(ring: FusionRing) -> str:
 def ring_from_text(text: str) -> FusionRing:
     """Parse the `ring_to_text` form in one pass over its lines; malformed
     input raises BadParameter, and a ring whose arrays would exceed
-    RING_BYTE_BUDGET raises BoundExceeded before they are allocated."""
+    `gauging.RING_BYTE_BUDGET` raises BoundExceeded before they are allocated."""
     lines = filter(None, map(str.split, text.splitlines()))
     try:
         magic, version, n = next(lines)

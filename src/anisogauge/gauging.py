@@ -6,16 +6,18 @@ census of rank p^2 + (q^2 - 1)/p, which exists exactly when p | q + 1.
 and the order-p c once, and every stage that reads a pair reads that record.
 The orbit count is certified by argument, with no walk over the q^2
 codes: c has order exactly p, and F_{q^2} is a field, so every nonzero
-orbit of v -> c*v has exactly p elements.  Nothing here needs numpy.
+orbit of v -> c*v has exactly p elements.  `ring_widths` refuses a ring
+over RING_BYTE_BUDGET by integer arithmetic: nothing here needs numpy.
 """
 
 from collections import namedtuple
 
-from .errors import ExistenceViolated, NotPrime
+from .errors import BoundExceeded, ExistenceViolated, NotPrime
 from .ffield import is_prime, make_field, pick_order_p
 
 DOUBLE_RANK_BOUND = 200  # the largest group order `double-rank` accepts
 COMPLETE_BOUND = 2000  # the largest p*q^2 at which every verify check runs
+RING_BYTE_BUDGET = 2 ** 30  # cap on the bytes of a ring's prod, coef and multi, as stored
 
 
 class Census(namedtuple("Census", "entries global_dim")):
@@ -83,3 +85,27 @@ def equivariantization_census(pair: CertifiedPair) -> Census:
         ("(X_i,chi)", q, p * (p - 1)),
     )
     return Census(entries, p * p * q * q)
+
+
+def _signed_width(lo: int, hi: int) -> int:
+    """The bytes (1, 2, 4 or 8) of the smallest signed integer holding [lo, hi]."""
+    return next(w for w in (1, 2, 4, 8) if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
+
+
+def ring_widths(n: int, multi_rows: int, lo: int, hi: int) -> tuple:
+    """The byte widths of prod, which holds [-multi_rows, n - 1], and of
+    coef, which holds [lo, hi]; BoundExceeded when the two n x n arrays at
+    those widths and the multi_rows x n int64 multi would take more than
+    RING_BYTE_BUDGET bytes."""
+    widths = _signed_width(-multi_rows, n - 1), _signed_width(lo, hi)
+    size = n * n * sum(widths) + multi_rows * n * 8
+    if size > RING_BYTE_BUDGET:
+        raise BoundExceeded(f"the ring of rank {n} needs {size} bytes, "
+                            f"over the budget of {RING_BYTE_BUDGET}")
+    return widths
+
+
+def extension_ring_widths(p: int, q: int) -> tuple:
+    """`ring_widths` of the extension ring of (p, q): rank q^2 + p - 1, one
+    multi-term row, coefficients 1 and, for p > 2, q."""
+    return ring_widths(q * q + p - 1, 1, 1, q if p > 2 else 1)

@@ -92,7 +92,7 @@ def test_verify_refuses_a_ring_over_its_byte_budget():
         preexec_fn=_cap_address_space)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == ("error: the ring of rank 38811 needs 9038072814 bytes, "
-                           f"over the budget of {fusionring.RING_BYTE_BUDGET}\n")
+                           f"over the budget of {gauging.RING_BYTE_BUDGET}\n")
 
 
 def test_verify_existence(capsys):

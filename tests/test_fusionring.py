@@ -20,7 +20,7 @@ from anisogauge import (
     semidirect_irreps,
     verify_axioms,
 )
-from anisogauge import fusionring
+from anisogauge import fusionring, gauging
 from anisogauge.errors import BoundExceeded
 from anisogauge.ffield import is_prime, make_field, pick_order_p
 from anisogauge.fusionring import (
@@ -31,7 +31,6 @@ from anisogauge.fusionring import (
     _first_assoc_failure,
     _free_orbits,
     _generators,
-    _require_ring_budget,
     _spread,
 )
 from oracles import (
@@ -155,7 +154,7 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """The product ring A (x) B on the labels (x, y), x in A and y in B, with
     N((x,y),(x',y');(z,z')) = N_A(x,x';z) N_B(y,y';z'), built on the arrays:
     the outer products of primitive rows are primitive and distinct, and prod
-    and coef are narrowed to the dtypes of `_ring_dtypes`."""
+    and coef are narrowed to the widths of `gauging.ring_widths`."""
     na, nb = len(a.basis), len(b.basis)
 
     def rows(ring):  # the row id of each cell, and the rows: basis vectors, then multi
@@ -173,11 +172,11 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     keys, at = np.unique(key[multi], return_inverse=True)
     prod[multi] = -1 - at.reshape(-1)
     outer = rowsa[keys // width, :, None] * rowsb[keys % width, None, :]
-    prod_t, coef_t = fusionring._ring_dtypes(na * nb, len(keys), coef.min(), coef.max())
+    pw, cw = gauging.ring_widths(na * nb, len(keys), coef.min(), coef.max())
     return FusionRing([(x, y) for x in a.basis for y in b.basis],
                       a.unit_index * nb + b.unit_index,
                       (a.dual_index[:, None] * nb + b.dual_index).reshape(-1),
-                      prod.astype(prod_t), coef.astype(coef_t), outer.reshape(len(keys), -1))
+                      prod.astype(f"i{pw}"), coef.astype(f"i{cw}"), outer.reshape(len(keys), -1))
 
 
 def _reference_report(ring: FusionRing) -> AxiomReport:
@@ -473,15 +472,37 @@ def test_ring_byte_budget(monkeypatch):
     # the rank-27 ring stores prod and coef in int8, 2 bytes a cell, and its
     # one int64 multi row; rank 5043 (q = 71) stays inside, in int16 and int8
     fits = 2 * 27 * 27 + 8 * 27
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", fits)
     assert len(build_extension_ring(certify_pair(3, 5)).basis) == 27
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", fits - 1)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", fits - 1)
     with pytest.raises(BoundExceeded, match=f"rank 27 needs {fits} bytes"):
         build_extension_ring(certify_pair(3, 5))
     monkeypatch.undo()
-    _require_ring_budget(3, 71)
+    assert gauging.extension_ring_widths(3, 71) == (2, 1)
     with pytest.raises(BoundExceeded, match="rank 38811"):
-        _require_ring_budget(3, 197)
+        gauging.extension_ring_widths(3, 197)
+
+
+def test_ring_widths_match_the_smallest_numpy_dtype():
+    # numpy is the reference: the itemsize of the first signed dtype whose
+    # iinfo holds [lo, hi], for lo and hi at and one past -2^e and 2^e - 1
+    edges = sorted({0, *(v for e in (7, 15, 31) for v in (-2 ** e - 1, -2 ** e, 2 ** e - 1, 2 ** e))})
+    for lo, hi in ((lo, hi) for lo in edges for hi in edges if lo <= hi):
+        want = next(np.dtype(t).itemsize for t in (np.int8, np.int16, np.int32, np.int64)
+                    if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+        assert gauging.ring_widths(1, 0, lo, hi)[1] == want, (lo, hi)
+        assert gauging.ring_widths(1, 0, np.int64(lo), np.int64(hi))[1] == want, (lo, hi)
+
+
+def test_ring_widths_refuse_one_byte_over_the_budget(monkeypatch):
+    # rank 200 with 3 multi rows: int16 prod, int32 coef and int64 multi
+    size = 200 * 200 * (2 + 4) + 3 * 200 * 8
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size)
+    assert gauging.ring_widths(200, 3, -1, 2 ** 15) == (2, 4)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size - 1)
+    with pytest.raises(BoundExceeded, match=f"rank 200 needs {size} bytes, over the budget of "
+                                            f"{size - 1}$"):
+        gauging.ring_widths(200, 3, -1, 2 ** 15)
 
 
 def test_ring_from_text_refuses_an_oversized_ring(monkeypatch):
@@ -489,11 +510,11 @@ def test_ring_from_text_refuses_an_oversized_ring(monkeypatch):
     # int8 (12 MB); the refusal comes before any of it is allocated
     n, size = 2000, 3 * 2000 ** 2
     text = "\n".join([f"fusionring v1 {n}", *(f"a{i} a{i}" for i in range(n)), "0 0 0 1"])
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size - 1)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size - 1)
     with pytest.raises(BoundExceeded, match=f"rank {n} needs {size} bytes"):
         ring_from_text(text)
     assert _traced_peak_mb(lambda: pytest.raises(BoundExceeded, ring_from_text, text)) < 2
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size)
     with pytest.raises(BadParameter, match="no unit"):
         ring_from_text(text)
 
@@ -506,10 +527,10 @@ def test_ring_from_text_counts_multi_rows_in_the_budget(monkeypatch):
     text = "\n".join([f"fusionring v1 {n}", *(f"a{i} a{i}" for i in range(n)),
                       *(f"0 {j} {j} 1" for j in range(n)), *(f"{i} 0 {i} 1" for i in range(1, n)),
                       *(f"{i} {i} {k} {v}" for i in range(1, n) for k, v in ((0, 1), (i, 2)))])
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size - 1)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size - 1)
     with pytest.raises(BoundExceeded, match=f"rank {n} needs {size} bytes"):
         ring_from_text(text)
-    monkeypatch.setattr(fusionring, "RING_BYTE_BUDGET", size)
+    monkeypatch.setattr(gauging, "RING_BYTE_BUDGET", size)
     ring = ring_from_text(text)
     assert len(ring.multi) == n - 1
     assert ring.prod.nbytes + ring.coef.nbytes + ring.multi.nbytes == size
@@ -559,7 +580,7 @@ def test_stored_arrays_are_read_only():
 def _as_int64(make, monkeypatch):
     """make() with prod and coef stored in int64, as the int64 reference."""
     with monkeypatch.context() as m:
-        m.setattr(fusionring, "_signed", lambda lo, hi: np.dtype(np.int64))
+        m.setattr(gauging, "_signed_width", lambda lo, hi: 8)
         ring = make()
     assert ring.prod.dtype == ring.coef.dtype == np.int64
     return ring

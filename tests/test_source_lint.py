@@ -83,6 +83,33 @@ def test_one_cap_for_complete_verification():
     assert len(found) == 1 and found[0].startswith("gauging.py:")
 
 
+def _is_ring_byte_budget(node) -> bool:
+    """Whether node spells 2 ** 30, as the power or as its value."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return [getattr(side, "value", None) for side in (node.left, node.right)] == [2, 30]
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 2 ** 30
+
+
+def test_one_home_for_the_ring_byte_budget():
+    # gauging.RING_BYTE_BUDGET is spelled once, in the numpy-free module, so
+    # verify refuses an oversized ring before numpy loads; and `cli` reaches
+    # into `fusionring` for no private helper, a gate included
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_ring_byte_budget(node)
+    ]
+    assert len(found) == 1 and found[0].startswith("gauging.py:")
+    private = [
+        f"cli.py:{node.lineno} {node.attr}"
+        for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fusionring"
+        and node.attr.startswith("_")
+    ]
+    assert private == []
+
+
 FLOATING = {"float", "float16", "float32", "float64", "linalg", "rint", "sqrt", "floor", "ceil"}
 
 

@@ -62,10 +62,11 @@ START_UP_PATHS = [
     (["verify", "--help"], None),
     (["verify", "3", "5", "--bound", "1_000"], None),
     (["--timing", "census", "3", "5", "--format", "json"], None),
+    (["verify", "3", "197", "--bound", "1000000"], None),  # past the ring's byte budget
 ]
 # The documented exit code of each start-up path, in order; the bare import
 # has none.
-START_UP_CODES = [None, 0, 2, 3, 3, 64, 3, 3, 0, 0, 64, 0]
+START_UP_CODES = [None, 0, 2, 3, 3, 64, 3, 3, 0, 0, 64, 0, 3]
 
 
 @pytest.mark.parametrize("argv,env", START_UP_PATHS)

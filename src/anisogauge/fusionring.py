@@ -33,11 +33,13 @@ before any of it is allocated.  fp_dims iterates an integer fixed point
 on the n cells (i, i^*) before the character check; there is no floating
 point.  Censuses are `gauging.Census` inventories (label, dimension, count)
 whose weighted square sum must reproduce the declared global dimension.
-The little-group census and the class count act on the same codes, by one
-permutation: v -> c*v for the c of a `gauging.CertifiedPair`, whose free
-orbits `_free_orbits` walks.  The class count is Burnside's count of commuting
-pairs, from the group law, with no (p q^2)^2 table, and runs only while p*q^2
-is at most `gauging.COMPLETE_BOUND`.  drinfeld_double_rank certifies a
+The little-group census and the class count act on the same codes, through
+the matrix M of v -> c*v for the c of a `gauging.CertifiedPair`: the census
+walks, by `_free_orbits`, the free orbits of the dual action w -> M^T w on
+the characters, and the class count reads the permutation of M itself.  The
+class count is Burnside's count of commuting pairs, from the group law, with
+no (p q^2)^2 table, and runs only while p*q^2 is at most
+`gauging.COMPLETE_BOUND`.  drinfeld_double_rank certifies a
 multiplication table as a group by verify_axioms on its group ring (the table
 as prod, coef 1, the inverses as duals) and counts the rank of the double by
 Burnside's lemma applied twice: commuting triples over the group order.  The

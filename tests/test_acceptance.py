@@ -219,6 +219,7 @@ def test_criterion_9_determinism():
         commands = [
             ["census", "3", "5"],
             ["census", "3", "5", "--format", "json"],
+            ["census", "3", "5", "--format", "csv"],
             ["census", "5", "19", "--format", "csv"],
             ["verify", "3", "5", "--format", "json"],
             ["verify", "3", "2"],

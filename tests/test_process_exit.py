@@ -6,6 +6,7 @@ exit code.  The installed `anisogauge` script enters through `run` too
 numpy-free CI job repeats none of it but three checks of that script's
 wiring to `run`."""
 
+import errno
 import hashlib
 import io
 import json
@@ -98,6 +99,8 @@ def assert_exits_74_on_a_closed_stdout(entry: str, argv: list, env=None, how="pi
     assert done.returncode == cli.EXIT_IO
     (line,) = done.stderr.decode().splitlines()
     assert line.startswith("error: cannot write to stdout: ")
+    if how == "pipe":  # the reader has gone: the line names the failure
+        assert os.strerror(errno.EPIPE) in line
 
 
 @pytest.mark.parametrize("entry", ENTRIES)

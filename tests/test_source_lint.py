@@ -7,14 +7,23 @@ import anisogauge
 from anisogauge import cli
 
 SOURCE = Path(anisogauge.__file__).parent
+# The syntax tree of each package file, by file name, parsed once.
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _nodes():
+    """(file name, node) for each node of each package file."""
+    for file, tree in TREES.items():
+        for node in ast.walk(tree):
+            yield file, node
 
 
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so invariants must raise explicitly.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if isinstance(node, ast.Assert)
     ]
     assert found == []
@@ -64,7 +73,7 @@ def test_cli_builds_no_verify_row():
     banned = VERIFY_ROW_NAMES | {"quadspace", "orthogroup", "hyperbolic_control"}
     found = [
         f"cli.py:{node.lineno} {name}"
-        for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+        for node in ast.walk(TREES["cli.py"])
         for name in _spelled(node)
         if isinstance(name, str) and name in banned
     ]
@@ -75,9 +84,8 @@ def test_one_cap_for_complete_verification():
     # gauging.COMPLETE_BOUND is the one cap on p*q^2; every reader looks it
     # up there, so no other module spells its value
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 2000
     ]
     assert len(found) == 1 and found[0].startswith("gauging.py:")
@@ -95,15 +103,14 @@ def test_one_home_for_the_ring_byte_budget():
     # verify refuses an oversized ring before numpy loads; and `cli` reaches
     # into `fusionring` for no private helper, a gate included
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if _is_ring_byte_budget(node)
     ]
     assert len(found) == 1 and found[0].startswith("gauging.py:")
     private = [
         f"cli.py:{node.lineno} {node.attr}"
-        for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+        for node in ast.walk(TREES["cli.py"])
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fusionring"
         and node.attr.startswith("_")
     ]
@@ -117,9 +124,8 @@ def test_no_floating_point_in_package():
     # Every result is exact integer arithmetic (README); no name or attribute
     # that reaches floating point may appear in the package.
     found = [
-        f"{path.name}:{node.lineno} {name}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno} {name}"
+        for file, node in _nodes()
         for name in [getattr(node, "id", None) or getattr(node, "attr", None)]  # Name, Attribute
         if name in FLOATING
     ]
@@ -140,43 +146,25 @@ def test_one_construction_path_for_fusion_rings():
     # `_pack` normalises entries for `ring_from_text` alone, and FusionRing
     # is built only through __init__: no classmethod, staticmethod, __new__
     # or call of __new__ makes a second constructor
-    calls, others = [], []
-    for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                calls += [
-                    f"{path.name}:{function.name}"
-                    for node in ast.walk(function)
-                    if isinstance(node, ast.Call)
-                    and "_pack" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                ]
-        if path.name == "fusionring.py":
-            ring = next(node for node in tree.body
-                        if isinstance(node, ast.ClassDef) and node.name == "FusionRing")
-            others += [
-                node.name for node in ring.body if isinstance(node, ast.FunctionDef)
-                and (node.name == "__new__" or any(
-                    getattr(d, "id", None) in ("classmethod", "staticmethod")
-                    for d in node.decorator_list))
-            ]
-            others += [f"line {node.lineno}" for node in ast.walk(tree)
-                       if isinstance(node, ast.Attribute) and node.attr == "__new__"]
-    assert calls == ["fusionring.py:ring_from_text"]
+    tree = TREES["fusionring.py"]
+    ring = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "FusionRing")
+    others = [
+        node.name for node in ring.body if isinstance(node, ast.FunctionDef)
+        and (node.name == "__new__" or any(
+            getattr(d, "id", None) in ("classmethod", "staticmethod") for d in node.decorator_list))
+    ]
+    others += [f"line {node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert _callers("_pack") == ["fusionring.py:ring_from_text"]
     assert others == []
 
 
 def _callers(name: str) -> list[str]:
-    """file:function for each call of `name` in the package, by name or attribute."""
-    return [
-        f"{path.name}:{function.name}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for function in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
+    """file:function for each call of `name` in the package, by name or
+    attribute, under its innermost enclosing function or <module>."""
+    return [where for where, call in _src_calls()
+            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
 
 
 def test_one_place_picks_the_order_p_element():
@@ -190,9 +178,8 @@ def test_one_place_builds_the_field():
     # every verify stage reads the record, so none re-tests or rebuilds it
     assert _callers("make_field") == ["gauging.py:certify_pair"]
     defined = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if isinstance(node, ast.FunctionDef) and node.name == "_require_pair"
     ]
     assert defined == []
@@ -212,8 +199,8 @@ def test_one_place_factors_a_group_order():
     # the anisotropic rotation, and the hyperbolic plane's rotations in
     # `enumerate_orth`
     assert _callers("_prime_factors") == ["ffield.py:_generator"]
-    assert set(_callers("_generator")) == {
-        "ffield.py:norm_one_generator", "orthogroup.py:enumerate_orth"}
+    assert _callers("_generator") == [
+        "ffield.py:norm_one_generator", "orthogroup.py:enumerate_orth"]
 
 
 def test_no_stage_lists_the_norm_one_group():
@@ -221,13 +208,12 @@ def test_no_stage_lists_the_norm_one_group():
     # `ker_norm`, and the one reference to it, past its definition, is the
     # by-name import in `cli` that the traced benchmark patches
     references = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom))
         and "ker_norm" in _spelled(node)
     ]
-    imports = [node.lineno for node in ast.parse((SOURCE / "cli.py").read_text()).body
+    imports = [node.lineno for node in TREES["cli.py"].body
                if isinstance(node, ast.ImportFrom) and node.module == "ffield"]
     assert _callers("ker_norm") == []
     assert references == [f"cli.py:{line}" for line in imports]
@@ -248,9 +234,8 @@ def test_one_place_builds_a_split_map():
 def test_no_dataclasses_in_package():
     # every record is a namedtuple: `dataclasses` would load inspect and copy
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
         or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
     ]
@@ -272,12 +257,11 @@ def test_hashlib_only_as_the_last_resort_digest():
     # digest comes from the built-in _sha2 or _sha256, and from hashlib only
     # on a build that has neither
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if _names_hashlib(node)
     ]
-    tree = ast.parse((SOURCE / "cli.py").read_text())
+    tree = TREES["cli.py"]
     node, chain = next(node for node in tree.body if isinstance(node, ast.Try)), []
     while isinstance(node, ast.Try):
         (handler,) = node.handlers
@@ -309,12 +293,11 @@ def test_one_os_exit_after_both_flushes():
     # interpreter exit: it is the only one, and stdout and stderr are
     # flushed before it
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{file}:{node.lineno}"
+        for file, node in _nodes()
         if not isinstance(node, ast.Constant) and "_exit" in _spelled(node)
     ]
-    tree = ast.parse((SOURCE / "cli.py").read_text())
+    tree = TREES["cli.py"]
     run = next(node for node in tree.body if getattr(node, "name", None) == "run")
     calls = {ast.unparse(node.func): node.lineno for node in ast.walk(run)
              if isinstance(node, ast.Call)}
@@ -324,21 +307,22 @@ def test_one_os_exit_after_both_flushes():
 
 
 def _calls_in_functions(tree):
-    """(name of the innermost enclosing function, call) for each call."""
+    """(name of the innermost enclosing function, or <module>, call) for
+    each call."""
     def visit(node, name):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else name
             if isinstance(child, ast.Call):
                 yield inner, child
             yield from visit(child, inner)
-    return visit(tree, None)
+    return visit(tree, "<module>")
 
 
 def _src_calls():
     """("file:function", call) for each call in `src/`."""
-    for path in sorted(SOURCE.glob("*.py")):
-        for function, call in _calls_in_functions(ast.parse(path.read_text(), filename=str(path))):
-            yield f"{path.name}:{function}", call
+    for file, tree in TREES.items():
+        for function, call in _calls_in_functions(tree):
+            yield f"{file}:{function}", call
 
 
 def _calls_touching(stream: str) -> list[str]:

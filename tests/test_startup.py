@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
@@ -32,125 +33,150 @@ print(code, *(name for name in ("numpy", "numpy.ma", "inspect", "dataclasses", "
               if name in sys.modules))
 """
 
+Probed = namedtuple("Probed", "code tracked package")
 
-def probe_lines(argv, env=None) -> list[str]:
-    return subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          env=child_env(**(env or {})), capture_output=True, text=True,
-                          check=True).stdout.splitlines()
-
-
-def probe(argv, env=None) -> tuple[str, set]:
-    code, *modules = probe_lines(argv, env)[-1].split()
-    return code, set(modules)
-
-
-def package_modules(argv, env=None) -> set:
-    """The `anisogauge` modules that the probe of argv loaded."""
-    return set(probe_lines(argv, env)[-2].split())
+# The group tables that double-rank reads, by file name; missing-file.txt is
+# not written.
+TABLES = {
+    "z3.txt": "3\n0 1 2\n1 2 0\n2 0 1\n",  # Z/3
+    "header.txt": "three\n0 1 2\n",  # a header that is not an integer
+    "entry.txt": "2\n0 1\n1 x\n",  # an entry that is not an integer
+    "order-201.txt": "201\n",  # past DOUBLE_RANK_BOUND, refused on the header alone
+    "underscore-entry.txt": "2\n0 1\n1 0_0\n",  # an entry that int() would read as 0
+    "non-ascii-header.txt": "\u0662\n0 1\n1 0\n",  # Arabic-Indic, that int() would read as 2
+    "short-table.txt": "2\n0 1\n1\n",  # three entries for an order-2 table
+}
 
 
-START_UP_PATHS = [
-    ([], None),
-    (["census", "3", "5"], None),
-    (["verify", "3", "7"], None),
-    (["verify", "3", "29"], None),
-    (["verify", "3", "11"], {"ANISOGAUGE_BOUND": "100"}),
-    (["verify", "1", "5"], None),
-    (["sweep", "201"], None),  # past the hard cap
-    (["verify", "3", "10007", "--bound", "10000000000000"], None),  # past the field bound
-    (["--help"], None),
-    (["verify", "--help"], None),
-    (["verify", "3", "5", "--bound", "1_000"], None),
-    (["--timing", "census", "3", "5", "--format", "json"], None),
-    (["verify", "3", "197", "--bound", "1000000"], None),  # past the ring's byte budget
-]
-# The documented exit code of each start-up path, in order; the bare import
-# has none.
-START_UP_CODES = [None, 0, 2, 3, 3, 64, 3, 3, 0, 0, 64, 0, 3]
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """Runs PROBE once for each argv and environment asked for, with each
+    `*.txt` argument read as the file of that name in a directory that
+    holds TABLES."""
+    tables = tmp_path_factory.mktemp("tables")
+    for name, text in TABLES.items():
+        (tables / name).write_text(text, encoding="utf-8")
+    done = {}
+
+    def run(argv, env=None) -> Probed:
+        key = (*argv, *sorted((env or {}).items()))
+        if key not in done:
+            args = [str(tables / arg) if arg.endswith(".txt") else arg for arg in argv]
+            *_, package, last = subprocess.run(
+                [sys.executable, "-c", PROBE, *args], env=child_env(**(env or {})),
+                capture_output=True, text=True, check=True).stdout.splitlines()
+            code, *tracked = last.split()
+            done[key] = Probed(None if code == "None" else int(code), set(tracked),
+                               set(package.split()))
+        return done[key]
+    return run
 
 
-@pytest.mark.parametrize("argv,env", START_UP_PATHS)
-def test_start_up_paths_skip_numpy(argv, env):
-    code = START_UP_CODES[START_UP_PATHS.index((argv, env))]
-    exit_code, modules = probe(argv, env)
-    assert exit_code == str(code) and modules.isdisjoint({"numpy", "inspect"})
-
-
-def test_bare_import_loads_only_the_package():
-    # every public name is imported from its home module on first access
-    assert package_modules([]) == {"anisogauge"}
-
-
+Row = namedtuple("Row", "env code tracked package")
 VERIFY_LAYERS = {f"anisogauge.{name}"
                  for name in ("quadspace", "orthogroup", "fusionring", "gtcheck", "suite")}
+NUMPY_FREE = {"anisogauge", "anisogauge.cli", "anisogauge.errors", "anisogauge.ffield",
+              "anisogauge.gauging"}
+PACKAGE = NUMPY_FREE | VERIFY_LAYERS
+NUMPY = {"numpy", "inspect"}
+
+# Each command line the probe runs, once: its environment, its exit code
+# (None for the bare import), the exact set of the modules PROBE tracks that
+# it loads, but _hashlib, which test_no_command_loads_openssl reads, and the
+# `anisogauge` modules it may load.
+START_UP = {  # the numpy-free paths
+    "": Row(None, None, set(), {"anisogauge"}),
+    "census 3 5": Row(None, 0, set(), NUMPY_FREE),
+    "verify 3 7": Row(None, 2, set(), NUMPY_FREE),
+    "verify 3 29": Row(None, 3, set(), NUMPY_FREE),
+    "verify 3 11": Row({"ANISOGAUGE_BOUND": "100"}, 3, set(), NUMPY_FREE),
+    "verify 1 5": Row(None, 64, set(), NUMPY_FREE),
+    "sweep 201": Row(None, 3, set(), NUMPY_FREE),  # past the hard cap
+    "verify 3 10007 --bound 10000000000000": Row(None, 3, set(), NUMPY_FREE),  # past the field bound
+    "--help": Row(None, 0, set(), NUMPY_FREE),
+    "verify --help": Row(None, 0, set(), NUMPY_FREE),
+    "verify 3 5 --bound 1_000": Row(None, 64, set(), NUMPY_FREE),
+    "--timing census 3 5 --format json": Row(None, 0, set(), NUMPY_FREE),
+    "verify 3 197 --bound 1000000": Row(None, 3, set(), NUMPY_FREE),  # past the ring's byte budget
+}
+PAST_THE_GATES = {  # numpy, but not numpy.ma, dataclasses or _hashlib
+    "verify 3 5": Row(None, 0, NUMPY, PACKAGE),
+    "verify 3 2": Row(None, 0, NUMPY, PACKAGE),
+    "double-rank z3.txt": Row(None, 0, NUMPY, PACKAGE),
+    "sweep 2": Row(None, 0, NUMPY, PACKAGE),
+    "sweep 6": Row(None, 0, NUMPY, PACKAGE),
+}
+REFUSALS = {  # double-rank refuses each TABLES file but z3.txt before numpy loads
+    "double-rank missing-file.txt": Row(None, 64, set(), NUMPY_FREE),
+    "double-rank header.txt": Row(None, 64, set(), NUMPY_FREE),
+    "double-rank entry.txt": Row(None, 64, set(), NUMPY_FREE),
+    "double-rank order-201.txt": Row(None, 3, set(), NUMPY_FREE),
+    "double-rank underscore-entry.txt": Row(None, 64, set(), NUMPY_FREE),
+    "double-rank non-ascii-header.txt": Row(None, 64, set(), NUMPY_FREE),
+    "double-rank short-table.txt": Row(None, 64, set(), NUMPY_FREE),
+}
+PATHS = {**START_UP, **PAST_THE_GATES, **REFUSALS}
+START_UP_PATHS = [(line.split(), row.env) for line, row in START_UP.items()]
+
+
+def assert_path(probed: Probed, argv) -> None:
+    """probed has the exit code and the tracked modules that PATHS gives
+    argv, and loads only package modules it allows."""
+    row = PATHS[" ".join(argv)]
+    assert (probed.code, probed.tracked - {"_hashlib"}) == (row.code, row.tracked)
+    assert probed.package <= row.package
 
 
 @pytest.mark.parametrize("argv,env", START_UP_PATHS)
-def test_start_up_paths_skip_the_verify_layers(argv, env):
+def test_start_up_paths_skip_numpy(argv, env, probe):
+    assert_path(probe(argv, env), argv)
+
+
+def test_bare_import_loads_only_the_package(probe):
+    # every public name is imported from its home module on first access
+    assert probe([]).package == {"anisogauge"}
+
+
+@pytest.mark.parametrize("argv,env", START_UP_PATHS)
+def test_start_up_paths_skip_the_verify_layers(argv, env, probe):
     # each of these modules takes milliseconds to compile where no bytecode
     # is cached, so import, census and the refusals load none of them
-    assert package_modules(argv, env).isdisjoint(VERIFY_LAYERS)
+    assert probe(argv, env).package.isdisjoint(VERIFY_LAYERS)
 
 
-def test_verify_past_its_gates_loads_numpy():
-    assert "numpy" in probe(["verify", "3", "5"])[1]
-
-
-def _with_z3(argv, tmp_path) -> list:
-    """argv with Z3_TABLE replaced by a file holding the table of Z/3."""
-    table = tmp_path / "z3.txt"
-    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-    return [str(table) if arg == "Z3_TABLE" else arg for arg in argv]
+def test_verify_past_its_gates_loads_numpy(probe):
+    assert "numpy" in probe(["verify", "3", "5"]).tracked
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "3", "5"],
     ["verify", "3", "2"],
-    ["double-rank", "Z3_TABLE"],
+    ["double-rank", "z3.txt"],
 ])
-def test_numpy_paths_skip_numpy_ma(argv, tmp_path):
+def test_numpy_paths_skip_numpy_ma(argv, probe):
     # np.unique calls np.ma.is_masked, which imports numpy.ma (about 6 ms)
-    assert probe(_with_z3(argv, tmp_path)) == ("0", {"numpy", "inspect"})
+    assert_path(probe(argv), argv)
 
 
-@pytest.mark.parametrize("argv", [["verify", "3", "5"], ["sweep", "6"], ["double-rank", "Z3_TABLE"]])
-def test_commands_skip_dataclasses(argv, tmp_path):
+@pytest.mark.parametrize("argv", [["verify", "3", "5"], ["sweep", "6"], ["double-rank", "z3.txt"]])
+def test_commands_skip_dataclasses(argv, probe):
     # every record is a namedtuple: dataclasses would load inspect and copy
-    code, modules = probe(_with_z3(argv, tmp_path))
-    assert code == "0" and "dataclasses" not in modules
+    assert_path(probe(argv), argv)
 
 
-@pytest.mark.parametrize("text,code", [
-    (None, "64"),  # no such file
-    ("three\n0 1 2\n", "64"),  # a header that is not an integer
-    ("2\n0 1\n1 x\n", "64"),  # an entry that is not an integer
-    ("201\n", "3"),  # past DOUBLE_RANK_BOUND, refused on the header alone
-    ("2\n0 1\n1 0_0\n", "64"),  # an entry that int() would read as 0
-    ("\u0662\n0 1\n1 0\n", "64"),  # an Arabic-Indic header that int() would read as 2
-    ("2\n0 1\n1\n", "64"),  # three entries for an order-2 table
-], ids=["missing-file", "header", "entry", "order-201", "underscore-entry", "non-ascii-header",
-        "short-table"])
-def test_double_rank_refusals_skip_numpy(text, code, tmp_path):
-    table = tmp_path / "group.txt"
-    if text is not None:
-        table.write_text(text, encoding="utf-8")
-    exit_code, modules = probe(["double-rank", str(table)])
-    assert exit_code == code and "numpy" not in modules
+@pytest.mark.parametrize("line", REFUSALS, ids=lambda line: line[len("double-rank "):-len(".txt")])
+def test_double_rank_refusals_skip_numpy(line, probe):
+    assert_path(probe(line.split()), line.split())
 
 
 BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 @pytest.mark.skipif(not BUILT_IN_SHA256, reason="no built-in SHA-256; the digest needs hashlib")
-@pytest.mark.parametrize("argv,env", START_UP_PATHS + [
-    (["verify", "3", "5"], None),
-    (["verify", "3", "2"], None),
-    (["double-rank", "Z3_TABLE"], None),
-    (["sweep", "2"], None),
-])
-def test_no_command_loads_openssl(argv, env, tmp_path):
+@pytest.mark.parametrize("argv,env", [(line.split(), row.env) for line, row in PATHS.items()])
+def test_no_command_loads_openssl(argv, env, probe):
     # hashlib imports _hashlib, which maps OpenSSL's libcrypto (about 3.7 MB)
-    assert "_hashlib" not in probe(_with_z3(argv, tmp_path), env)[1]
+    assert "_hashlib" not in probe(argv, env).tracked
 
 
 # The public surface, pinned so that a new export shows up in review.

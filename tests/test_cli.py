@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -324,6 +326,23 @@ def test_double_rank_missing_file(capsys, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "3", "5", "--format", "json"],
+        ["census", "3", "5"],
+        ["census", "3", "5", "--format", "csv"],
+        ["verify", "3", "5", "--format", "json"],
+        ["sweep", "12", "--format", "json"],
+        ["sweep", "12", "--format", "csv"],
+    ],
+)
+def test_repeated_runs_byte_identical(capsys, argv):
+    _, out1, _ = run(capsys, argv)
+    _, out2, _ = run(capsys, argv)
+    assert out1 == out2
+
+
 def test_timing_goes_to_stderr_only(capsys):
     code, out, err = run(capsys, ["--timing", "census", "3", "5"])
     assert code == 0
@@ -364,6 +383,26 @@ def test_large_prime_arguments_are_decided_in_bounded_time(argv, code, message):
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.returncode == code and done.stdout == ""
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("argv", [["census", "3", "5"]])
+def test_a_closed_stdout_exits_74(argv):
+    # the reader has closed the pipe before the payload is written; the
+    # exit-code matrix over both entries is in test_process_exit, this pins
+    # that the one stderr line names the failure, EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "anisogauge.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=child_env(),
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_IO == 74
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")
+    assert os.strerror(errno.EPIPE) in line
 
 
 def test_census_bound_exceeded(capsys):

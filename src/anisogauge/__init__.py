@@ -13,19 +13,7 @@ load `inspect` and `copy`, start-up work that no command needs.
 import importlib
 
 _EXPORTS = {
-    "errors": (
-        "AnisogaugeError",
-        "BadParameter",
-        "BetaSingular",
-        "BoundExceeded",
-        "EvenCharacteristic",
-        "ExistenceViolated",
-        "NoSuchElement",
-        "NotACharacter",
-        "NotNormOne",
-        "NotPrime",
-        "ZeroEigenvalue",
-    ),
+    "errors": ("AnisogaugeError", "BadParameter", "BoundExceeded", "ExistenceViolated"),
     "ffield": (
         "ExtElement",
         "FieldCtx",

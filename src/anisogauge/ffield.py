@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import BoundExceeded, NoSuchElement, NotPrime
+from .errors import BadParameter, BoundExceeded
 
 DEFAULT_PRIME_BOUND = 10_000
 PRIME_TEST_LIMIT = 3317044064679887385961981  # psi_13, the least strong pseudoprime
@@ -53,7 +53,7 @@ def least_nonresidue(q: int) -> int:
     for d in range(2, q):
         if roots[d] is None:
             return d
-    raise NoSuchElement(f"no quadratic non-residue mod {q}")
+    raise BadParameter(f"no quadratic non-residue mod {q}")
 
 
 class FieldCtx:
@@ -69,7 +69,7 @@ class FieldCtx:
 
     def __init__(self, q: int):
         if not is_prime(q):
-            raise NotPrime(f"{q} is not prime")
+            raise BadParameter(f"{q} is not prime")
         self.q = q
         if q == 2:
             self.poly = (1, 1)  # x^2 + x + 1
@@ -219,7 +219,8 @@ class ExtElement:
 def make_field(q: int) -> FieldCtx:
     """Construct the canonical quadratic extension of F_q.
 
-    Deterministic for fixed q.  Raises BoundExceeded, then NotPrime.
+    Deterministic for fixed q.  Raises BoundExceeded, then BadParameter
+    for a q that is not prime.
     """
     if q > DEFAULT_PRIME_BOUND:
         raise BoundExceeded(f"q={q} exceeds bound {DEFAULT_PRIME_BOUND}")
@@ -288,16 +289,16 @@ def ker_norm(ctx: FieldCtx) -> tuple[ExtElement, ...]:
 def pick_order_p(ctx: FieldCtx, p: int) -> ExtElement:
     """Lexicographically smallest c != 1 with norm(c) = 1 and c^p = 1.
 
-    Requires p prime and p | q + 1 (otherwise NotPrime, NoSuchElement).
+    Requires p prime and p | q + 1 (otherwise BadParameter).
     The norm-one group is cyclic of order q + 1, generated by the g of
     `norm_one_generator`, so its elements of order p are the powers h^k,
     0 < k < p, of h = g^((q+1)/p): the least of them, each one product by h
     from the last, so p - 2 products after h.
     """
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise BadParameter(f"{p} is not prime")
     if (ctx.q + 1) % p != 0:
-        raise NoSuchElement(f"{p} does not divide q+1 = {ctx.q + 1}")
+        raise BadParameter(f"{p} does not divide q+1 = {ctx.q + 1}")
     h = norm_one_generator(ctx) ** ((ctx.q + 1) // p)  # of order p
     return min(accumulate([h] * (p - 1), ExtElement.__mul__), key=ExtElement.key)
 

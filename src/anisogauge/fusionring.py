@@ -55,7 +55,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import gauging
-from .errors import BadParameter, BoundExceeded, NotACharacter, decimal
+from .errors import BadParameter, BoundExceeded, decimal
 from .gauging import DOUBLE_RANK_BOUND, Census, CertifiedPair, equivariantization_census
 from .orthogroup import Mat2, rotation
 
@@ -448,8 +448,8 @@ def fp_dims(ring: FusionRing) -> dict:
       the integer sum falls until e^2 <= W e;
     - for m = max e(i)/d*(i), taken at i, m^2 d*(i)^2 = e(i)^2 <= (W e)(i)
       <= m (W d*)(i) = m d*(i)^2, so m <= 1 and e = d*.
-    So NotACharacter means some FP dimension is not an integer (or the ring
-    is not a fusion ring).  On any ring, W e is clamped at 0 before isqrt, so
+    So the BadParameter raised here means some FP dimension is not an
+    integer (or the ring is not a fusion ring).  On any ring, W e is clamped at 0 before isqrt, so
     from B >= 0 the iterates stay >= 0 and their sum falls at every step:
     the loop ends.  Each W e is one gather per row on the (i, i^*) cells,
     with no n x n temporary; int64 stays exact since e <= B <= n MAX_COEF
@@ -464,7 +464,7 @@ def fp_dims(ring: FusionRing) -> dict:
             break
         e = step
     if not _certify_character(ring, e):
-        raise NotACharacter("no positive integer character found")
+        raise BadParameter("no positive integer character found")
     return dict(zip(ring.basis, e.tolist()))
 
 

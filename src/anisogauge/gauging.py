@@ -12,7 +12,7 @@ over RING_BYTE_BUDGET by integer arithmetic: nothing here needs numpy.
 
 from collections import namedtuple
 
-from .errors import BoundExceeded, ExistenceViolated, NotPrime
+from .errors import BadParameter, BoundExceeded, ExistenceViolated
 from .ffield import is_prime, make_field, pick_order_p
 
 DOUBLE_RANK_BOUND = 200  # the largest group order `double-rank` accepts
@@ -49,13 +49,13 @@ def certify_pair(p: int, q: int) -> CertifiedPair:
     """(p, q, ctx, c): primes p | q + 1, the field F_{q^2} of q and the c of
     `pick_order_p` in its norm-one subgroup, certified to have order p.
 
-    Raises NotPrime or ExistenceViolated for a bad pair, then what
+    Raises BadParameter or ExistenceViolated for a bad pair, then what
     `make_field` raises.  The c of `pick_order_p` has c != 1 and c^p = 1
     with p prime, so it has order exactly p; this is checked here,
     ArithmeticError otherwise.
     """
     if not (is_prime(p) and is_prime(q)):
-        raise NotPrime(f"({p}, {q}) must be prime")
+        raise BadParameter(f"({p}, {q}) must be prime")
     if not _exists(p, q):
         raise ExistenceViolated(f"p={p} does not divide q+1={q + 1}")
     ctx = make_field(q)

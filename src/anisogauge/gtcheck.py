@@ -9,16 +9,11 @@ Galois involution.  Rotations of the anisotropic plane fail the test
 
 from collections import namedtuple
 
-from .errors import (
-    BadParameter,
-    BetaSingular,
-    EvenCharacteristic,
-    ZeroEigenvalue,
-)
+from .errors import BadParameter
 from .ffield import ExtElement, FieldCtx, frobenius, is_prime, sqrt_ext
 from .gauging import CertifiedPair, _exists
 from .orthogroup import Mat2, SplitOrthMap, rotation, split_embedding
-from .quadspace import ANISOTROPIC, QuadSpace
+from .quadspace import AnisotropicSpace, QuadSpace
 
 # group_theoretical: bool; mu1, mu2: ExtElement; ratio: ExtElement; witness: str
 GTVerdict = namedtuple("GTVerdict", "group_theoretical mu1 mu2 ratio witness")
@@ -31,7 +26,7 @@ def eigenvalues_2x2(m: Mat2, ctx: FieldCtx) -> tuple[ExtElement, ExtElement]:
     square root in the extension, so both roots exist.
     """
     if ctx.q == 2:
-        raise EvenCharacteristic("eigenvalue extraction needs odd characteristic")
+        raise BadParameter("eigenvalue extraction needs odd characteristic")
     q = ctx.q
     if m.q != q:
         raise TypeError(f"{m!r} is not over F_{q}")
@@ -54,11 +49,11 @@ def gt_criterion(m: SplitOrthMap) -> GTVerdict:
     are built as (I + g)/2 and (I - g)/2, which commute.
     """
     if m.beta.det() == 0:
-        raise BetaSingular("beta block is singular")
+        raise BadParameter("beta block is singular")
     a = m.alpha + m.beta * m.delta * m.beta.inverse()
     mu1, mu2 = eigenvalues_2x2(a, m.ctx)
     if not mu1 or not mu2:
-        raise ZeroEigenvalue("an eigenvalue vanishes; ratio undefined")
+        raise BadParameter("an eigenvalue vanishes; ratio undefined")
     ratio = mu1 / mu2
     gt = frobenius(ratio) == ratio
     return GTVerdict(
@@ -118,7 +113,7 @@ def non_group_theoretical_suite(pair: CertifiedPair,
     p, q, ctx, c = pair
     if p == 2 or q == 2:
         raise BadParameter(f"({p}, {q}) must be odd primes")
-    if space.kind != ANISOTROPIC or space.ctx != ctx:
+    if not isinstance(space, AnisotropicSpace) or space.ctx != ctx:
         raise BadParameter(f"{space!r} is not the anisotropic plane over {ctx!r}")
     rho = rotation(ctx, c)
     entries = []

@@ -16,9 +16,9 @@ import itertools
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotNormOne
+from .errors import BadParameter
 from .ffield import ExtElement, FieldCtx, _generator, frobenius, norm, norm_one_generator
-from .quadspace import ANISOTROPIC, QuadSpace, gram_matrix
+from .quadspace import AnisotropicSpace, QuadSpace, gram_matrix
 
 
 class Mat2:
@@ -100,9 +100,9 @@ def _matrix_of_map(ctx: FieldCtx, f) -> Mat2:
 
 def rotation(ctx: FieldCtx, c: ExtElement) -> Mat2:
     """The matrix of the rotation v -> c*v in the basis (1, theta), for a
-    norm-one c; NotNormOne otherwise."""
+    norm-one c; BadParameter otherwise."""
     if norm(c) != 1:
-        raise NotNormOne(f"norm({c!r}) != 1")
+        raise BadParameter(f"norm({c!r}) != 1")
     return _matrix_of_map(ctx, lambda v: c * v)
 
 
@@ -129,7 +129,7 @@ class SplitOrthMap:
     def __init__(self, ctx: FieldCtx, alpha: Mat2, beta: Mat2, gamma: Mat2,
                  delta: Mat2, gram: Mat2):
         if ctx.q == 2:
-            raise EvenCharacteristic("split maps need odd characteristic")
+            raise BadParameter("split maps need odd characteristic")
         if any(m.q != ctx.q for m in (alpha, beta, gamma, delta, gram)):
             raise TypeError(f"a block or the Gram matrix is not over F_{ctx.q}")
         self.ctx = ctx
@@ -165,7 +165,7 @@ def split_embedding(space: QuadSpace, g: Mat2) -> SplitOrthMap:
     whenever beta is invertible, which is what `gt_criterion` reads.
     """
     ctx = space.ctx
-    (g11, g12), (g21, g22) = gram_matrix(space)  # EvenCharacteristic at q = 2
+    (g11, g12), (g21, g22) = gram_matrix(space)  # BadParameter at q = 2
     q = ctx.q
     gram = Mat2(q, g11, g12, g21, g22)
     ident = Mat2.identity(q)
@@ -206,18 +206,19 @@ def enumerate_orth(space: QuadSpace) -> list[Mat2]:
     ctx = space.ctx
     q = ctx.q
     found = _solve_form_preserving(space)
-    n = q + 1 if space.kind == ANISOTROPIC else q - 1
-    if space.kind == ANISOTROPIC:
+    if isinstance(space, AnisotropicSpace):
+        n = q + 1
         r = rotation(ctx, norm_one_generator(ctx))
         s = _matrix_of_map(ctx, frobenius)
     else:
+        n = q - 1
         a = _generator(ctx, map(ctx.elem, range(1, q)), n).a0
         r = Mat2(q, a, 0, 0, pow(a, -1, q))
         s = Mat2(q, 0, 1, 1, 0)
     rotations = list(itertools.accumulate([r] * (n - 1), Mat2.__mul__, initial=Mat2.identity(q)))
     maps = rotations + [m * s for m in rotations]
     if {m.entries() for m in maps} != found:
-        raise ArithmeticError(f"{space.kind} orthogonal group: solved set != structured set")
+        raise ArithmeticError(f"orthogonal group of {space!r}: solved set != structured set")
     dihedral_generators(maps)
     return maps
 

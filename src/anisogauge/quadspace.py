@@ -21,18 +21,14 @@ import functools
 
 import numpy as np
 
-from .errors import EvenCharacteristic
+from .errors import BadParameter
 from .ffield import ExtElement, FieldCtx, norm
-
-ANISOTROPIC = "anisotropic"
-HYPERBOLIC = "hyperbolic"
 
 
 class QuadSpace:
     """A plane F_q^2 with a quadratic form on the coordinates (x, y) of
-    x*e1 + y*e2 in the canonical basis; concrete spaces provide the form."""
-
-    kind: str
+    x*e1 + y*e2 in the canonical basis; concrete spaces provide the form,
+    and a plane's kind is its class."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -74,16 +70,12 @@ class QuadSpace:
 class AnisotropicSpace(QuadSpace):
     """The extension field as a 2-dimensional space with the norm form."""
 
-    kind = ANISOTROPIC
-
     def form(self, x: int, y: int) -> int:
         return norm(ExtElement(self.ctx, x, y))
 
 
 class HyperbolicSpace(QuadSpace):
     """Pairs over F_q with the form (x, y) -> x*y."""
-
-    kind = HYPERBOLIC
 
     def form(self, x: int, y: int) -> int:
         return x * y % self.ctx.q
@@ -125,7 +117,7 @@ def gram_matrix(space: QuadSpace) -> tuple[tuple[int, int], tuple[int, int]]:
     """Gram matrix of the polarized bilinear form B = B'/2 in the canonical basis."""
     q = space.ctx.q
     if q == 2:
-        raise EvenCharacteristic("bilinear form needs odd characteristic")
+        raise BadParameter("bilinear form needs odd characteristic")
     q1, q2, polar = space.polar_values
     half = polar * pow(2, -1, q) % q
     return ((q1, half), (half, q2))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from anisogauge import cli, ffield, fusionring, gauging, gtcheck, suite
 from anisogauge.cli import main, sha256
-from anisogauge.errors import ExistenceViolated, NotACharacter
+from anisogauge.errors import BadParameter, ExistenceViolated
 
 from oracles import child_env
 
@@ -454,7 +454,7 @@ def _payload_and_digest_agree(out: str) -> dict:
 
 def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
     def broken(ring):
-        raise NotACharacter("no consistent positive character found")
+        raise BadParameter("no consistent positive character found")
 
     monkeypatch.setattr(fusionring, "fp_dims", broken)
     code, out, err = run(capsys, ["verify", "3", "5", "--format", "json"])
@@ -463,7 +463,7 @@ def test_verify_stage_raise_becomes_fail_row(capsys, monkeypatch):
     assert data["passed"] is False
     rows = {c["name"]: c for c in data["checks"]}
     assert rows["fp-dims"]["status"] == "fail"
-    assert rows["fp-dims"]["detail"] == "NotACharacter: no consistent positive character found"
+    assert rows["fp-dims"]["detail"] == "BadParameter: no consistent positive character found"
     assert all(c["status"] == "pass" for name, c in rows.items() if name != "fp-dims")
 
 

@@ -4,10 +4,9 @@ import operator
 import pytest
 
 from anisogauge import (
+    BadParameter,
     BoundExceeded,
     ExtElement,
-    NoSuchElement,
-    NotPrime,
     frobenius,
     is_prime,
     ker_norm,
@@ -32,9 +31,9 @@ def test_make_field_canonical_polys():
 
 
 def test_make_field_rejects_composites_and_bound():
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParameter, match="^4 is not prime$"):
         make_field(4)
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParameter, match="^1 is not prime$"):
         make_field(1)
     with pytest.raises(BoundExceeded):
         make_field(10007)
@@ -204,9 +203,9 @@ def test_pick_order_p():
     ctx = make_field(5)
     c = pick_order_p(ctx, 3)
     assert c ** 3 == ctx.one and c != ctx.one and norm(c) == 1
-    with pytest.raises(NoSuchElement):
-        pick_order_p(make_field(7), 3)  # 3 does not divide 8
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParameter, match=r"^3 does not divide q\+1 = 8$"):
+        pick_order_p(make_field(7), 3)
+    with pytest.raises(BadParameter, match="^6 is not prime$"):
         pick_order_p(ctx, 6)
 
 

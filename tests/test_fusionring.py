@@ -9,7 +9,6 @@ from anisogauge import (
     BadParameter,
     ExistenceViolated,
     FusionRing,
-    NotACharacter,
     build_extension_ring,
     certify_pair,
     drinfeld_double_rank,
@@ -179,6 +178,17 @@ def _product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
                       prod.astype(f"i{pw}"), coef.astype(f"i{cw}"), outer.reshape(len(keys), -1))
 
 
+def _mul(table: dict, left: dict, right: dict) -> dict:
+    """The product of two label combinations {label: coefficient} under the
+    label-level tensor `table` of `tensor_of`, with zero terms dropped."""
+    out = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            for k, v in table.get((a, b), {}).items():
+                out[k] = out.get(k, 0) + ca * cb * v
+    return {k: v for k, v in out.items() if v}
+
+
 def _reference_report(ring: FusionRing) -> AxiomReport:
     """Brute-force oracle on the label-level tensor: every check, every triple."""
     basis, unit, dual = ring.basis, ring.basis[ring.unit_index], _dual(ring)
@@ -187,14 +197,6 @@ def _reference_report(ring: FusionRing) -> AxiomReport:
 
     def row(i, j):
         return table.get((i, j), {})
-
-    def mul(left, right):
-        out = {}
-        for a, ca in left.items():
-            for b, cb in right.items():
-                for k, v in row(a, b).items():
-                    out[k] = out.get(k, 0) + ca * cb * v
-        return {k: v for k, v in out.items() if v}
 
     problems = []
     bad = [j for j in basis if row(unit, j) != {j: 1} or row(j, unit) != {j: 1}]
@@ -221,7 +223,7 @@ def _reference_report(ring: FusionRing) -> AxiomReport:
             problems.append("reciprocity fails at N({},{};{})".format(*bad[0]))
     first = next(
         ((i, j, k) for i in basis for j in basis for k in basis
-         if mul(row(i, j), {k: 1}) != mul({i: 1}, row(j, k))),
+         if _mul(table, row(i, j), {k: 1}) != _mul(table, {i: 1}, row(j, k))),
         None,
     )
     if first is not None:
@@ -361,18 +363,9 @@ def _first_failure_by_brute_force(ring: FusionRing, s: int) -> tuple | None:
     from the label-level tensor."""
     table, middle = tensor_of(ring), ring.basis[s]
     pos = {label: t for t, label in enumerate(ring.basis)}
-
-    def mul(left, right):
-        out = {}
-        for a, ca in left.items():
-            for b, cb in right.items():
-                for k, v in table.get((a, b), {}).items():
-                    out[k] = out.get(k, 0) + ca * cb * v
-        return {k: v for k, v in out.items() if v}
-
     return next(((pos[x], s, pos[y]) for x in ring.basis for y in ring.basis
-                 if mul(mul({x: 1}, {middle: 1}), {y: 1})
-                 != mul({x: 1}, mul({middle: 1}, {y: 1}))), None)
+                 if _mul(table, _mul(table, {x: 1}, {middle: 1}), {y: 1})
+                 != _mul(table, {x: 1}, _mul(table, {middle: 1}, {y: 1}))), None)
 
 
 @pytest.mark.parametrize("case", sorted(RINGS) + sorted(MUTATIONS))
@@ -589,8 +582,8 @@ def _as_int64(make, monkeypatch):
 def _fp_dims_or_refusal(ring):
     try:
         return fp_dims(ring)
-    except NotACharacter:
-        return "NotACharacter"
+    except BadParameter as refusal:
+        return str(refusal)
 
 
 def _square_ring(c: int) -> FusionRing:
@@ -773,7 +766,7 @@ def test_fp_dims_irrational_raises():
          ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}},
     )
     assert verify_axioms(ring).passed
-    with pytest.raises(NotACharacter):
+    with pytest.raises(BadParameter, match="^no positive integer character found$"):
         fp_dims(ring)
 
 
@@ -1101,13 +1094,14 @@ def test_ring_from_text_fuzz(cut, edits):
 
 def _fp_dims_certifies_or_refuses(ring: FusionRing) -> None:
     """Negative and zero coefficients parse, so a parsed ring is any integer
-    ring: fp_dims either returns a certified character or raises
-    NotACharacter, with no warning."""
+    ring: fp_dims either returns a certified character or refuses the ring
+    for having none, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             dims = fp_dims(ring)
-        except NotACharacter:
+        except BadParameter as refusal:
+            assert str(refusal) == "no positive integer character found"
             return
     assert _certify_character(ring, np.array([dims[label] for label in ring.basis]))
 

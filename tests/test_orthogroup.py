@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from anisogauge import (
     AnisotropicSpace,
-    EvenCharacteristic,
+    BadParameter,
     Mat2,
-    NotNormOne,
     SplitOrthMap,
     build_anisotropic,
     build_hyperbolic,
@@ -122,7 +121,7 @@ def test_rotation_examples():
     ctx5 = make_field(5)
     c = pick_order_p(ctx5, 3)
     assert order(rotation(ctx5, c)) == 3
-    with pytest.raises(NotNormOne):
+    with pytest.raises(BadParameter, match=r"^norm\(2\) != 1$"):
         rotation(ctx5, ctx5.elem(2))
 
 
@@ -214,7 +213,7 @@ def test_unique_cyclic_subgroup_of_odd_order(p, q):
 def test_split_embedding_even_characteristic():
     ctx = make_field(2)
     aniso = build_anisotropic(ctx)
-    with pytest.raises(EvenCharacteristic):
+    with pytest.raises(BadParameter, match="^bilinear form needs odd characteristic$"):
         split_embedding(aniso, Mat2.identity(2))
 
 

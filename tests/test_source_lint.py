@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib.util
 import re
 from pathlib import Path
@@ -27,6 +28,28 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# One class per exit code that `cli.main` tells apart: the base class and
+# BadParameter exit 64, BoundExceeded 3 and ExistenceViolated 2.
+ERROR_CLASSES = ["AnisogaugeError", "BadParameter", "BoundExceeded", "ExistenceViolated"]
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def test_one_error_class_per_exit_code():
+    # a class that no caller tells apart from BadParameter is a BadParameter
+    defined = [node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)]
+    assert sorted(defined) == ERROR_CLASSES
+    assert sorted(anisogauge._EXPORTS["errors"]) == ERROR_CLASSES
+    raised = [
+        f"{file}:{node.lineno} {node.exc.func.id}"
+        for file, node in _nodes()
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id not in BUILTIN_EXCEPTIONS.union(ERROR_CLASSES)
+    ]
+    assert raised == []
 
 
 def test_traced_names_exist_where_the_tracer_patches_them():

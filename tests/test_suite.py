@@ -6,7 +6,7 @@ import pytest
 
 from anisogauge import cli, ffield, fusionring, orthogroup, suite
 from anisogauge.gauging import certify_pair
-from anisogauge.quadspace import ANISOTROPIC, HYPERBOLIC, QuadSpace
+from anisogauge.quadspace import AnisotropicSpace, HyperbolicSpace, QuadSpace
 
 from oracles import child_env
 
@@ -72,13 +72,13 @@ def test_each_plane_is_built_once_and_derives_its_values_once(capsys, monkeypatc
     built, derivations = [], []
     init, values = QuadSpace.__init__, QuadSpace.__dict__["polar_values"].func
     monkeypatch.setattr(QuadSpace, "__init__",
-                        lambda self, ctx: built.append(self.kind) or init(self, ctx))
+                        lambda self, ctx: built.append(type(self)) or init(self, ctx))
     counted = functools.cached_property(lambda self: derivations.append(self) or values(self))
     counted.__set_name__(QuadSpace, "polar_values")
     monkeypatch.setattr(QuadSpace, "polar_values", counted)
     run()
     capsys.readouterr()
-    assert (built.count(ANISOTROPIC), built.count(HYPERBOLIC), len(derivations)) == (
+    assert (built.count(AnisotropicSpace), built.count(HyperbolicSpace), len(derivations)) == (
         planes, planes, derived)
 
 

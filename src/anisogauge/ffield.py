@@ -47,22 +47,14 @@ def _square_roots(q: int) -> tuple[int | None, ...]:
     return tuple(roots)
 
 
-def least_nonresidue(q: int) -> int:
-    """Smallest quadratic non-residue mod an odd prime q."""
-    roots = _square_roots(q)
-    for d in range(2, q):
-        if roots[d] is None:
-            return d
-    raise BadParameter(f"no quadratic non-residue mod {q}")
-
-
 class FieldCtx:
     """The quadratic extension of F_q, fixed by its canonical defining polynomial.
 
     The polynomial is stored as (c0, c1) meaning x^2 + c1*x + c0, so the
     generator theta satisfies theta^2 = -c1*theta - c0.  It has no root, by
-    argument: d is read off `_square_roots`, which lists every square mod q,
-    and x^2 + x + 1 takes the value 1 at both 0 and 1 mod 2.
+    argument: d is the first r that `_square_roots`, which lists every square
+    mod q, marks as no square (past 0 and 1, which are; every odd prime has
+    a non-residue), and x^2 + x + 1 takes the value 1 at both 0 and 1 mod 2.
     """
 
     __slots__ = ("q", "poly", "d")
@@ -75,9 +67,8 @@ class FieldCtx:
             self.poly = (1, 1)  # x^2 + x + 1
             self.d = None
         else:
-            d = least_nonresidue(q)
-            self.poly = ((-d) % q, 0)  # x^2 - d
-            self.d = d
+            self.d = _square_roots(q).index(None)  # the least non-residue
+            self.poly = ((-self.d) % q, 0)  # x^2 - d
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.q == other.q and self.poly == other.poly

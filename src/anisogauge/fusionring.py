@@ -8,7 +8,9 @@ multi[-1 - prod[i, j]], stored primitive (gcd 1, first nonzero positive)
 and distinct.  verify_axioms certifies associativity and reciprocity on a
 generating set S certified by closure: Light's test on the |S| n^2 triples
 with a middle in S, then the anti-involution (x s)^* = s^* x^* on the |S| n
-cells (x, s).  When either fails, a full scan reports the first
+cells (x, s).  The closure lets a product reach the one term of its support
+not yet reached, as each set that S must generate is a subspace closed
+under products.  When either fails, a full scan reports the first
 counterexample.  `_pack` is the one normaliser: `ring_from_text` hands it
 flat index entries (i, j, k, v), and it makes the multi-term rows primitive
 and distinct; build_extension_ring builds its arrays in that form.  The
@@ -22,12 +24,13 @@ the full scans, the character check) walk the n x n arrays in
 `_row_blocks`, so that no int64 temporary holds more than about
 _BLOCK_CELLS cells, and Light's test, the duality scan and the character
 check reuse scratch allocated once a call; the generator closure reads
-only the generators' rows and columns.  Light's test compares single-term sides cell to cell and
-handles each multi-term x s (or s y) once over all y (or all x): one
-gathered grid over its support, summed by np.add.at on flat indices, less
-the other side, one cell a pair, so a multi-term middle costs a few
-single-term ones.  The extension ring is built in its narrow dtypes from
-the addition table of Z/q.  `gauging.ring_widths` gives the byte widths
+the generators' rows and columns and the multi-term rows they reach.
+Light's test compares single-term sides cell to cell and handles each
+multi-term x s (or s y) once over all y (or all x): one gathered grid over
+its support, summed by np.add.at on flat indices, less the other side, one
+cell a pair, so a multi-term middle costs a few single-term ones where few
+cells are multi-term.  The extension ring is built in its narrow dtypes
+from the addition table of Z/q.  `gauging.ring_widths` gives the byte widths
 of prod and coef, and refuses a ring over `gauging.RING_BYTE_BUDGET`
 before any of it is allocated.  fp_dims iterates an integer fixed point
 on the n cells (i, i^*) before the character check; there is no floating
@@ -298,25 +301,30 @@ def _first_assoc_failure(ring: FusionRing, middles) -> tuple | None:
 
 
 def _generators(ring: FusionRing) -> list[int]:
-    """A generating set S, chosen greedily and certified by closure: from the
-    unit, add the smallest unreached index to S and close the reached set
-    under single-term products a s and s a (a reached, s in S; a nonzero
-    coefficient c puts (a s) / c in the subalgebra S generates), until every
-    basis element is reached.  For the extension ring S = {g0_1, g1_0, X1}.
+    """A generating set S, certified by closure.  From the unit, each pass
+    forms a s and s a for a reached and s in S; one with a nonzero
+    coefficient reaches the one term of its support not yet reached, when
+    exactly one is left, and a pass that reaches nothing adds the least
+    unreached index to S.  Sound for Light's set and the anti-involution
+    set alike: each is a subspace closed under products that holds the
+    unit, so if it holds a s = c sum_k w_k k and every term but one, it
+    holds that one too.  For the extension ring S = {g0_1, g1_0, X1}.
     """
-    reached = np.zeros(len(ring.basis), dtype=bool)
-    reached[ring.unit_index] = True
-    gens: list[int] = []
+    reached, gens = np.arange(len(ring.basis)) == ring.unit_index, []
     while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        new = np.array(gens[-1:])
-        while not reached[new].all():
-            reached[new] = True
-            r, s = np.flatnonzero(reached), np.array(gens)
-            cells = [(r[:, None], s), (s[:, None], r)]  # a s and s a
-            t = np.concatenate([ring.prod[cell].ravel() for cell in cells])
-            c = np.concatenate([ring.coef[cell].ravel() for cell in cells])
-            new = t[(t >= 0) & (c != 0)]
+        r, s = np.flatnonzero(reached), np.array(gens, dtype=np.int64)
+        cells = [(r[:, None], s), (s[:, None], r)]  # a s and s a
+        t = np.concatenate([ring.prod[cell].ravel() for cell in cells], dtype=np.int64)
+        live = np.concatenate([ring.coef[cell].ravel() for cell in cells]) != 0
+        rows = np.zeros(len(ring.multi), dtype=bool)  # the multi-term rows in play
+        rows[-1 - t[live & (t < 0)]] = True
+        unreached = (ring.multi[rows] != 0) & ~reached
+        last = unreached[unreached.sum(axis=1) == 1]
+        new = np.concatenate([t[live & (t >= 0)], np.argmax(last, axis=1)])
+        if reached[new].all():
+            gens.append(int(np.argmin(reached)))
+            new = gens[-1:]
+        reached[new] = True
     return gens
 
 
@@ -391,9 +399,10 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     vectorized array checks, in row blocks.  Associativity is Light's test
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2)
     extended bilinearly: the s with (x s) y = x (s y) for all basis x, y form
-    a subalgebra, so the generating set S of `_generators` suffices, |S| n^2
-    triples instead of n^3.  If that fails, or the unit law does (the
-    certificate needs it), the full scan over every middle s reports the
+    a subspace closed under products that holds the unit, which is all that
+    the closure of `_generators` needs, so its S suffices: |S| n^2 triples
+    instead of n^3.  If that fails, or the unit law does (the certificate
+    needs it), the full scan over every middle s reports the
     lexicographically first failing triple.
 
     Reciprocity N(i,j;k) = N(i^*,k;j) = N(k,j^*;i) is certified the same
@@ -401,9 +410,9 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     the unit law, the involution and N(i, j; unit) hold and Light's test
     passes on S, it checks the anti-involution (x s)^* = s^* x^* for every
     basis x and every s in S, |S| n cells.  That is enough:
-    - the y with (x y)^* = y^* x^* for all x form a subalgebra (it holds
-      the unit, since unit^* = unit, and by associativity (x y1 y2)^* =
-      y2^* (x y1)^* = y2^* y1^* x^*), so it holds on all of the ring;
+    - the y with (x y)^* = y^* x^* for all x form such a subspace too
+      (unit^* = unit, and by associativity (x y1 y2)^* = y2^* (x y1)^* =
+      y2^* y1^* x^*), so it holds on all of the ring;
     - let tau be the coefficient of the unit.  By N(i, j; unit) = [j = i^*]
       tau(i j) = tau(j i) and tau(i^*) = tau(i), and N(i,j;k) = tau(i j k^*);
     - so tau(i j k^*) = tau((i j k^*)^*) = tau(k j^* i^*) = N(k,j^*;i), and

@@ -1,9 +1,11 @@
 """Reference constructions the tests compare the package against.
 
 None of these is on a CLI path: they are fixtures (rings written on labels,
-a group ring, the semidirect product's full multiplication table), small
-readings of package objects (a ring's label-level tensor, orders, block
-products) kept out of `src/`, and brute-force counts on group
+a group ring, the degree-zero ring Rep(F_q^2 x| Z/p) of a pair, whose
+products of orbit sums are nearly all multi-term, the semidirect
+product's full multiplication table), small readings of package objects (a
+ring's label-level tensor, the rank of what a generating set spans, orders,
+block products) kept out of `src/`, and brute-force counts on group
 tables (conjugacy classes, commuting pairs up to conjugation) that the
 package's Burnside counts are checked against, and the split form
 evaluated on every vector, which `SplitOrthMap`'s block identities are
@@ -21,7 +23,7 @@ import numpy as np
 import anisogauge
 from anisogauge import ExtElement, FieldCtx, FusionRing, Mat2, SplitOrthMap, frobenius, ker_norm
 from anisogauge import fusionring, ring_to_text
-from anisogauge.fusionring import _code_permutation
+from anisogauge.fusionring import _code_permutation, _free_orbits
 from anisogauge.gauging import certify_pair
 from anisogauge.orthogroup import rotation
 
@@ -65,6 +67,37 @@ def tensor_of(ring: FusionRing) -> dict:
     return out
 
 
+def generated_rank(ring: FusionRing, gens, prime: int = 2 ** 31 - 1) -> int:
+    """The dimension mod `prime` of the span of all products of elements of
+    `gens`, the empty product being the unit: from the unit, each vector that
+    grows the span is multiplied by every s in `gens` on both sides.  It is
+    at most the dimension over Q, so the rank of the ring means that `gens`
+    generate it as an algebra.  Each new row is reduced by the rows before
+    it in the order they came, so each is zero at every earlier pivot."""
+    n, at = len(ring.basis), {label: t for t, label in enumerate(ring.basis)}
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), row in tensor_of(ring).items():
+        for k, v in row.items():
+            table[at[i], at[j], at[k]] = v
+    rows: dict = {}  # pivot -> a row that is 1 there
+
+    def grows(v):
+        for pivot, row in rows.items():
+            v = (v - v[pivot] * row) % prime
+        if v.any():
+            pivot = int(np.flatnonzero(v)[0])
+            rows[pivot] = v * pow(int(v[pivot]), -1, prime) % prime
+        return v.any()
+
+    todo = [(np.arange(n) == ring.unit_index).astype(np.int64)]
+    grows(todo[0])
+    while todo:
+        v = todo.pop()
+        todo += [w for s in gens for w in (v @ table[:, s] % prime, v @ table[s] % prime)
+                 if grows(w)]
+    return len(rows)
+
+
 def cyclic_group_ring(n: int) -> FusionRing:
     """Group ring of Z/n with basis g0..g(n-1)."""
     labels = [f"g{k}" for k in range(n)]
@@ -79,6 +112,38 @@ def perm_of_c(p: int, q: int) -> np.ndarray:
     """The code permutation of v -> c*v for the certified pair (p, q)."""
     pair = certify_pair(p, q)
     return _code_permutation(rotation(pair.ctx, pair.c))
+
+
+def degree_zero_ring(p: int, q: int) -> FusionRing:
+    """Z0 = Rep(F_q^2 x| Z/p), the degree-0 ring of the gauging, on labels:
+    the characters chi0..chi(p-1) of Z/p, then one orbit sum O0, O1, ... per
+    row of `_free_orbits` on the code permutation of c.  The rules, with u
+    the least code of its orbit and codes added as vectors:
+    - chi_i chi_j = chi_{i+j}, and chi_i [O] = [O] chi_i = [O];
+    - [u] [v] = sum over w in the orbit of v of [u + w], where a zero u + w
+      contributes the sum of all chi_j;
+    - chi_j^* = chi_{-j}, and [O]^* = [-O].
+    Nearly every product of two orbit sums is multi-term.  ExistenceViolated
+    unless p | q + 1."""
+    orbits = _free_orbits(perm_of_c(p, q), p).tolist()
+    chi = [f"chi{j}" for j in range(p)]
+    name = {code: f"O{k}" for k, row in enumerate(orbits) for code in row}
+
+    def add(u, w):
+        return (u // q + w // q) % q * q + (u + w) % q
+
+    tensor = {(chi[i], chi[j]): {chi[(i + j) % p]: 1} for i in range(p) for j in range(p)}
+    dual = {chi[j]: chi[-j % p] for j in range(p)}
+    for u, *_ in orbits:
+        dual[name[u]] = name[-(u // q) % q * q + -u % q]
+        for j in chi:
+            tensor[j, name[u]] = tensor[name[u], j] = {name[u]: 1}
+        for other in orbits:
+            out = tensor[name[u], name[other[0]]] = {}
+            for total in (add(u, w) for w in other):
+                for k in [name[total]] if total else chi:
+                    out[k] = out.get(k, 0) + 1
+    return ring_of(chi + [name[row[0]] for row in orbits], "chi0", dual, tensor)
 
 
 def semidirect_group_table(p: int, q: int) -> np.ndarray:

@@ -11,9 +11,9 @@ q = 2 is supported in restricted mode (no operation that divides by 2).
 """
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
 
 from .errors import BadParameter, BoundExceeded
 

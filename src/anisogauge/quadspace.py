@@ -8,13 +8,13 @@ in the canonical basis, (1, theta) on the anisotropic plane, and
 `QuadSpace.form(x, y)` is Q(x e1 + y e2) on either plane.
 
 Each plane certifies its form once (`QuadSpace.certificate`): the q x q
-table of the form, read-only, equals a^2 Q(e1) + b^2 Q(e2) + ab B'(e1, e2)
-mod q, where B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form.  Each
-plane derives the three values once (`QuadSpace.polar_values`), their only
-home: the certificate, the orthogonal-group solve, the metric group and
-the Gram matrix read them there.  The metric group (F_q^2, t) is that form
-table: it stores t = Q mod q as exponents in Z/q (t(a) = exp(2*pi*i*k/q)
-with k the stored exponent), never as complex numbers.
+table of the form, one broadcast evaluation, equals a^2 Q(e1) + b^2 Q(e2) +
+ab B'(e1, e2) mod q, where B'(x, y) = Q(x + y) - Q(x) - Q(y) is the polar
+form.  Each plane derives the three values once (`QuadSpace.polar_values`),
+their only home: the certificate, the orthogonal-group solve, the metric
+group and the Gram matrix read them there.  The metric group (F_q^2, t) is
+that form table: it stores t = Q mod q as exponents in Z/q (t(a) =
+exp(2*pi*i*k/q) with k the stored exponent), never as complex numbers.
 """
 
 import functools
@@ -33,8 +33,8 @@ class QuadSpace:
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
 
-    def form(self, x: int, y: int) -> int:
-        """Q(x*e1 + y*e2) mod q."""
+    def form(self, x, y):
+        """Q(x*e1 + y*e2) mod q, for integers or int64 arrays that broadcast."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -46,18 +46,17 @@ class QuadSpace:
 
     @functools.cached_property
     def certificate(self) -> np.ndarray:
-        """The read-only form table, built once and certified by polarization:
-        table[x, y] = Q(x e1 + y e2) mod q = x^2 q1 + y^2 q2 + xy polar for
-        (q1, q2, polar) = `polar_values`.
+        """The read-only form table: one broadcast evaluation of `form` on the
+        q x q grid, certified by polarization at every q, table[x, y] = Q(x e1 +
+        y e2) mod q = x^2 q1 + y^2 q2 + xy polar for `polar_values` (q1, q2, polar).
 
         Raises ArithmeticError unless the table is the quadratic form fixed
         by Q(e1), Q(e2) and Q(e1 + e2).
         """
         q = self.ctx.q
         q1, q2, polar = self.polar_values
-        table = np.array([[self.form(x, y) for y in range(q)] for x in range(q)],
-                         dtype=np.int64) % q
         x, y = np.ogrid[:q, :q]
+        table = np.broadcast_to(self.form(x, y), (q, q)) % q
         if ((x * x * q1 + y * y * q2 + x * y * polar - table) % q).any():
             raise ArithmeticError("form table is not a quadratic form")
         table.flags.writeable = False
@@ -70,14 +69,14 @@ class QuadSpace:
 class AnisotropicSpace(QuadSpace):
     """The extension field as a 2-dimensional space with the norm form."""
 
-    def form(self, x: int, y: int) -> int:
+    def form(self, x, y):
         return norm(ExtElement(self.ctx, x, y))
 
 
 class HyperbolicSpace(QuadSpace):
     """Pairs over F_q with the form (x, y) -> x*y."""
 
-    def form(self, x: int, y: int) -> int:
+    def form(self, x, y):
         return x * y % self.ctx.q
 
 

@@ -48,6 +48,14 @@ def test_census_json_5_19(capsys):
     assert [e["count"] for e in data["entries"]] == [5, 72, 20]
 
 
+def test_census_json_3_2(capsys):
+    # q = 2: the extension's defining polynomial is x^2 + x + 1, not x^2 - d
+    code, out, _ = run(capsys, ["census", "3", "2", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["defining_poly"], data["rank"], data["sum_dim_sq"]) == ("x^2 + x + 1", 10, 36)
+
+
 def test_census_csv(capsys):
     code, out, _ = run(capsys, ["census", "3", "5", "--format", "csv"])
     assert code == 0

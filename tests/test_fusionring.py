@@ -88,6 +88,21 @@ def test_axioms_mutation_detected():
     assert report.counterexample is not None
 
 
+def test_anti_involution_fails_on_a_single_term_cell():
+    # X1 X1 = q X2 and X2 X2 = q X1 are single-term cells; N(X1, X1; X2) = q + 1
+    # alone breaks (X1 X1)^* = X1^* X1^* there
+    ring = build_extension_ring(certify_pair(3, 5))
+    bad = _with(ring, {("X1", "X1"): {"X2": 6}})
+    assert _anti_involution_holds(ring, _generators(ring))
+    assert not _anti_involution_holds(bad, _generators(bad))
+
+
+def test_certify_pair_refuses_a_composite():
+    for p, q in [(4, 7), (3, 9)]:
+        with pytest.raises(BadParameter, match=rf"^\({p}, {q}\) must be prime$"):
+            certify_pair(p, q)
+
+
 def test_axioms_unit_violation_detected():
     bad = _with(cyclic_group_ring(3), {("g0", "g1"): {"g2": 1}})
     report = verify_axioms(bad)

@@ -134,6 +134,11 @@ def test_quartic_identity_small():
     assert quartic_identity_check(2)
 
 
+def test_quartic_identity_refuses_a_composite_q():
+    with pytest.raises(BadParameter, match="^q=9 must be prime$"):
+        quartic_identity_check(9)
+
+
 def test_quartic_root_multiset_q5():
     # synthetic division oracle: full multiset of roots of the quartic
     ctx = make_field(5)

@@ -5,6 +5,7 @@ import pytest
 from test_orthogroup import _MutatedPlane
 
 from anisogauge import (
+    AnisotropicSpace,
     BadParameter,
     HyperbolicSpace,
     Mat2,
@@ -141,6 +142,21 @@ def test_certificate_is_the_form_table(q):
         for x, y in _vectors(q):
             assert cert[x, y] == space.form(x, y) % q
         assert metric_group_of(space) is cert
+
+
+@pytest.mark.parametrize("plane", [AnisotropicSpace, HyperbolicSpace])
+def test_certificate_is_one_broadcast_evaluation_of_the_form(plane):
+    # the grid call, then Q(e1), Q(e2) and Q(e1 + e2) of `polar_values`
+    class Counted(plane):
+        calls = 0
+
+        def form(self, x, y):
+            self.calls += 1
+            return super().form(x, y)
+
+    space = Counted(make_field(13))
+    space.certificate
+    assert space.calls == 4
 
 
 def _mutated_planes(q):

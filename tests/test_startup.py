@@ -98,6 +98,7 @@ START_UP = {  # the numpy-free paths
     "verify 3 5 --bound 1_000": Row(None, 64, set(), NUMPY_FREE),
     "--timing census 3 5 --format json": Row(None, 0, set(), NUMPY_FREE),
     "verify 3 197 --bound 1000000": Row(None, 3, set(), NUMPY_FREE),  # past the ring's byte budget
+    "census 3 2": Row(None, 0, set(), NUMPY_FREE),  # the q = 2 field
 }
 PAST_THE_GATES = {  # numpy, but not numpy.ma, dataclasses or _hashlib
     "verify 3 5": Row(None, 0, NUMPY, PACKAGE),
@@ -167,6 +168,24 @@ def test_commands_skip_dataclasses(argv, probe):
 @pytest.mark.parametrize("line", REFUSALS, ids=lambda line: line[len("double-rank "):-len(".txt")])
 def test_double_rank_refusals_skip_numpy(line, probe):
     assert_path(probe(line.split()), line.split())
+
+
+# Runs census in a fresh interpreter started with -S, so that no site .pth
+# file imports typing before the program does, and reports its exit code
+# and whether typing was loaded.
+TYPING_PROBE = """
+import sys
+from anisogauge.cli import main
+print(main(["census", "3", "5"]), "typing" in sys.modules)
+"""
+
+
+def test_census_skips_typing():
+    # typing adds milliseconds to start-up; ffield takes Iterator from
+    # collections.abc instead, which costs a fraction of one
+    done = subprocess.run([sys.executable, "-S", "-c", TYPING_PROBE], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
